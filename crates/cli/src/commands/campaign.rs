@@ -276,10 +276,10 @@ pub fn run(argv: &[String]) -> i32 {
     };
     log_phase("generate", t);
 
-    let expected_runs = (meta.tests.len() * config.inputs_per_program * config.levels.len()
-        * sides.len()
-        + if with_reference { meta.tests.len() * config.inputs_per_program } else { 0 })
-        as u64;
+    let expected_runs =
+        (meta.tests.len() * config.inputs_per_program * config.levels.len() * sides.len()
+            + if with_reference { meta.tests.len() * config.inputs_per_program } else { 0 })
+            as u64;
     let progress = if args.has("--progress") { Some(Progress::spawn(expected_runs)) } else { None };
 
     let mut session = FtSession::new(journal, max_faults);

@@ -53,10 +53,12 @@
 //!   a length-prefixed, CRC-framed TCP protocol and runs the local
 //!   farm's own supervision loop against it (every spawn is `campaign
 //!   --resume`). The campaign shape comes from the coordinator's grant,
-//!   so agents need no campaign flags. All agent I/O is timeout-guarded
-//!   with jittered, reset-on-success retry; `--net-chaos N` arms the
-//!   seeded wire adversary for self-tests. An agent that hears the run
-//!   is done says goodbye once and exits.
+//!   so agents need no campaign flags. Every exchange runs under
+//!   `--io-timeout-ms`; a failed one is retried on the loop's next timed
+//!   pass, and an agent with no successful exchange for
+//!   `--max-offline-ms` gives up, checkpoints kept. `--net-chaos N` arms
+//!   the seeded wire adversary for self-tests. An agent that hears the
+//!   run is done says goodbye once and exits.
 
 use super::{flag, install_sigint_handler, parse_known};
 use crate::args::Args;
@@ -157,7 +159,7 @@ pub fn run(argv: &[String]) -> i32 {
     // Workers inherit a thread budget so `n_workers` processes don't
     // oversubscribe the machine.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = ((cores + n_workers - 1) / n_workers).max(1);
+    let threads = cores.div_ceil(n_workers).max(1);
     worker.env.push(("RAYON_NUM_THREADS".to_string(), threads.to_string()));
 
     let mut cfg = FarmConfig::new(campaign, n_shards, n_workers, dir, worker);
@@ -388,7 +390,7 @@ fn run_join(args: &Args, coordinator: String) -> i32 {
     // a fleet's verdict policy is set once, on the coordinator.
     worker.prefix_args = vec!["campaign".to_string()];
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = ((cores + n_workers - 1) / n_workers).max(1);
+    let threads = cores.div_ceil(n_workers).max(1);
     worker.env.push(("RAYON_NUM_THREADS".to_string(), threads.to_string()));
 
     let mut cfg = AgentConfig::new(coordinator, dir, n_workers, worker);

@@ -14,7 +14,10 @@ use std::time::{Duration, Instant};
 use difftest::campaign::analyze;
 use difftest::metadata::CampaignMeta;
 
-const PROGRAMS: &str = "32";
+/// Enough work per shard that the run is still going when agent 1's
+/// first lease request is retried: its seeded chaos drops the first one,
+/// and the coordinator kill below waits for agent 1 to hold a lease.
+const PROGRAMS: &str = "256";
 const INPUTS: &str = "2";
 const SEED: &str = "20240807";
 
@@ -301,8 +304,17 @@ fn fleet_usage_errors() {
     let out = varity(&["farm", "--join", "127.0.0.1:1"]);
     assert_eq!(out.status.code(), Some(2));
     // More shards than programs is rejected before binding anything.
-    let out =
-        varity(&["farm", "--coordinate", "127.0.0.1:0", "--dir", "/tmp/x", "--programs", "2", "--shards", "8"]);
+    let out = varity(&[
+        "farm",
+        "--coordinate",
+        "127.0.0.1:0",
+        "--dir",
+        "/tmp/x",
+        "--programs",
+        "2",
+        "--shards",
+        "8",
+    ]);
     assert_eq!(out.status.code(), Some(2));
     // Help documents the fleet roles.
     let help = varity(&["help"]);

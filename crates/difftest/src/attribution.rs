@@ -248,8 +248,8 @@ mod tests {
         // a fleet re-lease shipped one shard twice: after the
         // merge-level dedup, `analyze --profile`'s attribution (counts,
         // classes, unique findings) must match the clean merge exactly
-        let config = CampaignConfig::default_for(Precision::F64, TestMode::Direct)
-            .with_programs(40);
+        let config =
+            CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(40);
         let shards: Vec<CampaignMeta> = CampaignMeta::generate(&config)
             .shard(4)
             .into_iter()
@@ -299,12 +299,7 @@ mod tests {
         assert!(attr.has_verdicts);
         // every discrepancy in every row received some verdict
         for row in &attr.rows {
-            assert_eq!(
-                row.by_verdict.iter().sum::<u64>(),
-                row.discrepancies,
-                "{}",
-                row.key
-            );
+            assert_eq!(row.by_verdict.iter().sum::<u64>(), row.discrepancies, "{}", row.key);
         }
         // fast-math rows (nvcc:* / hipcc:* semantic passes fire at O3_FM)
         // must include undecided tallies when their discrepancies live in

@@ -872,9 +872,10 @@ mod tests {
     fn generate_shard_equals_sharding_the_full_campaign() {
         let config = cfg().with_programs(13);
         let full_shards = CampaignMeta::generate(&config).shard(4);
-        for k in 0..4 {
+        assert_eq!(full_shards.len(), 4);
+        for (k, shard) in full_shards.iter().enumerate() {
             let direct = CampaignMeta::generate_shard(&config, k, 4);
-            assert_eq!(direct, full_shards[k], "shard {k}/4 mismatch");
+            assert_eq!(&direct, shard, "shard {k}/4 mismatch");
             assert!(direct.tests.iter().all(|t| (t.index as usize) % 4 == k));
         }
         // every test appears in exactly one shard
@@ -1046,8 +1047,7 @@ mod tests {
             let recs = t.results.get(&reference_key()).expect("truth column present");
             assert_eq!(recs.len(), config.inputs_per_program);
             // exactly one reference column, no per-level duplication
-            let ref_cols =
-                t.results.keys().filter(|k| k.starts_with("reference:")).count();
+            let ref_cols = t.results.keys().filter(|k| k.starts_with("reference:")).count();
             assert_eq!(ref_cols, 1);
         }
     }

@@ -19,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// The derived `Ord` (declaration order: vendors first, reference last)
 /// is the canonical ordering used when merging shard metadata, so merged
 /// reports are byte-identical regardless of worker completion order.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum Side {
     /// The NVIDIA-like toolchain on the NVIDIA-like device.
@@ -125,9 +123,9 @@ impl std::str::FromStr for SideKey {
     type Err = String;
 
     fn from_str(s: &str) -> Result<SideKey, String> {
-        let (side, level) = s.split_once(':').ok_or_else(|| {
-            format!("side key {s:?} is not of the form \"side:LEVEL\"")
-        })?;
+        let (side, level) = s
+            .split_once(':')
+            .ok_or_else(|| format!("side key {s:?} is not of the form \"side:LEVEL\""))?;
         Ok(SideKey { side: side.parse()?, level: level.parse()? })
     }
 }
@@ -184,10 +182,7 @@ mod tests {
 
     #[test]
     fn v1_journal_side_strings_parse() {
-        assert_eq!(
-            "nvcc:O0".parse::<SideKey>().unwrap(),
-            SideKey::new(Side::Nvcc, OptLevel::O0)
-        );
+        assert_eq!("nvcc:O0".parse::<SideKey>().unwrap(), SideKey::new(Side::Nvcc, OptLevel::O0));
         assert_eq!(
             "hipcc:O3_FM".parse::<SideKey>().unwrap(),
             SideKey::new(Side::Hipcc, OptLevel::O3Fm)

@@ -38,8 +38,12 @@ pub enum Verdict {
 
 impl Verdict {
     /// Every verdict, in table-column order.
-    pub const ALL: [Verdict; 4] =
-        [Verdict::NvccDrifted, Verdict::HipccDrifted, Verdict::BothDrifted, Verdict::TruthUndecided];
+    pub const ALL: [Verdict; 4] = [
+        Verdict::NvccDrifted,
+        Verdict::HipccDrifted,
+        Verdict::BothDrifted,
+        Verdict::TruthUndecided,
+    ];
 
     /// Dense index within [`Verdict::ALL`] (tally arrays).
     pub fn index(self) -> usize {
@@ -218,8 +222,12 @@ mod tests {
         // the paper's Fig. 5 case: nvcc printed Inf, hipcc printed
         // 1.34887e-306, and the strict truth is the hipcc value
         let truth = ExecValue::F64(1.34887e-306);
-        let score =
-            judge(&ExecValue::F64(f64::INFINITY), &ExecValue::F64(1.34887e-306), Some(&truth), false);
+        let score = judge(
+            &ExecValue::F64(f64::INFINITY),
+            &ExecValue::F64(1.34887e-306),
+            Some(&truth),
+            false,
+        );
         assert_eq!(score.verdict, Verdict::NvccDrifted);
         assert_eq!(score.hipcc_ulps, Some(0));
         // Inf sits on the lattice: the distance is defined and huge
@@ -276,12 +284,7 @@ mod tests {
     fn f32_distances_are_measured_in_f32_ulps() {
         let t = 1.5f32;
         let up = f32::from_bits(t.to_bits() + 3);
-        let score = judge(
-            &ExecValue::F32(up),
-            &ExecValue::F32(t),
-            Some(&ExecValue::F32(t)),
-            false,
-        );
+        let score = judge(&ExecValue::F32(up), &ExecValue::F32(t), Some(&ExecValue::F32(t)), false);
         assert_eq!(score.verdict, Verdict::NvccDrifted);
         assert_eq!(score.nvcc_ulps, Some(3));
     }

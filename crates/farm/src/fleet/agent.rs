@@ -11,22 +11,34 @@
 //! difference between `farm --dir` (the state in process) and `farm
 //! --join` (a coordinator over TCP).
 //!
+//! The loop is event-driven. Between passes it blocks on a wake channel
+//! of its own, which each worker's stdout watcher signals when the
+//! worker exits (see [`crate::worker`]), so a finished shard is handed
+//! off at once. `poll_ms` only bounds how late the timed checks run:
+//! heartbeats, the journal-growth watchdog, the stop file, lease and
+//! exchange retries, respawn backoff and the drain deadline. A lease
+//! whose worker exited with a `result.json` stops counting against
+//! `n_workers`, and each pass leases and spawns before it ships, so the
+//! next shard's worker runs while the finished result is loaded, sent
+//! and folded.
+//!
 //! The identity discipline is absolute: any [`Reply::Fenced`] means
 //! this loop's claim on the shard is dead — kill the worker, drop the
 //! lease, keep the checkpoint directory (a future re-grant resumes it).
-//! Connection failures never destroy work either: the client retries
-//! under jittered backoff, and only after `max_offline_ms` without a
-//! successful exchange does the agent give up (checkpoints intact, exit
-//! nonzero, rejoin later).
+//! Connection failures never destroy work either: a failed exchange is
+//! retried on the next timed pass (a failed lease after 100 ms), and
+//! only after `max_offline_ms` without a successful exchange does the
+//! agent give up (checkpoints intact, exit nonzero, rejoin later).
 //!
 //! An agent that hears [`Reply::AllDone`] sends one [`Request::Leave`]
 //! on its way out, so the coordinator can end the run as soon as the
 //! last agent has gone.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use difftest::checkpoint::{atomic_write, Checkpoint, ShardSpec};
+use difftest::checkpoint::{atomic_write, Checkpoint, ShardSpec, JOURNAL_MAGIC};
 use difftest::fault::shutdown_requested;
 use difftest::metadata::CampaignMeta;
 use difftest::CampaignConfig;
@@ -46,6 +58,11 @@ use crate::worker::{WorkerHandle, WorkerSpec};
 /// poll would otherwise escape every kill.
 const CHAOS_POLL_MS: u64 = 5;
 
+/// Re-check interval for a worker whose stdout closed but which cannot
+/// be reaped yet: exit closes the pipe just before the worker becomes
+/// reapable.
+const REAP_RECHECK_MS: u64 = 1;
+
 /// Everything an agent needs to join a fleet.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
@@ -56,19 +73,25 @@ pub struct AgentConfig {
     pub dir: PathBuf,
     /// Self-chosen agent name (journal attribution on the coordinator).
     pub name: String,
-    /// Worker subprocesses (= leases) to keep in flight.
+    /// Worker subprocesses to keep in flight, and leases to hold for
+    /// them. A lease whose worker exited with a `result.json` no longer
+    /// counts, so its replacement is leased and spawned before the
+    /// result ships.
     pub n_workers: usize,
     /// How to launch workers (`--reference` is appended per-lease when
     /// the grant demands it).
     pub worker: WorkerSpec,
-    /// Event-loop poll interval.
+    /// Longest wait between passes of the loop. Worker exits wake it
+    /// at once; this bounds how late the timed checks run (heartbeats,
+    /// the hang watchdog, the `stop` file, lease and exchange retries,
+    /// respawn backoff, the drain deadline).
     pub poll_ms: u64,
     /// Consecutive no-progress crashes before the agent reports the
     /// shard as poison. Must be at least 1.
     pub crash_threshold: u32,
-    /// Respawn and network-retry backoff shape.
+    /// Respawn backoff shape.
     pub backoff: BackoffPolicy,
-    /// Seed for backoff jitter and the network-chaos schedule.
+    /// Seed for respawn backoff jitter.
     pub seed: u64,
     /// How long a drain waits for workers to flush before hard-killing.
     pub grace_ms: u64,
@@ -146,7 +169,7 @@ pub(crate) enum Transport<'a> {
     /// each shard's `result.json` and `poison.json` are the restart record.
     Local(&'a mut CoordState),
     /// `farm --join`: a coordinator over TCP.
-    Remote(FleetClient),
+    Remote(Box<FleetClient>),
 }
 
 impl Transport<'_> {
@@ -273,7 +296,11 @@ pub(crate) fn inspect_shard(
         }
         return Ok(Found::Result);
     }
-    Ok(if Checkpoint::config_path(&dir).exists() { Found::Checkpoint } else { Found::Fresh })
+    // The journal is the last file a checkpoint gets. Without its magic
+    // the checkpoint was cut short (its creator was killed mid-way), and
+    // no worker could resume it: create it again.
+    let created = journal_len(&dir) >= JOURNAL_MAGIC.len() as u64;
+    Ok(if created { Found::Checkpoint } else { Found::Fresh })
 }
 
 /// Materialize (or adopt) the checkpoint directory for a granted shard.
@@ -303,14 +330,8 @@ fn materialize_shard(
 /// drain is requested, or the coordinator stays unreachable past
 /// `max_offline_ms`. See the module docs for the loop's contract.
 pub fn run_agent(cfg: &AgentConfig) -> Result<AgentReport, FarmError> {
-    let client = FleetClient::new(
-        &cfg.coordinator,
-        cfg.io_timeout_ms,
-        cfg.backoff,
-        cfg.seed ^ 0x9E37_79B9_7F4A_7C15,
-        cfg.net_chaos,
-    );
-    supervise(cfg, Transport::Remote(client), None, ChaosConfig::default())
+    let client = FleetClient::new(&cfg.coordinator, cfg.io_timeout_ms, cfg.net_chaos);
+    supervise(cfg, Transport::Remote(Box::new(client)), None, ChaosConfig::default())
 }
 
 /// Run the supervision loop against `transport` until the run is done,
@@ -339,10 +360,12 @@ pub(crate) fn supervise(
     if let Some(s) = &status {
         eprintln!("{tag}: status endpoint at http://{}/", s.local_addr());
     }
+    let (wake, woken) = mpsc::channel();
     let mut sup = Supervisor {
         cfg,
         transport,
         tag,
+        wake,
         held: Vec::new(),
         report: AgentReport::default(),
         killer: ChaosKiller::new(chaos),
@@ -362,9 +385,10 @@ pub(crate) fn supervise(
         }
         sup.check_workers(now)?;
         sup.chaos();
-        sup.exchange_all(now)?;
+        // Replacements start before finished shards ship.
         sup.lease_more(now)?;
         sup.spawn_due(now);
+        sup.exchange_all(now)?;
         if let Some(s) = &status {
             if now >= last_publish_ms + 250 {
                 last_publish_ms = now;
@@ -374,9 +398,10 @@ pub(crate) fn supervise(
         if sup.finished(now) {
             break;
         }
-        let poll_ms =
-            if sup.killer.exhausted() { cfg.poll_ms } else { cfg.poll_ms.min(CHAOS_POLL_MS) };
-        std::thread::sleep(Duration::from_millis(poll_ms));
+        // Shipping freed a slot, or told us the run may be over.
+        if !sup.lease_due(now) {
+            sup.wait(&woken);
+        }
     }
 
     if let Some(s) = status {
@@ -395,6 +420,9 @@ struct Supervisor<'a> {
     transport: Transport<'a>,
     /// Log prefix: `farm`, or `fleet[<agent name>]`.
     tag: String,
+    /// This loop's wake channel; each worker's stdout watcher holds a
+    /// clone and signals it when the worker exits.
+    wake: Sender<()>,
     held: Vec<Held>,
     report: AgentReport,
     killer: ChaosKiller,
@@ -407,6 +435,38 @@ struct Supervisor<'a> {
 }
 
 impl Supervisor<'_> {
+    /// Block until a worker exits or the next timed pass is due. Every
+    /// exit signalled meanwhile is folded into the one pass that follows.
+    fn wait(&self, woken: &Receiver<()>) {
+        let mut poll_ms = self.cfg.poll_ms;
+        if !self.killer.exhausted() {
+            poll_ms = poll_ms.min(CHAOS_POLL_MS);
+        }
+        let poll = Duration::from_millis(poll_ms);
+        let reaping = self.held.iter().any(|h| {
+            let closed = h.worker.as_ref().and_then(|w| w.stdout_closed_at());
+            closed.is_some_and(|t| t.elapsed() < poll)
+        });
+        let wait = if reaping { Duration::from_millis(REAP_RECHECK_MS).min(poll) } else { poll };
+        if woken.recv_timeout(wait).is_ok() {
+            while woken.try_recv().is_ok() {}
+        }
+    }
+
+    /// Leases that hold a worker slot: all but those whose worker
+    /// finished the shard and whose result waits to ship.
+    fn busy(&self) -> usize {
+        self.held.iter().filter(|h| h.handoff != Handoff::Complete).count()
+    }
+
+    /// Whether `lease_more` would ask for a lease now.
+    fn lease_due(&self, now: u64) -> bool {
+        !self.draining
+            && !self.all_done
+            && self.busy() < self.cfg.n_workers
+            && now >= self.next_lease_at_ms
+    }
+
     /// Stop leasing and ask every worker to flush at a unit boundary.
     fn enter_drain(&mut self, now: u64) {
         if self.draining {
@@ -550,7 +610,7 @@ impl Supervisor<'_> {
     }
 
     /// One exchange per lease that has something to say. A lease the
-    /// coordinator is done with frees its slot for `lease_more` at once.
+    /// coordinator is done with makes the next lease request due at once.
     fn exchange_all(&mut self, now: u64) -> Result<(), FarmError> {
         for mut h in std::mem::take(&mut self.held) {
             if self.exchange(&mut h, now)? {
@@ -653,11 +713,7 @@ impl Supervisor<'_> {
     /// Lease shards until every worker slot is taken, the coordinator
     /// has nothing to give, or a drain starts.
     fn lease_more(&mut self, now: u64) -> Result<(), FarmError> {
-        while !self.draining
-            && !self.all_done
-            && self.held.len() < self.cfg.n_workers
-            && now >= self.next_lease_at_ms
-        {
+        while self.lease_due(now) {
             match self.transport.call(Request::Lease { agent: self.cfg.name.clone() }, now) {
                 Ok(Reply::Grant {
                     shard,
@@ -713,17 +769,24 @@ impl Supervisor<'_> {
         Ok(())
     }
 
-    /// Spawn workers for leases that need one.
+    /// Spawn workers for leases that need one, never more than
+    /// `n_workers` at a time.
     fn spawn_due(&mut self, now: u64) {
         if self.draining {
             return;
         }
+        let mut alive = self.held.iter().filter(|h| h.worker.is_some()).count();
         for i in 0..self.held.len() {
             let h = &mut self.held[i];
             if h.worker.is_some() || h.handoff != Handoff::None || now < h.respawn_at_ms {
                 continue;
             }
-            match WorkerHandle::spawn(&h.spec, h.fence, h.shard, &h.dir, journal_len(&h.dir)) {
+            if alive >= self.cfg.n_workers {
+                break;
+            }
+            let wake = self.wake.clone();
+            match WorkerHandle::spawn(&h.spec, h.fence, h.shard, &h.dir, journal_len(&h.dir), wake)
+            {
                 Ok(w) => {
                     self.report.spawns += 1;
                     obs::add("farm.spawns", 1);
@@ -740,6 +803,7 @@ impl Supervisor<'_> {
                     h.resumed = true;
                     h.last_progress_ms = now;
                     h.worker = Some(w);
+                    alive += 1;
                 }
                 Err(e) => {
                     // Spawn failure (fork limits, missing binary): a
@@ -861,6 +925,25 @@ mod tests {
     }
 
     #[test]
+    fn materialize_recreates_a_checkpoint_cut_short_before_its_journal() {
+        let root = temp_root("cut");
+        let config = tiny_config();
+        // An agent killed inside `create_sharded` leaves the config and
+        // no shard spec or journal: no worker can resume that.
+        let dir = shard_dir(&root, 1);
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = serde_json::to_vec_pretty(&config).unwrap();
+        std::fs::write(Checkpoint::config_path(&dir), json).unwrap();
+        let (dir, found) = materialize_shard(&root, 1, 3, &config).unwrap();
+        assert_eq!(found, Found::Fresh);
+        let (ckpt, resumed, units) = Checkpoint::resume(&dir).expect("a resumable checkpoint");
+        assert!(resumed == config && units.is_empty());
+        let spec = ckpt.shard_spec().expect("a shard spec");
+        assert_eq!((spec.index, spec.count), (1, 3));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn materialize_reports_a_finished_matching_result() {
         let root = temp_root("adopt");
         let config = tiny_config();
@@ -885,19 +968,13 @@ mod tests {
         let mut stale = CampaignMeta::generate_shard(&other, 0, 2);
         stale.sides_run = vec![];
         stale.save(&dir.join("result.json")).unwrap();
-        assert!(matches!(
-            materialize_shard(&root, 0, 2, &config),
-            Err(FarmError::Config(_))
-        ));
+        assert!(matches!(materialize_shard(&root, 0, 2, &config), Err(FarmError::Config(_))));
         // A mid-flight checkpoint with the wrong geometry is rejected
         // too (the same inspection a local farm runs at startup).
         let root2 = temp_root("mismatch2");
         let dir2 = shard_dir(&root2, 0);
         Checkpoint::create_sharded(&dir2, &config, Some(ShardSpec { index: 0, count: 5 })).unwrap();
-        assert!(matches!(
-            materialize_shard(&root2, 0, 2, &config),
-            Err(FarmError::Config(_))
-        ));
+        assert!(matches!(materialize_shard(&root2, 0, 2, &config), Err(FarmError::Config(_))));
         std::fs::remove_dir_all(&root).ok();
         std::fs::remove_dir_all(&root2).ok();
     }

@@ -1,14 +1,14 @@
 //! The agent's side of the wire: one request/reply exchange per TCP
-//! connection, every I/O under a timeout, failures absorbed by
-//! jittered [`crate::backoff`] with reset-on-success, and the seeded
-//! [`NetChaos`] adversary injected *below* the retry loop so chaos runs
-//! exercise exactly the recovery machinery a flaky network would.
+//! connection, every I/O under a timeout, and the seeded [`NetChaos`]
+//! adversary injected *below* the caller so chaos runs exercise exactly
+//! the recovery machinery a flaky network would. A failed exchange is
+//! not retried here: the supervision loop retries it on its next timed
+//! pass, and gives up after `max_offline_ms` without a success.
 
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::backoff::{Backoff, BackoffPolicy};
 use crate::fleet::netchaos::{NetChaos, NetChaosConfig, NetFault};
 use crate::proto::{read_message, write_request, Reply, Request};
 
@@ -18,7 +18,6 @@ pub struct FleetClient {
     addr: String,
     io_timeout: Duration,
     chaos: NetChaos,
-    backoff: Backoff,
     consecutive_failures: u32,
     saw_partition: bool,
     last_ok: Option<Instant>,
@@ -26,20 +25,12 @@ pub struct FleetClient {
 
 impl FleetClient {
     /// Client for `addr` with `io_timeout_ms` on connect/read/write,
-    /// retrying under `backoff` (jitter seeded by `seed`) and injecting
-    /// faults per `chaos`.
-    pub fn new(
-        addr: impl Into<String>,
-        io_timeout_ms: u64,
-        backoff: BackoffPolicy,
-        seed: u64,
-        chaos: NetChaosConfig,
-    ) -> FleetClient {
+    /// injecting faults per `chaos`.
+    pub fn new(addr: impl Into<String>, io_timeout_ms: u64, chaos: NetChaosConfig) -> FleetClient {
         FleetClient {
             addr: addr.into(),
             io_timeout: Duration::from_millis(io_timeout_ms.max(1)),
             chaos: NetChaos::new(chaos),
-            backoff: Backoff::new(backoff, seed),
             consecutive_failures: 0,
             saw_partition: false,
             last_ok: None,
@@ -63,11 +54,10 @@ impl FleetClient {
     }
 
     fn connect(&self) -> io::Result<TcpStream> {
-        let addr = self
-            .addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable addr"))?;
+        let addr =
+            self.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable addr")
+            })?;
         let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
@@ -102,7 +92,6 @@ impl FleetClient {
                 }
                 self.consecutive_failures = 0;
                 self.saw_partition = false;
-                self.backoff.reset();
                 self.last_ok = Some(Instant::now());
             }
             Err(_) => {
@@ -114,8 +103,7 @@ impl FleetClient {
 
     /// One exchange attempt, chaos included. Every failure mode —
     /// injected or genuine — comes back as an `io::Error` for the
-    /// caller's retry loop; success resets the failure streak and the
-    /// backoff curve.
+    /// caller to retry; success resets the failure streak.
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
         if self.chaos.partition_active() {
             self.saw_partition = true;
@@ -155,27 +143,6 @@ impl FleetClient {
         let r = self.exchange(req);
         self.settle(r)
     }
-
-    /// `call` with up to `attempts` tries, sleeping the jittered
-    /// backoff delay between failures. Returns the last error if every
-    /// attempt fails.
-    pub fn call_with_retry(&mut self, req: &Request, attempts: u32) -> io::Result<Reply> {
-        let mut last = io::Error::new(io::ErrorKind::Other, "no attempts");
-        for i in 0..attempts.max(1) {
-            match self.call(req) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => last = e,
-            }
-            if i + 1 < attempts {
-                std::thread::sleep(Duration::from_millis(self.backoff_delay()));
-            }
-        }
-        Err(last)
-    }
-
-    fn backoff_delay(&mut self) -> u64 {
-        self.backoff.next_delay_ms()
-    }
 }
 
 #[cfg(test)]
@@ -197,13 +164,7 @@ mod tests {
     }
 
     fn calm_client(addr: std::net::SocketAddr) -> FleetClient {
-        FleetClient::new(
-            addr.to_string(),
-            2_000,
-            BackoffPolicy { base_ms: 1, cap_ms: 2, jitter: 0.0 },
-            0,
-            NetChaosConfig::default(),
-        )
+        FleetClient::new(addr.to_string(), 2_000, NetChaosConfig::default())
     }
 
     #[test]
@@ -221,15 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn connection_refused_counts_failures_and_retry_eventually_errors() {
+    fn refused_connections_build_the_failure_streak_the_give_up_reads() {
         // Bind-then-drop guarantees a dead port.
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
         let mut client = calm_client(addr);
-        let err = client.call_with_retry(&Request::Lease { agent: "t".into() }, 3).unwrap_err();
-        assert!(err.kind() != io::ErrorKind::Other, "a real io error surfaced: {err}");
+        for _ in 0..3 {
+            assert!(client.call(&Request::Lease { agent: "t".into() }).is_err());
+        }
         assert_eq!(client.consecutive_failures(), 3);
         assert!(client.ms_since_last_ok().is_none(), "never succeeded");
     }
@@ -260,8 +222,6 @@ mod tests {
         let mut client = FleetClient::new(
             addr.to_string(),
             50,
-            BackoffPolicy { base_ms: 1, cap_ms: 1, jitter: 0.0 },
-            0,
             NetChaosConfig { budget: 1, seed: 11, ..NetChaosConfig::default() },
         );
         let mut results = Vec::new();

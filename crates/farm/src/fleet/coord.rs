@@ -15,6 +15,14 @@
 //! one. Either way a shipped result moves into the merge uncopied; the
 //! coordinator journals its `Done` event from the request by reference.
 //!
+//! [`run_coordinator`] keeps the state single-threaded. One acceptor
+//! thread owns the listening socket and hands each accepted connection
+//! over a channel to the state loop, which serves it as soon as it
+//! arrives; between connections the loop blocks on that channel for at
+//! most `poll_ms`, the pace of its timed checks (lease expiry, the
+//! `stop` file, linger and the drain deadline). The acceptor is stopped
+//! and joined, and the listener closed, before the run returns.
+//!
 //! Restart = replay: completed shards fold back into the merge, their
 //! completing `(epoch, fence)` identity is remembered (a zombie agent
 //! re-sending an old completion is re-acked idempotently, any other
@@ -32,8 +40,12 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use difftest::checkpoint::atomic_write;
@@ -67,7 +79,10 @@ pub struct CoordConfig {
     /// Lease heartbeat window: a granted shard with no agent keepalive
     /// for this long is expired and re-granted.
     pub heartbeat_ms: u64,
-    /// Event-loop poll interval.
+    /// Longest wait between passes of the state loop. Each accepted
+    /// connection wakes it at once; this bounds how late the timed
+    /// checks run (lease expiry, the `stop` file, linger, the drain
+    /// deadline).
     pub poll_ms: u64,
     /// How long a drain keeps serving so agents can flush and release.
     pub grace_ms: u64,
@@ -403,7 +418,10 @@ impl CoordState {
                     return (r, Vec::new());
                 }
                 self.queue.heartbeat(*shard, now_ms);
-                (Reply::Ok, vec![CoordEvent::Heartbeat { shard: *shard, epoch: *epoch, fence: *fence }])
+                (
+                    Reply::Ok,
+                    vec![CoordEvent::Heartbeat { shard: *shard, epoch: *epoch, fence: *fence }],
+                )
             }
             Request::Complete { shard, epoch, fence, meta, .. } => {
                 let (shard, epoch, fence) = (*shard, *epoch, *fence);
@@ -613,6 +631,94 @@ fn bind_with_retry(addr: &str) -> Result<TcpListener, FarmError> {
     }
 }
 
+/// What the acceptor hands the state loop.
+enum Accepted {
+    /// A connection to serve.
+    Conn(TcpStream),
+    /// `accept` failed: fatal to the run.
+    Failed(io::Error),
+}
+
+/// The thread that owns the listening socket and passes each accepted
+/// connection to the state loop. Dropping it stops and joins the thread,
+/// which closes the listener.
+struct Acceptor {
+    stop: Arc<AtomicBool>,
+    /// Where a connection of our own reaches the listener.
+    wake_addr: SocketAddr,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    fn start(listener: TcpListener, to: Sender<Accepted>) -> io::Result<Acceptor> {
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            let loopback = match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake_addr.set_ip(loopback);
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("coord-accept".into())
+            .spawn(move || accept_loop(&listener, &stopping, &to))?;
+        Ok(Acceptor { stop, wake_addr, thread: Some(thread) })
+    }
+}
+
+/// Hand each accepted connection to the state loop until `stop` is set
+/// or `accept` fails.
+fn accept_loop(listener: &TcpListener, stop: &AtomicBool, to: &Sender<Accepted>) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // The wake-up connection from `Acceptor::drop`.
+            if let Ok((mut stream, _)) = accepted {
+                await_peer_close(&mut stream);
+            }
+            return;
+        }
+        let msg = match accepted {
+            Ok((stream, _)) => Accepted::Conn(stream),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => Accepted::Failed(e),
+        };
+        let failed = matches!(msg, Accepted::Failed(_));
+        if to.send(msg).is_err() || failed {
+            return;
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
+        self.stop.store(true, Ordering::SeqCst);
+        // `accept` blocks, so a connection of our own wakes the thread.
+        // Refused means the listener is already closed: the thread has
+        // returned. If our own socket cannot be reached at all, the
+        // thread is left to return at its next connection.
+        match TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(2)) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {}
+            Err(_) => return,
+        }
+        let _ = thread.join();
+    }
+}
+
+/// Wait briefly for the client's close (it drops the socket right
+/// after reading the reply). Being the passive closer keeps TIME_WAIT
+/// off the coordinator's port, so a killed coordinator can rebind the
+/// same address instead of colliding with its own ghost connections
+/// for 60s.
+fn await_peer_close(stream: &mut TcpStream) {
+    stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
+    let _ = std::io::Read::read(stream, &mut [0u8; 1]);
+}
+
 /// Serve one accepted connection: read a request, apply it, journal
 /// the resulting events, then — and only then — send the reply. A
 /// journal append failure is returned as fatal; a codec failure on the
@@ -623,7 +729,6 @@ fn serve_conn(
     journal: &mut CoordJournal,
     now_ms: u64,
 ) -> Result<(), FarmError> {
-    stream.set_nonblocking(false).ok();
     stream.set_read_timeout(Some(Duration::from_millis(2_000))).ok();
     stream.set_write_timeout(Some(Duration::from_millis(2_000))).ok();
     let req = match read_request(stream) {
@@ -639,13 +744,7 @@ fn serve_conn(
     // Reply delivery is best-effort: if the agent vanished it will
     // retry, and the journal already reflects the truth.
     let _ = write_message(stream, &reply);
-    // Wait briefly for the client's close (it drops the socket right
-    // after reading the reply). Being the passive closer keeps
-    // TIME_WAIT off the coordinator's port, so a killed coordinator
-    // can rebind the same address instead of colliding with its own
-    // ghost connections for 60s.
-    stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
-    let _ = std::io::Read::read(stream, &mut [0u8; 1]);
+    await_peer_close(stream);
     Ok(())
 }
 
@@ -712,8 +811,9 @@ pub fn run_coordinator(cfg: &CoordConfig) -> Result<CoordReport, FarmError> {
 
     let listener = bind_with_retry(&cfg.bind)?;
     let local = listener.local_addr().map_err(io_err)?;
+    let (accepted, incoming) = mpsc::channel();
+    let acceptor = Acceptor::start(listener, accepted).map_err(io_err)?;
     atomic_write(&coord_addr_path(&cfg.dir), local.to_string().as_bytes()).map_err(io_err)?;
-    listener.set_nonblocking(true).map_err(io_err)?;
     eprintln!("fleet: coordinator listening on {local} (epoch {})", state.epoch());
 
     let status = cfg.status_addr.as_deref().map(StatusServer::bind).transpose().map_err(io_err)?;
@@ -727,6 +827,7 @@ pub fn run_coordinator(cfg: &CoordConfig) -> Result<CoordReport, FarmError> {
     let mut drain_deadline_ms = u64::MAX;
     let mut settled_at_ms: Option<u64> = None;
     let mut last_publish_ms = 0u64;
+    let mut woken_by: Option<Accepted> = None;
 
     loop {
         let now = now_ms(&started);
@@ -742,13 +843,15 @@ pub fn run_coordinator(cfg: &CoordConfig) -> Result<CoordReport, FarmError> {
             );
         }
 
-        // Accept everything queued, one exchange per connection.
-        loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => serve_conn(&mut stream, &mut state, &mut journal, now)?,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(io_err(e)),
+        // Serve the connection that ended the wait and every one queued
+        // behind it, one exchange per connection.
+        let queued = std::iter::from_fn(|| incoming.try_recv().ok());
+        for msg in woken_by.take().into_iter().chain(queued) {
+            match msg {
+                Accepted::Conn(mut stream) => {
+                    serve_conn(&mut stream, &mut state, &mut journal, now)?
+                }
+                Accepted::Failed(e) => return Err(io_err(e)),
             }
         }
 
@@ -779,8 +882,15 @@ pub fn run_coordinator(cfg: &CoordConfig) -> Result<CoordReport, FarmError> {
             }
         }
 
-        std::thread::sleep(Duration::from_millis(cfg.poll_ms));
+        woken_by = match incoming.recv_timeout(Duration::from_millis(cfg.poll_ms)) {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(FarmError::Io("the connection acceptor stopped".into()))
+            }
+        };
     }
+    drop(acceptor);
 
     journal.sync().map_err(io_err)?;
     if let Some(m) = state.merged() {
@@ -883,13 +993,8 @@ mod tests {
         assert_eq!((shard, epoch, fence), (0, 1, 1));
         assert_eq!(evs.len(), 1);
         let meta = shard_meta(&tiny_config(), 0, 2);
-        let complete = Request::Complete {
-            agent: "a".into(),
-            shard,
-            epoch,
-            fence,
-            meta: Box::new(meta),
-        };
+        let complete =
+            Request::Complete { agent: "a".into(), shard, epoch, fence, meta: Box::new(meta) };
         let (r, evs) = st.handle(&complete, 10);
         assert_eq!(r, Reply::Ok);
         assert!(matches!(evs[0], CoordEvent::Done { shard: 0, .. }));
@@ -930,7 +1035,9 @@ mod tests {
         // Silence past the window: tick expires it.
         let evs = st.tick(5_000);
         assert_eq!(evs.len(), 1);
-        assert!(matches!(&evs[0], CoordEvent::Release { reason, .. } if reason.contains("expired")));
+        assert!(
+            matches!(&evs[0], CoordEvent::Release { reason, .. } if reason.contains("expired"))
+        );
         assert_eq!(st.lease_expiries, 1);
         // The zombie's late completion is rejected, not merged.
         let meta = shard_meta(&tiny_config(), 0, 1);
@@ -1042,8 +1149,7 @@ mod tests {
         st.drain();
         let (r, _) = st.handle(&Request::Lease { agent: "b".into() }, 1);
         assert_eq!(r, Reply::Drain);
-        let (r, _) =
-            st.handle(&Request::Heartbeat { agent: "a".into(), shard, epoch, fence }, 2);
+        let (r, _) = st.handle(&Request::Heartbeat { agent: "a".into(), shard, epoch, fence }, 2);
         assert_eq!(r, Reply::Drain, "keepalives also learn about the drain");
         let meta = shard_meta(&tiny_config(), 0, 2);
         let (r, _) = st.handle(
@@ -1059,10 +1165,8 @@ mod tests {
         let mut st = fresh(1);
         let (r, _) = st.handle(&Request::Lease { agent: "a".into() }, 0);
         let (shard, epoch, fence) = grant_of(r);
-        let (r, evs) = st.handle(
-            &Request::Poison { agent: "a".into(), shard, epoch, fence, crashes: 3 },
-            1,
-        );
+        let (r, evs) =
+            st.handle(&Request::Poison { agent: "a".into(), shard, epoch, fence, crashes: 3 }, 1);
         assert_eq!(r, Reply::Ok);
         assert!(matches!(evs[0], CoordEvent::Poison { crashes: 3, .. }));
         assert!(st.all_settled());
@@ -1162,9 +1266,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    type CoordRun = std::thread::JoinHandle<Result<CoordReport, FarmError>>;
+
+    /// Run `cfg` on a thread; returns it with the address it published.
+    fn spawn_coordinator(cfg: CoordConfig) -> (CoordRun, String) {
+        let addr_path = coord_addr_path(&cfg.dir);
+        let coord = std::thread::spawn(move || run_coordinator(&cfg));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            match std::fs::read_to_string(&addr_path) {
+                Ok(a) if !a.is_empty() => return (coord, a),
+                _ => {}
+            }
+            assert!(Instant::now() < deadline, "coordinator never published its address");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// The last goodbye ends the run without waiting out the 10 s poll,
+    /// and the listener is closed by the time `run_coordinator` returns.
+    #[test]
+    fn the_address_is_free_again_the_moment_the_run_returns() {
+        use crate::fleet::{FleetClient, NetChaosConfig};
+
+        let dir = std::env::temp_dir().join(format!("fleet-coord-rebind-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = tiny_config();
+        let mut cfg = CoordConfig::new(config.clone(), 1, "127.0.0.1:0", &dir);
+        cfg.poll_ms = 10_000;
+        let started = Instant::now();
+        let (coord, addr) = spawn_coordinator(cfg);
+        let mut client = FleetClient::new(addr.clone(), 2_000, NetChaosConfig::default());
+        let lease = Request::Lease { agent: "a".into() };
+        let (shard, epoch, fence) = grant_of(client.call(&lease).unwrap());
+        let meta = Box::new(shard_meta(&config, shard, 1));
+        let done = Request::Complete { agent: "a".into(), shard, epoch, fence, meta };
+        assert_eq!(client.call(&done).unwrap(), Reply::Ok);
+        assert_eq!(client.call(&lease).unwrap(), Reply::AllDone);
+        assert_eq!(client.call(&Request::Leave { agent: "a".into() }).unwrap(), Reply::Ok);
+        let report = coord.join().expect("no panic").expect("coordinator runs");
+        let elapsed = started.elapsed();
+        assert_eq!(report.shards_done, 1);
+        TcpListener::bind(&addr).expect("the coordinator's address is free again");
+        assert!(elapsed < Duration::from_secs(3), "the run waited out a poll: {elapsed:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_drained_coordinator_writes_merged_json_with_exactly_the_folded_shards() {
-        use crate::backoff::BackoffPolicy;
         use crate::fleet::{FleetClient, NetChaosConfig};
 
         let dir = std::env::temp_dir().join(format!("fleet-coord-drain-{}", std::process::id()));
@@ -1182,8 +1331,7 @@ mod tests {
             assert!(Instant::now() < deadline, "coordinator never published its address");
             std::thread::sleep(Duration::from_millis(5));
         };
-        let policy = BackoffPolicy { base_ms: 1, cap_ms: 2, jitter: 0.0 };
-        let mut client = FleetClient::new(addr, 2_000, policy, 0, NetChaosConfig::default());
+        let mut client = FleetClient::new(addr, 2_000, NetChaosConfig::default());
         let lease = Request::Lease { agent: "a".into() };
 
         // One shard finishes, the other is still held when the drain

@@ -31,8 +31,9 @@
 //!   `result.json`s back, and says goodbye when told the run is done.
 //!   [`run_agent`] runs it against a coordinator over TCP; the local
 //!   farm runs it against an in-process [`CoordState`].
-//! * [`client`] — the timeout-everything, backoff-with-reset TCP
-//!   client, one request/reply exchange per connection.
+//! * [`client`] — the timeout-everything TCP client, one request/reply
+//!   exchange per connection; the agent's loop retries a failed one on
+//!   its next timed pass.
 //! * [`netchaos`] — the seeded wire adversary (drop, delay, duplicate,
 //!   truncate, partition) proving a tortured fleet merges byte-identical
 //!   to a calm single-process run.

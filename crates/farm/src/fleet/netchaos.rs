@@ -9,7 +9,7 @@
 //! stays byte-identical to a calm single-process run.
 //!
 //! Faults compose with the protocol's defenses one-to-one: `Drop` and
-//! `Partition` exercise retry/backoff and lease expiry, `Truncate`
+//! `Partition` exercise retries and lease expiry, `Truncate`
 //! exercises CRC rejection, `Duplicate` replays a completed exchange
 //! (second reply discarded) to exercise the coordinator's fencing and
 //! idempotent re-acks, `Delay` widens every race window.

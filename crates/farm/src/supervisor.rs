@@ -31,7 +31,9 @@ pub struct FarmConfig {
     /// Number of shards to deal the campaign into (the unit of lease,
     /// recovery, and merge; usually a small multiple of `n_workers`).
     pub n_shards: usize,
-    /// Number of worker subprocesses to keep in flight.
+    /// Number of worker subprocesses to keep in flight. A shard whose
+    /// worker exited with a `result.json` frees its slot at once: the
+    /// next shard's worker starts before the result is folded.
     pub n_workers: usize,
     /// Farm root directory: holds `shard-NNN/` checkpoints,
     /// `merged.json` (written when the run ends or drains), and the
@@ -42,7 +44,10 @@ pub struct FarmConfig {
     /// Lease heartbeat window: a leased shard whose journal shows no
     /// growth for this long is declared hung.
     pub heartbeat_ms: u64,
-    /// Event-loop poll interval.
+    /// Longest wait between passes of the supervision loop. Worker
+    /// exits wake it at once; this bounds how late the timed checks run
+    /// (the hang watchdog, the `stop` file, respawn backoff, the drain
+    /// deadline).
     pub poll_ms: u64,
     /// Consecutive no-progress crashes before a shard is poisoned.
     pub crash_threshold: u32,
@@ -388,6 +393,72 @@ mod tests {
         assert_eq!(report.spawns, 1, "only shard 1 needed a worker");
         assert_eq!(report.merged.unwrap().tests.len(), config.n_programs);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A farm of `n_shards` shards and `n_workers` script workers under
+    /// `root`, each shard's result canned beforehand, whose workers run
+    /// `prelude` and then copy the result into place. The loop polls
+    /// every 10 s, so a run that waits out one poll takes 10 s.
+    fn canned_farm(root: &Path, n_shards: usize, n_workers: usize, prelude: &str) -> FarmConfig {
+        let config = tiny_config();
+        for k in 0..n_shards {
+            let dir = shard_dir(root, k);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut meta = CampaignMeta::generate_shard(&config, k, n_shards);
+            meta.sides_run = vec![];
+            meta.save(&dir.join("canned.json")).unwrap();
+        }
+        let script = format!("{prelude}cp \"$2/canned.json\" \"$2/result.json\"");
+        let mut cfg = FarmConfig::new(config, n_shards, n_workers, root, script_worker(&script));
+        cfg.poll_ms = 10_000;
+        cfg
+    }
+
+    /// Run `cfg` and check that every shard completed within `bound`.
+    fn assert_completes_within(cfg: FarmConfig, bound: std::time::Duration) {
+        let (root, n_shards) = (cfg.dir.clone(), cfg.n_shards);
+        let started = std::time::Instant::now();
+        let report = run_farm_with_watchdog(cfg).expect("farm runs");
+        let elapsed = started.elapsed();
+        assert_eq!((report.spawns, report.shards_done), (n_shards as u64, n_shards));
+        assert_eq!(report.merged.expect("merged report").tests.len(), tiny_config().n_programs);
+        assert!(elapsed < bound, "{}: the farm waited out a poll: {elapsed:?}", root.display());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// With a 10 s poll, 2 workers over 4 shards finish in well under one
+    /// poll: each worker's exit wakes the loop, which starts the next
+    /// shard before it folds the finished one.
+    #[test]
+    fn worker_exits_wake_the_loop_instead_of_the_poll() {
+        let cfg = canned_farm(&temp_root("wake"), 4, 2, "");
+        assert_completes_within(cfg, std::time::Duration::from_secs(3));
+    }
+
+    /// The watcher drains a worker's stdout: a worker that prints more
+    /// than a pipe holds would otherwise block and never finish.
+    #[test]
+    fn a_worker_that_floods_stdout_still_completes() {
+        let cfg = canned_farm(&temp_root("flood"), 2, 2, "head -c 1048576 /dev/zero; ");
+        assert_completes_within(cfg, std::time::Duration::from_secs(3));
+    }
+
+    /// Each loop owns its wake channel: two farms in one process never
+    /// take each other's worker exits.
+    #[test]
+    fn two_concurrent_farms_each_finish_within_the_bound() {
+        let farms: Vec<_> = ["pair-a", "pair-b"]
+            .into_iter()
+            .map(|tag| {
+                let cfg = canned_farm(&temp_root(tag), 4, 2, "");
+                std::thread::spawn(move || {
+                    assert_completes_within(cfg, std::time::Duration::from_secs(3))
+                })
+            })
+            .collect();
+        for farm in farms {
+            farm.join().expect("both farms finish within the bound");
+        }
     }
 
     /// Run a farm on a watchdog thread so a regression that makes the

@@ -14,9 +14,20 @@
 //! reaches only the supervisor (which then drains the fleet
 //! deliberately), and so an interrupt or kill reaches the worker's
 //! whole subtree at once.
+//!
+//! A worker's stdout is a pipe drained by a small watcher thread, which
+//! signals the supervision loop's wake channel when the pipe reaches
+//! EOF. Exit closes the pipe, so the loop learns of an exit at once
+//! instead of at its next timed pass. The signal only wakes the loop:
+//! the reap itself stays in [`WorkerHandle::try_wait`], so no one else
+//! can reap the worker and free its pid for reuse.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crate::lease::ShardId;
 
@@ -72,18 +83,24 @@ pub struct WorkerHandle {
     /// that advances and then wedges stops heartbeating and expires.
     pub journal_len_last_seen: u64,
     child: Child,
+    /// When the watcher saw the worker's stdout reach EOF.
+    stdout_closed: Arc<OnceLock<Instant>>,
+    /// The thread draining stdout; joined on drop once the pipe closed.
+    watcher: Option<JoinHandle<()>>,
 }
 
 impl WorkerHandle {
     /// Spawn a worker for `shard` against `shard_dir`, logging its
     /// stderr to `<shard_dir>/worker.log` (appended across respawns so
-    /// the crash history of a poison shard survives for triage).
+    /// the crash history of a poison shard survives for triage). Once
+    /// its stdout reaches EOF, `exited` receives one `()`.
     pub fn spawn(
         spec: &WorkerSpec,
         id: u64,
         shard: ShardId,
         shard_dir: &Path,
         journal_len_at_spawn: u64,
+        exited: Sender<()>,
     ) -> std::io::Result<WorkerHandle> {
         let log = std::fs::OpenOptions::new()
             .create(true)
@@ -96,7 +113,7 @@ impl WorkerHandle {
             .arg("--out")
             .arg(shard_dir.join("result.json"))
             .stdin(Stdio::null())
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::from(log));
         for (k, v) in &spec.env {
             cmd.env(k, v);
@@ -108,14 +125,41 @@ impl WorkerHandle {
             // supervisor, and group-wide kills can't orphan children.
             cmd.process_group(0);
         }
-        let child = cmd.spawn()?;
-        Ok(WorkerHandle {
+        let mut child = cmd.spawn()?;
+        let mut stdout = child.stdout.take().expect("stdout was set to a pipe");
+        let stdout_closed = Arc::new(OnceLock::new());
+        let closed = Arc::clone(&stdout_closed);
+        // Nothing a worker prints is needed, but an undrained pipe would
+        // block a worker that prints more than the pipe holds.
+        let watcher =
+            std::thread::Builder::new().name(format!("worker-{id}-stdout")).spawn(move || {
+                let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+                let _ = closed.set(Instant::now());
+                let _ = exited.send(());
+            });
+        let mut handle = WorkerHandle {
             id,
             shard,
             journal_len_at_spawn,
             journal_len_last_seen: journal_len_at_spawn,
             child,
-        })
+            stdout_closed,
+            watcher: None,
+        };
+        match watcher {
+            Ok(t) => handle.watcher = Some(t),
+            Err(e) => {
+                handle.kill();
+                return Err(e);
+            }
+        }
+        Ok(handle)
+    }
+
+    /// When the worker's stdout reached EOF, if it has. Exit closes it
+    /// a moment before the worker can be reaped.
+    pub fn stdout_closed_at(&self) -> Option<Instant> {
+        self.stdout_closed.get().copied()
     }
 
     /// OS pid of the worker.
@@ -168,9 +212,24 @@ impl WorkerHandle {
     }
 }
 
+impl Drop for WorkerHandle {
+    /// Join the watcher once the pipe has closed, which it does when the
+    /// worker and every process sharing its stdout have exited. A pipe
+    /// still open (a stray grandchild holds it) leaves the thread to end
+    /// when that process does.
+    fn drop(&mut self) {
+        if self.stdout_closed.get().is_some() {
+            if let Some(watcher) = self.watcher.take() {
+                let _ = watcher.join();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn spawn_runs_resume_against_the_shard_dir() {
@@ -181,11 +240,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut spec = WorkerSpec::new("/bin/sh");
         spec.prefix_args = vec!["-c".into(), "exit 0".into(), "--".into()];
-        let mut w = WorkerHandle::spawn(&spec, 1, 0, &dir, 0).expect("spawn");
+        let (tx, rx) = mpsc::channel();
+        let mut w = WorkerHandle::spawn(&spec, 1, 0, &dir, 0, tx).expect("spawn");
         assert_eq!(w.shard, 0);
         let status = w.child.wait().expect("wait");
         assert!(status.success());
         assert!(dir.join("worker.log").exists(), "stderr log created");
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("exit signalled");
+        assert!(w.stdout_closed_at().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -203,7 +265,7 @@ mod tests {
             "sleep 30 & echo $! > \"$2/grandchild.pid\"; sleep 30".into(),
             "--".into(),
         ];
-        let mut w = WorkerHandle::spawn(&spec, 3, 0, &dir, 0).expect("spawn");
+        let mut w = WorkerHandle::spawn(&spec, 3, 0, &dir, 0, mpsc::channel().0).expect("spawn");
         let pid_file = dir.join("grandchild.pid");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !pid_file.exists() {
@@ -239,7 +301,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut spec = WorkerSpec::new("/bin/sh");
         spec.prefix_args = vec!["-c".into(), "sleep 30".into(), "--".into()];
-        let mut w = WorkerHandle::spawn(&spec, 2, 0, &dir, 0).expect("spawn");
+        let mut w = WorkerHandle::spawn(&spec, 2, 0, &dir, 0, mpsc::channel().0).expect("spawn");
         assert!(w.try_wait().expect("try_wait").is_none(), "still running");
         w.kill();
         assert!(w.try_wait().expect("reaped").is_some());

@@ -60,10 +60,15 @@ type CoordHandle = JoinHandle<Result<CoordReport, FarmError>>;
 
 /// A coordinator over `n_shards` on a free loopback port, serving from
 /// a thread; returns it with its address.
-fn start_coordinator(dir: &Path, n_shards: usize, linger_ms: u64) -> (CoordHandle, String) {
+fn start_coordinator(
+    dir: &Path,
+    n_shards: usize,
+    linger_ms: u64,
+    poll_ms: u64,
+) -> (CoordHandle, String) {
     let mut ccfg = CoordConfig::new(tiny_config(), n_shards, "127.0.0.1:0", dir);
     ccfg.heartbeat_ms = 2_000;
-    ccfg.poll_ms = 10;
+    ccfg.poll_ms = poll_ms;
     ccfg.linger_ms = linger_ms;
     let coord = std::thread::spawn(move || run_coordinator(&ccfg));
     (coord, wait_for_addr(dir))
@@ -100,7 +105,7 @@ fn run_fleet(tag: &str, chaos_budget: u32, linger_ms: u64) -> (CoordReport, Vec<
     let root = temp_root(tag);
     let coord_dir: PathBuf = root.join("coord");
     let config = tiny_config();
-    let (coord, addr) = start_coordinator(&coord_dir, N_SHARDS, linger_ms);
+    let (coord, addr) = start_coordinator(&coord_dir, N_SHARDS, linger_ms, 10);
 
     let mut agents = Vec::new();
     for i in 0..2u64 {
@@ -182,27 +187,29 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-/// With a 1 s poll, an agent running 2 workers over 2 shards leases both
-/// before its first sleep, and hears `AllDone` in the pass that ships its
-/// last result: the run takes one poll interval, not two.
+/// With a 10 s poll on the agent and on its coordinator, an agent running
+/// 2 workers over 4 shards finishes in well under one poll: each worker's
+/// exit wakes the agent, which leases and spawns the next shard before it
+/// ships the finished one, each request wakes the coordinator, and the
+/// agent's goodbye ends the run.
 #[test]
 fn an_agent_fills_every_slot_and_hears_all_done_with_its_last_result() {
     let root = temp_root("slots");
-    let (coord, addr) = start_coordinator(&root.join("coord"), 2, 60_000);
-    let dir = root.join("agent");
-    seed_canned(&dir, &tiny_config(), 2);
-    let mut acfg = AgentConfig::new(&addr, &dir, 2, script_worker());
-    acfg.poll_ms = 1_000;
     let started = Instant::now();
+    let (coord, addr) = start_coordinator(&root.join("coord"), 4, 60_000, 10_000);
+    let dir = root.join("agent");
+    seed_canned(&dir, &tiny_config(), 4);
+    let mut acfg = AgentConfig::new(&addr, &dir, 2, script_worker());
+    acfg.poll_ms = 10_000;
     let report = join_with_watchdog(std::thread::spawn(move || run_agent(&acfg)), "agent", 60)
         .expect("agent runs");
-    let elapsed = started.elapsed();
     let coord =
         join_with_watchdog(coord, "coordinator", COORD_EXIT_SECS).expect("coordinator runs");
+    let elapsed = started.elapsed();
     assert!(report.all_done);
-    assert_eq!((report.spawns, report.shards_completed), (2, 2));
-    assert_eq!(coord.shards_done, 2);
-    assert!(elapsed < Duration::from_millis(1_800), "the agent slept more than once: {elapsed:?}");
+    assert_eq!((report.spawns, report.shards_completed), (4, 4));
+    assert_eq!(coord.shards_done, 4);
+    assert!(elapsed < Duration::from_secs(3), "the fleet waited out a poll: {elapsed:?}");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -214,7 +221,7 @@ fn an_agent_poison_record_names_the_slice_and_a_rejoin_adopts_it() {
     let root = temp_root("poison");
     let dir = root.join("agent");
     let run = |tag: &str| -> AgentReport {
-        let (coord, addr) = start_coordinator(&root.join(tag), 2, 60_000);
+        let (coord, addr) = start_coordinator(&root.join(tag), 2, 60_000, 10);
         let mut acfg = AgentConfig::new(&addr, &dir, 2, sh_worker("exit 7"));
         acfg.name = "crasher".into();
         acfg.poll_ms = 5;

@@ -57,8 +57,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 /// Every `Reply` variant, with proptest-drawn scalar fields.
 fn reply_strategy() -> impl Strategy<Value = Reply> {
     prop_oneof![
-        (0usize..64, 1usize..64, any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>())
-            .prop_map(|(shard, n_shards, epoch, fence, heartbeat_ms, reference)| Reply::Grant {
+        (0usize..64, 1usize..64, any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+            |(shard, n_shards, epoch, fence, heartbeat_ms, reference)| Reply::Grant {
                 shard,
                 n_shards,
                 epoch,
@@ -66,7 +66,8 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
                 heartbeat_ms,
                 reference,
                 config: Box::new(config()),
-            }),
+            }
+        ),
         any::<u64>().prop_map(|retry_ms| Reply::Wait { retry_ms }),
         Just(Reply::AllDone),
         Just(Reply::Drain),

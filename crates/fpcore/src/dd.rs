@@ -29,6 +29,9 @@
 //! truth there carries the host library's own sub-ULP error, which is
 //! irrelevant to drift verdicts.
 
+use std::f64::consts::{LN_2, PI};
+use std::ops::{Add, Div, Mul, Neg, Sub};
+
 /// Knuth's error-free addition: returns `(s, e)` with `s = fl(a + b)` and
 /// `s + e == a + b` exactly (no assumption on the magnitudes of `a`, `b`).
 #[inline]
@@ -75,9 +78,9 @@ impl Dd {
     /// One.
     pub const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
     /// ln 2 to double-double precision (QD library value).
-    pub const LN2: Dd = Dd { hi: 6.931_471_805_599_453e-1, lo: 2.319_046_813_846_299_6e-17 };
+    pub const LN2: Dd = Dd { hi: LN_2, lo: 2.319_046_813_846_299_6e-17 };
     /// π to double-double precision (QD library value).
-    pub const PI: Dd = Dd { hi: 3.141_592_653_589_793, lo: 1.224_646_799_147_353_2e-16 };
+    pub const PI: Dd = Dd { hi: PI, lo: 1.224_646_799_147_353_2e-16 };
 
     /// Lift an exact `f64`.
     #[inline]
@@ -153,12 +156,6 @@ impl Dd {
         self.hi == 0.0
     }
 
-    /// Negation (exact).
-    #[inline]
-    pub fn neg(self) -> Dd {
-        Dd { hi: -self.hi, lo: -self.lo }
-    }
-
     /// Magnitude (exact).
     #[inline]
     pub fn abs(self) -> Dd {
@@ -167,62 +164,6 @@ impl Dd {
         } else {
             self
         }
-    }
-
-    /// Double-double addition (Knuth's accurate variant).
-    pub fn add(self, b: Dd) -> Dd {
-        if !self.hi.is_finite() || !b.hi.is_finite() {
-            return Dd::from_f64(self.hi + b.hi);
-        }
-        if self.hi == 0.0 && b.hi == 0.0 {
-            // IEEE zero-sign rules (−0 + −0 = −0) live in the hardware
-            // add; the error-free path would launder the sign through
-            // `quick_two_sum(−0.0, +0.0)` into +0.0
-            return Dd::from_f64(self.hi + b.hi);
-        }
-        let (s1, e1) = two_sum(self.hi, b.hi);
-        if !s1.is_finite() {
-            // the sum overflowed: its error term would be inf − inf
-            return Dd::from_f64(s1);
-        }
-        let (s2, e2) = two_sum(self.lo, b.lo);
-        let (s, e) = quick_two_sum(s1, e1 + s2);
-        Dd::renorm(s, e + e2)
-    }
-
-    /// Double-double subtraction.
-    #[inline]
-    pub fn sub(self, b: Dd) -> Dd {
-        self.add(b.neg())
-    }
-
-    /// Double-double multiplication.
-    pub fn mul(self, b: Dd) -> Dd {
-        if !self.hi.is_finite() || !b.hi.is_finite() {
-            return Dd::from_f64(self.hi * b.hi);
-        }
-        let (p, e) = two_prod(self.hi, b.hi);
-        if !p.is_finite() {
-            return Dd::from_f64(p);
-        }
-        Dd::renorm(p, e + (self.hi * b.lo + self.lo * b.hi))
-    }
-
-    /// Double-double division (three-term long division).
-    pub fn div(self, b: Dd) -> Dd {
-        if !self.hi.is_finite() || !b.hi.is_finite() || b.hi == 0.0 {
-            return Dd::from_f64(self.hi / b.hi);
-        }
-        let q1 = self.hi / b.hi;
-        if !q1.is_finite() {
-            return Dd::from_f64(q1);
-        }
-        let r = self.sub(b.mul_f64(q1));
-        let q2 = r.hi / b.hi;
-        let r2 = r.sub(b.mul_f64(q2));
-        let q3 = r2.hi / b.hi;
-        let (s, e) = quick_two_sum(q1, q2);
-        Dd::renorm(s, e + q3)
     }
 
     /// Multiply by a plain `f64`.
@@ -464,6 +405,88 @@ impl Dd {
         let s1 = pow2(half);
         let s2 = pow2(rest);
         Dd { hi: self.hi * s1 * s2, lo: self.lo * s1 * s2 }
+    }
+}
+
+impl Neg for Dd {
+    type Output = Dd;
+
+    /// Negation (exact).
+    #[inline]
+    fn neg(self) -> Dd {
+        Dd { hi: -self.hi, lo: -self.lo }
+    }
+}
+
+impl Add for Dd {
+    type Output = Dd;
+
+    /// Double-double addition (Knuth's accurate variant).
+    fn add(self, b: Dd) -> Dd {
+        if !self.hi.is_finite() || !b.hi.is_finite() {
+            return Dd::from_f64(self.hi + b.hi);
+        }
+        if self.hi == 0.0 && b.hi == 0.0 {
+            // IEEE zero-sign rules (−0 + −0 = −0) live in the hardware
+            // add; the error-free path would launder the sign through
+            // `quick_two_sum(−0.0, +0.0)` into +0.0
+            return Dd::from_f64(self.hi + b.hi);
+        }
+        let (s1, e1) = two_sum(self.hi, b.hi);
+        if !s1.is_finite() {
+            // the sum overflowed: its error term would be inf − inf
+            return Dd::from_f64(s1);
+        }
+        let (s2, e2) = two_sum(self.lo, b.lo);
+        let (s, e) = quick_two_sum(s1, e1 + s2);
+        Dd::renorm(s, e + e2)
+    }
+}
+
+impl Sub for Dd {
+    type Output = Dd;
+
+    /// Double-double subtraction.
+    #[inline]
+    fn sub(self, b: Dd) -> Dd {
+        self.add(b.neg())
+    }
+}
+
+impl Mul for Dd {
+    type Output = Dd;
+
+    /// Double-double multiplication.
+    fn mul(self, b: Dd) -> Dd {
+        if !self.hi.is_finite() || !b.hi.is_finite() {
+            return Dd::from_f64(self.hi * b.hi);
+        }
+        let (p, e) = two_prod(self.hi, b.hi);
+        if !p.is_finite() {
+            return Dd::from_f64(p);
+        }
+        Dd::renorm(p, e + (self.hi * b.lo + self.lo * b.hi))
+    }
+}
+
+impl Div for Dd {
+    type Output = Dd;
+
+    /// Double-double division (three-term long division).
+    fn div(self, b: Dd) -> Dd {
+        if !self.hi.is_finite() || !b.hi.is_finite() || b.hi == 0.0 {
+            return Dd::from_f64(self.hi / b.hi);
+        }
+        let q1 = self.hi / b.hi;
+        if !q1.is_finite() {
+            return Dd::from_f64(q1);
+        }
+        let r = self.sub(b.mul_f64(q1));
+        let q2 = r.hi / b.hi;
+        let r2 = r.sub(b.mul_f64(q2));
+        let q3 = r2.hi / b.hi;
+        let (s, e) = quick_two_sum(q1, q2);
+        Dd::renorm(s, e + q3)
     }
 }
 
@@ -1012,13 +1035,13 @@ fn stirling_dd(z: Dd) -> Dd {
     // Bernoulli correction coefficients B₂ₙ/(2n(2n−1)) as exact rationals
     // evaluated in double-double
     const BERN: [(f64, f64); 8] = [
-        (1.0, 12.0),        // B2/(2·1)   = 1/12
-        (-1.0, 360.0),      // B4/(4·3)   = −1/360
-        (1.0, 1260.0),      // B6/(6·5)   = 1/1260
-        (-1.0, 1680.0),     // B8/(8·7)   = −1/1680
-        (1.0, 1188.0),      // B10/(10·9) = 1/1188
-        (-691.0, 360360.0), // B12/(12·11)
-        (1.0, 156.0),       // B14/(14·13)
+        (1.0, 12.0),         // B2/(2·1)   = 1/12
+        (-1.0, 360.0),       // B4/(4·3)   = −1/360
+        (1.0, 1260.0),       // B6/(6·5)   = 1/1260
+        (-1.0, 1680.0),      // B8/(8·7)   = −1/1680
+        (1.0, 1188.0),       // B10/(10·9) = 1/1188
+        (-691.0, 360360.0),  // B12/(12·11)
+        (1.0, 156.0),        // B14/(14·13)
         (-3617.0, 122400.0), // B16/(16·15)
     ];
     let zinv = z.recip();
@@ -1218,12 +1241,7 @@ mod tests {
         assert_close(Dd::from_f64(2.0).pow(Dd::from_f64(10.0)), 1024.0, 0, "2^10");
         assert_close(Dd::from_f64(-2.0).pow(Dd::from_f64(3.0)), -8.0, 0, "(−2)³");
         assert_close(Dd::from_f64(9.0).pow(Dd::from_f64(0.5)), 3.0, 0, "9^½");
-        assert_close(
-            Dd::from_f64(1.7).pow(Dd::from_f64(2.6)),
-            1.7f64.powf(2.6),
-            1,
-            "1.7^2.6",
-        );
+        assert_close(Dd::from_f64(1.7).pow(Dd::from_f64(2.6)), 1.7f64.powf(2.6), 1, "1.7^2.6");
         assert!(Dd::from_f64(-2.0).pow(Dd::from_f64(0.5)).is_nan());
         assert_eq!(Dd::ZERO.pow(Dd::ZERO).to_f64(), 1.0);
         assert_eq!(Dd::from_f64(2.0).pow(Dd::ZERO).to_f64(), 1.0);

@@ -178,7 +178,7 @@ proptest! {
         // leading word is the IEEE sum, and for finite non-overflowing
         // results hi + lo reconstructs a + b exactly (two_sum's identity)
         if a.is_finite() && b.is_finite() {
-            let s = Dd::from_f64(a).add(Dd::from_f64(b));
+            let s = Dd::from_f64(a) + Dd::from_f64(b);
             prop_assert_eq!(s.to_f64().to_bits(), (a + b).to_bits());
             if (a + b).is_finite() {
                 let (ck_s, ck_e) = two_sum(a, b);
@@ -191,7 +191,7 @@ proptest! {
     #[test]
     fn dd_mul_leading_word_is_ieee_product(a in any_f64(), b in any_f64()) {
         if a.is_finite() && b.is_finite() {
-            let p = Dd::from_f64(a).mul(Dd::from_f64(b));
+            let p = Dd::from_f64(a) * Dd::from_f64(b);
             prop_assert_eq!(p.to_f64().to_bits(), (a * b).to_bits());
         }
     }

@@ -299,25 +299,26 @@ impl<'a> RefMachine<'a> {
                 }
                 // truth runs one thread, tid 0 — same as the campaign
                 RInst::ReadThreadIdx => Dd::ZERO,
-                RInst::Neg(a) => resolve_op(*a, &values).neg(),
+                RInst::Neg(a) => -resolve_op(*a, &values),
                 RInst::Bin(op, a, b) => {
                     let x = resolve_op(*a, &values);
                     let y = resolve_op(*b, &values);
                     match op {
-                        progen::ast::BinOp::Add => x.add(y),
-                        progen::ast::BinOp::Sub => x.sub(y),
-                        progen::ast::BinOp::Mul => x.mul(y),
-                        progen::ast::BinOp::Div => x.div(y),
+                        progen::ast::BinOp::Add => x + y,
+                        progen::ast::BinOp::Sub => x - y,
+                        progen::ast::BinOp::Mul => x * y,
+                        progen::ast::BinOp::Div => x / y,
                     }
                 }
-                RInst::Fma(a, b, c) => resolve_op(*a, &values)
-                    .mul(resolve_op(*b, &values))
-                    .add(resolve_op(*c, &values)),
-                RInst::Fms(a, b, c) => resolve_op(*a, &values)
-                    .mul(resolve_op(*b, &values))
-                    .sub(resolve_op(*c, &values)),
-                RInst::Fnma(a, b, c) => resolve_op(*c, &values)
-                    .sub(resolve_op(*a, &values).mul(resolve_op(*b, &values))),
+                RInst::Fma(a, b, c) => {
+                    resolve_op(*a, &values) * resolve_op(*b, &values) + resolve_op(*c, &values)
+                }
+                RInst::Fms(a, b, c) => {
+                    resolve_op(*a, &values) * resolve_op(*b, &values) - resolve_op(*c, &values)
+                }
+                RInst::Fnma(a, b, c) => {
+                    resolve_op(*c, &values) - resolve_op(*a, &values) * resolve_op(*b, &values)
+                }
                 RInst::Rcp(a) => resolve_op(*a, &values).recip(),
                 RInst::Call(f, args) => {
                     let a = args.first().map(|o| resolve_op(*o, &values)).unwrap_or(Dd::ZERO);
