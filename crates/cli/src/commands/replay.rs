@@ -138,7 +138,7 @@ fn replay_one(config: &CampaignConfig, fault: &TestFault) {
     );
     let outcome = catch_isolated(|| {
         let ir = build_side(&program, toolchain, level, config.mode);
-        let kernel = prepare(&ir).expect("generated kernels resolve");
+        let kernel = prepare(&ir).expect("generated kernels are valid");
         inputs
             .iter()
             .map(|input| match execute_prepared_budgeted(&kernel, &device, input, config.budget) {

@@ -124,7 +124,7 @@ fn cross_one(
     // compile once per toolchain, run on both devices
     let kernels: Vec<_> = ALL_CONFIGS
         .iter()
-        .map(|c| prepare(&compile(program, c.toolchain, level, false)).expect("resolves"))
+        .map(|c| prepare(&compile(program, c.toolchain, level, false)).expect("well formed"))
         .collect();
     let devices: Vec<Device> =
         ALL_CONFIGS.iter().map(|c| Device::with_quirks(c.device, quirks)).collect();

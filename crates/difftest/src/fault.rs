@@ -26,7 +26,7 @@ use std::sync::Once;
 /// Classification of a contained test failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// The test panicked (interpreter bug, resolver `expect`, injected
+    /// The test panicked (interpreter bug, malformed-kernel `expect`, injected
     /// chaos fault).
     Panic,
     /// The test exhausted its instruction budget

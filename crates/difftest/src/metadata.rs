@@ -533,12 +533,12 @@ impl ClassBuild {
     /// The vm tier's lowered bytecode.
     fn bytecode(&self) -> &CompiledKernel {
         self.bytecode
-            .get_or_init(|| vm::compile_kernel(&self.ir).expect("generated kernels resolve"))
+            .get_or_init(|| vm::compile_kernel(&self.ir).expect("generated kernels are valid"))
     }
 
-    /// The resolved kernel the interpreter and the reference execute.
+    /// The checked kernel the interpreter and the reference execute.
     fn prepared(&self) -> &ExecutableKernel {
-        self.prepared.get_or_init(|| prepare(&self.ir).expect("generated kernels resolve"))
+        self.prepared.get_or_init(|| prepare(&self.ir).expect("generated kernels are valid"))
     }
 }
 

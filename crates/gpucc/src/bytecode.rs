@@ -1,25 +1,25 @@
 //! Flat bytecode for the compiled execution tier (see [`crate::vm`]).
 //!
-//! [`lower`] turns a [`ResolvedKernel`] body into a single linear [`Code`]
+//! [`lower`] turns a [`KernelIr`] body into a single linear [`Code`]
 //! object: straight-line value instructions over a contiguous, reused
 //! register file, plus explicit branch/loop opcodes with pre-patched jump
 //! targets. Lowering happens once per compiled kernel; the dispatch loop
 //! in [`crate::vm`] then runs the op list with no tree walking and no
 //! per-sequence allocation (the interpreter allocates a fresh value
-//! vector per [`RSeq`] evaluation — exactly the overhead this tier
-//! removes).
+//! vector per [`InstSeq`] evaluation — exactly the overhead this tier
+//! removes). The IR's variable slots are the vm's slots as they are.
 //!
 //! Register allocation is a linear scan per instruction sequence: every
 //! SSA temporary (operands only ever reference *earlier* instructions in
 //! the same sequence) gets a register from a free list and returns to it
 //! at its last use, so the register file stays as small as the widest
 //! live range, not the longest sequence. Each value op carries its
-//! precomputed issue-slot cost ([`crate::interp`]'s `rinst_cost` is
-//! static in the instruction, precision and flags), so the executor adds
-//! a constant instead of re-deriving the cost table per instruction.
+//! precomputed issue-slot cost ([`crate::cost::inst_cost`] is static in
+//! the instruction, precision and flags), so the executor adds a
+//! constant instead of re-deriving the cost table per instruction.
 
-use crate::ir::{CompileFlags, Operand};
-use crate::resolve::{RInst, RNode, RSeq, RTarget, ResolvedKernel};
+use crate::cost;
+use crate::ir::{CompileFlags, Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
 use gpusim::mathlib::MathFunc;
 use progen::ast::{BinOp, CmpOp, Precision};
 
@@ -47,7 +47,7 @@ pub(crate) enum FmaKind {
 /// One bytecode operation.
 ///
 /// Value-producing ops (everything with a `dst`) retire one budget step
-/// each, exactly like one resolved instruction in the interpreter;
+/// each, exactly like one IR instruction in the interpreter;
 /// store/branch/loop ops only add cost. `cost` fields are precomputed
 /// where the cost table varies with the operator or flags.
 #[derive(Debug, Clone)]
@@ -207,11 +207,17 @@ pub(crate) struct Code {
     pub n_limits: usize,
 }
 
-/// Lower a resolved kernel body to bytecode.
-pub(crate) fn lower(r: &ResolvedKernel, precision: Precision, flags: CompileFlags) -> Code {
-    let mut l =
-        Lowerer { ops: Vec::new(), free: Vec::new(), high: 0, n_limits: 0, precision, flags };
-    l.lower_nodes(&r.body);
+/// Lower a kernel body to bytecode.
+pub(crate) fn lower(ir: &KernelIr) -> Code {
+    let mut l = Lowerer {
+        ops: Vec::new(),
+        free: Vec::new(),
+        high: 0,
+        n_limits: 0,
+        precision: ir.precision,
+        flags: ir.flags,
+    };
+    l.lower_nodes(&ir.body);
     Code { ops: l.ops, n_regs: l.high as usize, n_limits: l.n_limits }
 }
 
@@ -239,22 +245,22 @@ impl Lowerer {
         }
     }
 
-    fn lower_nodes(&mut self, nodes: &[RNode]) {
+    fn lower_nodes(&mut self, nodes: &[Node]) {
         for node in nodes {
             match node {
-                RNode::Store { target, seq } => {
+                Node::Store { target, seq } => {
                     let src = self.lower_seq(seq);
                     match *target {
-                        RTarget::Var(slot) => {
+                        StoreTarget::Var(slot) => {
                             self.ops.push(Op::StoreVar { slot: slot as u32, src })
                         }
-                        RTarget::Arr(arr, idx) => {
+                        StoreTarget::Arr(arr, idx) => {
                             self.ops.push(Op::StoreArr { arr: arr as u32, idx: idx as u32, src })
                         }
                     }
                     self.release(src);
                 }
-                RNode::If { lhs, op, rhs, body } => {
+                Node::If { lhs, op, rhs, body } => {
                     // The lhs result register stays pinned (not released)
                     // while the rhs sequence lowers, so the rhs cannot
                     // clobber it before the branch reads both.
@@ -270,7 +276,7 @@ impl Lowerer {
                         *skip_to = after;
                     }
                 }
-                RNode::For { var, bound, body } => {
+                Node::For { var, bound, body } => {
                     let limit = self.n_limits as u32;
                     self.n_limits += 1;
                     let init_at = self.ops.len();
@@ -295,13 +301,13 @@ impl Lowerer {
     /// Lower one instruction sequence. Every temporary's register returns
     /// to the free list at its last use; the returned result source stays
     /// live until the caller `release`s it.
-    fn lower_seq(&mut self, seq: &RSeq) -> Src {
+    fn lower_seq(&mut self, seq: &InstSeq) -> Src {
         let n = seq.insts.len();
         // Last instruction index that reads each temporary (the sequence
         // result pins its temporary past the end).
         let mut last_use: Vec<Option<usize>> = vec![None; n];
         for (j, inst) in seq.insts.iter().enumerate() {
-            for_each_operand(inst, |o| {
+            inst.for_each_operand(|o| {
                 if let Operand::Inst(i) = o {
                     last_use[i] = Some(j);
                 }
@@ -324,7 +330,7 @@ impl Lowerer {
             // Free operands at their last use first, so the destination
             // can reuse an expiring operand's register (the executor reads
             // operands before writing the destination).
-            for_each_operand(inst, |o| {
+            inst.for_each_operand(|o| {
                 if let Operand::Inst(i) = o {
                     if last_use[i] == Some(j) && result_inst != Some(i) && !freed[i] {
                         freed[i] = true;
@@ -335,20 +341,20 @@ impl Lowerer {
             let dst = self.alloc();
             regs[j] = dst;
             let op = match inst {
-                RInst::Const(c) => Op::Const { dst, v: *c },
-                RInst::ReadVar(slot) => Op::ReadVar { dst, slot: *slot as u32 },
-                RInst::ReadIntAsFloat(slot) => Op::ReadIntAsFloat { dst, slot: *slot as u32 },
-                RInst::ReadArr(arr, idx) => Op::ReadArr { dst, arr: *arr as u32, idx: *idx as u32 },
-                RInst::ReadThreadIdx => Op::ReadThreadIdx { dst },
-                RInst::Neg(a) => Op::Neg { dst, a: src_of(*a, &regs) },
-                RInst::Bin(op, a, b) => Op::Bin {
+                Inst::Const(c) => Op::Const { dst, v: *c },
+                Inst::ReadVar(slot) => Op::ReadVar { dst, slot: *slot as u32 },
+                Inst::ReadIntAsFloat(slot) => Op::ReadIntAsFloat { dst, slot: *slot as u32 },
+                Inst::ReadArr(arr, idx) => Op::ReadArr { dst, arr: *arr as u32, idx: *idx as u32 },
+                Inst::ReadThreadIdx => Op::ReadThreadIdx { dst },
+                Inst::Neg(a) => Op::Neg { dst, a: src_of(*a, &regs) },
+                Inst::Bin(op, a, b) => Op::Bin {
                     dst,
                     op: *op,
                     a: src_of(*a, &regs),
                     b: src_of(*b, &regs),
                     cost: self.cost_of(inst),
                 },
-                RInst::Fma(a, b, c) => Op::Fma {
+                Inst::Fma(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fma,
                     a: src_of(*a, &regs),
@@ -356,7 +362,7 @@ impl Lowerer {
                     c: src_of(*c, &regs),
                     cost: self.cost_of(inst),
                 },
-                RInst::Fms(a, b, c) => Op::Fma {
+                Inst::Fms(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fms,
                     a: src_of(*a, &regs),
@@ -364,7 +370,7 @@ impl Lowerer {
                     c: src_of(*c, &regs),
                     cost: self.cost_of(inst),
                 },
-                RInst::Fnma(a, b, c) => Op::Fma {
+                Inst::Fnma(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fnma,
                     a: src_of(*a, &regs),
@@ -372,8 +378,8 @@ impl Lowerer {
                     c: src_of(*c, &regs),
                     cost: self.cost_of(inst),
                 },
-                RInst::Rcp(a) => Op::Rcp { dst, a: src_of(*a, &regs) },
-                RInst::Call(f, args) => Op::Call {
+                Inst::Rcp(a) => Op::Rcp { dst, a: src_of(*a, &regs) },
+                Inst::Call(f, args) => Op::Call {
                     dst,
                     f: *f,
                     a: args.first().map(|o| src_of(*o, &regs)),
@@ -399,34 +405,9 @@ impl Lowerer {
         result
     }
 
-    fn cost_of(&self, inst: &RInst) -> u8 {
-        let c = crate::interp::rinst_cost(inst, self.precision, self.flags);
+    fn cost_of(&self, inst: &Inst) -> u8 {
+        let c = cost::inst_cost(inst, self.precision, self.flags);
         debug_assert!(c <= u8::MAX as u64);
         c as u8
-    }
-}
-
-fn for_each_operand(inst: &RInst, mut f: impl FnMut(Operand)) {
-    match inst {
-        RInst::Const(_)
-        | RInst::ReadVar(_)
-        | RInst::ReadIntAsFloat(_)
-        | RInst::ReadArr(..)
-        | RInst::ReadThreadIdx => {}
-        RInst::Neg(a) | RInst::Rcp(a) => f(*a),
-        RInst::Bin(_, a, b) => {
-            f(*a);
-            f(*b);
-        }
-        RInst::Fma(a, b, c) | RInst::Fms(a, b, c) | RInst::Fnma(a, b, c) => {
-            f(*a);
-            f(*b);
-            f(*c);
-        }
-        RInst::Call(_, args) => {
-            for a in args {
-                f(*a);
-            }
-        }
     }
 }

@@ -15,7 +15,7 @@ pub fn inst_cost(inst: &Inst, prec: Precision, flags: CompileFlags) -> u64 {
     let f64x = prec == Precision::F64;
     match inst {
         Inst::Const(_) => 0,
-        Inst::ReadVar(_) | Inst::ReadThreadIdx => 1,
+        Inst::ReadVar(_) | Inst::ReadIntAsFloat(_) | Inst::ReadThreadIdx => 1,
         Inst::ReadArr(..) => 4, // memory access
         Inst::Neg(_) => 1,
         Inst::Bin(op, _, _) => match op {

@@ -14,7 +14,7 @@
 //!     -> %2
 //! ```
 
-use crate::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
+use crate::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget, Vars};
 use std::fmt::Write as _;
 
 /// Render a kernel as a readable listing.
@@ -28,7 +28,7 @@ pub fn render_ir(ir: &KernelIr) -> String {
         ir.precision.label(),
         ir.flags.opt_level_index
     );
-    render_nodes(&mut out, &ir.body, 1);
+    render_nodes(&mut out, &ir.vars, &ir.body, 1);
     out
 }
 
@@ -38,46 +38,47 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn render_nodes(out: &mut String, nodes: &[Node], level: usize) {
+fn render_nodes(out: &mut String, vars: &Vars, nodes: &[Node], level: usize) {
     for node in nodes {
         match node {
             Node::Store { target, seq } => {
                 indent(out, level);
-                let tgt = match target {
-                    StoreTarget::Var(v) => v.clone(),
-                    StoreTarget::Arr(a, i) => format!("{a}[{i}]"),
+                let _ = match *target {
+                    StoreTarget::Var(v) => writeln!(out, "store {}:", vars.floats[v]),
+                    StoreTarget::Arr(a, i) => {
+                        writeln!(out, "store {}[{}]:", vars.arrays[a], vars.ints[i])
+                    }
                 };
-                let _ = writeln!(out, "store {tgt}:");
-                render_seq(out, seq, level + 1);
+                render_seq(out, vars, seq, level + 1);
             }
             Node::If { lhs, op, rhs, body } => {
                 indent(out, level);
                 out.push_str("if:\n");
                 indent(out, level + 1);
                 out.push_str("lhs:\n");
-                render_seq(out, lhs, level + 2);
+                render_seq(out, vars, lhs, level + 2);
                 indent(out, level + 1);
                 let _ = writeln!(out, "cmp {}", op.symbol());
                 indent(out, level + 1);
                 out.push_str("rhs:\n");
-                render_seq(out, rhs, level + 2);
+                render_seq(out, vars, rhs, level + 2);
                 indent(out, level + 1);
                 out.push_str("then:\n");
-                render_nodes(out, body, level + 2);
+                render_nodes(out, vars, body, level + 2);
             }
             Node::For { var, bound, body } => {
                 indent(out, level);
-                let _ = writeln!(out, "for {var} in 0..{bound}:");
-                render_nodes(out, body, level + 1);
+                let _ = writeln!(out, "for {} in 0..{}:", vars.ints[*var], vars.ints[*bound]);
+                render_nodes(out, vars, body, level + 1);
             }
         }
     }
 }
 
-fn render_seq(out: &mut String, seq: &InstSeq, level: usize) {
+fn render_seq(out: &mut String, vars: &Vars, seq: &InstSeq, level: usize) {
     for (i, inst) in seq.insts.iter().enumerate() {
         indent(out, level);
-        let _ = writeln!(out, "%{i} = {}", render_inst(inst));
+        let _ = writeln!(out, "%{i} = {}", render_inst(vars, inst));
     }
     indent(out, level);
     let _ = writeln!(out, "-> {}", render_operand(seq.result));
@@ -96,10 +97,11 @@ fn render_operand(o: Operand) -> String {
     }
 }
 
-fn render_inst(inst: &Inst) -> String {
+fn render_inst(vars: &Vars, inst: &Inst) -> String {
     match inst {
-        Inst::ReadVar(v) => format!("read {v}"),
-        Inst::ReadArr(a, i) => format!("read {a}[{i}]"),
+        Inst::ReadVar(v) => format!("read {}", vars.floats[*v]),
+        Inst::ReadIntAsFloat(v) => format!("read {}", vars.ints[*v]),
+        Inst::ReadArr(a, i) => format!("read {}[{}]", vars.arrays[*a], vars.ints[*i]),
         Inst::ReadThreadIdx => "read threadIdx.x".into(),
         Inst::Const(c) => render_operand(Operand::Const(*c)),
         Inst::Neg(a) => format!("neg {}", render_operand(*a)),
@@ -188,13 +190,13 @@ mod tests {
         let mut seq = InstSeq { insts: vec![], result: Operand::Const(f64::NAN) };
         let _ = seq.push(Inst::Const(f64::NAN));
         let mut out = String::new();
-        render_seq(&mut out, &seq, 0);
+        render_seq(&mut out, &Vars::default(), &seq, 0);
         assert!(out.contains("const nan"), "{out}");
 
         // a negative NaN renders differently, with its sign and bits
         let negative = InstSeq { insts: vec![], result: Operand::Const(-f64::NAN) };
         let mut neg = String::new();
-        render_seq(&mut neg, &negative, 0);
+        render_seq(&mut neg, &Vars::default(), &negative, 0);
         assert!(neg.contains("const -nan(0xfff8000000000000)"), "{neg}");
         assert_ne!(
             render_operand(Operand::Const(f64::NAN)),

@@ -9,9 +9,8 @@
 //! instrumentation tool (GPU-FPX, paper ref \[12\]) would reconstruct them.
 
 use crate::cost;
-use crate::ir::{KernelIr, Operand};
-use crate::resolve::{
-    resolve, ParamSlot, RInst, RNode, RSeq, RTarget, ResolveError, ResolvedKernel,
+use crate::ir::{
+    FloatSlot, Inst, InstSeq, IntSlot, KernelIr, Node, Operand, ParamSlot, StoreTarget, Vars,
 };
 use fpcore::classify::Outcome;
 use fpcore::exceptions::{ArithOp, ExceptionFlags, FpException};
@@ -21,7 +20,7 @@ use gpusim::fpenv::FpEnv;
 use gpusim::mathlib::fast::nv_rcp_f32;
 use gpusim::mathlib::MathFunc;
 use gpusim::Device;
-use progen::ast::{BinOp, CmpOp, Precision};
+use progen::ast::{BinOp, CmpOp, Param, Precision};
 use progen::inputs::{InputSet, InputValue, ARRAY_LEN};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -208,10 +207,7 @@ pub struct TraceEvent {
 
 /// Execute a compiled kernel on a device with the given inputs.
 pub fn execute(ir: &KernelIr, device: &Device, inputs: &InputSet) -> Result<ExecResult, ExecError> {
-    match ir.precision {
-        Precision::F64 => run::<f64>(ir, device, inputs, false).map(|(r, _)| r),
-        Precision::F32 => run::<f32>(ir, device, inputs, false).map(|(r, _)| r),
-    }
+    run(ir, comp_slot(ir)?, device, inputs, false, 0, ExecBudget::default()).map(|(r, _)| r)
 }
 
 /// Execute a kernel over a 1-D thread block (SIMT extension): one
@@ -224,16 +220,9 @@ pub fn execute_grid(
     inputs: &InputSet,
     block_dim: u32,
 ) -> Result<Vec<ExecResult>, ExecError> {
-    let kernel = prepare(ir)?;
+    let comp = comp_slot(ir)?;
     (0..block_dim)
-        .map(|tid| match kernel.precision {
-            Precision::F64 => {
-                run_thread::<f64>(&kernel, device, inputs, false, tid).map(|(r, _)| r)
-            }
-            Precision::F32 => {
-                run_thread::<f32>(&kernel, device, inputs, false, tid).map(|(r, _)| r)
-            }
-        })
+        .map(|tid| run(ir, comp, device, inputs, false, tid, ExecBudget::default()).map(|(r, _)| r))
         .collect()
 }
 
@@ -243,11 +232,7 @@ pub fn execute_traced(
     device: &Device,
     inputs: &InputSet,
 ) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
-    let (r, t) = match ir.precision {
-        Precision::F64 => run::<f64>(ir, device, inputs, true)?,
-        Precision::F32 => run::<f32>(ir, device, inputs, true)?,
-    };
-    Ok((r, t))
+    run(ir, comp_slot(ir)?, device, inputs, true, 0, ExecBudget::default())
 }
 
 /// Precision-specific device dispatch on top of [`GpuFloat`].
@@ -258,6 +243,8 @@ pub trait DeviceFloat: GpuFloat {
     fn rcp(x: Self) -> Self;
     /// This precision's FTZ mode within an environment.
     fn ftz_mode(env: &FpEnv) -> FtzMode;
+    /// The value as a kernel result of this precision.
+    fn exec_value(self) -> ExecValue;
 }
 
 impl DeviceFloat for f64 {
@@ -273,6 +260,9 @@ impl DeviceFloat for f64 {
     }
     fn ftz_mode(env: &FpEnv) -> FtzMode {
         env.ftz64
+    }
+    fn exec_value(self) -> ExecValue {
+        ExecValue::F64(self)
     }
 }
 
@@ -290,59 +280,41 @@ impl DeviceFloat for f32 {
     fn ftz_mode(env: &FpEnv) -> FtzMode {
         env.ftz32
     }
+    fn exec_value(self) -> ExecValue {
+        ExecValue::F32(self)
+    }
 }
 
-fn run<T: DeviceFloat>(
-    ir: &KernelIr,
-    device: &Device,
-    inputs: &InputSet,
-    traced: bool,
-) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
-    let kernel = prepare(ir)?;
-    run_thread_budgeted::<T>(&kernel, device, inputs, traced, 0, ExecBudget::default())
+/// The float slot of `comp`, the value a kernel prints, once the kernel
+/// is known to be runnable. A hand-written kernel can fail this (the
+/// generated ones never do): it reads an array that no parameter
+/// declares, or it never names `comp`.
+pub(crate) fn comp_slot(ir: &KernelIr) -> Result<FloatSlot, ExecError> {
+    let array_params = ir.vars.params.iter().filter(|p| matches!(p, ParamSlot::Array(_))).count();
+    if let Some(unknown) = ir.vars.arrays.get(array_params) {
+        return Err(ExecError::UnknownVar(unknown.clone()));
+    }
+    ir.vars
+        .floats
+        .iter()
+        .position(|n| n == "comp")
+        .ok_or_else(|| ExecError::UnknownVar("comp".into()))
 }
 
-/// A kernel prepared for execution: names resolved to dense slots (see
-/// [`crate::resolve`]). Prepare once, execute many times — the campaign
-/// runs every compiled kernel against several inputs.
+/// A kernel checked for execution (see [`prepare`]). Prepare once,
+/// execute many times — the campaign runs every compiled kernel against
+/// several inputs.
 #[derive(Debug, Clone)]
 pub struct ExecutableKernel {
-    /// The source IR's identity and compilation flags.
-    pub program_id: String,
-    /// Kernel precision.
-    pub precision: Precision,
-    /// Compilation flags (fast math, level).
-    pub flags: crate::ir::CompileFlags,
-    params: Vec<progen::ast::Param>,
-    resolved: ResolvedKernel,
+    pub(crate) ir: KernelIr,
+    pub(crate) comp: FloatSlot,
 }
 
-impl ExecutableKernel {
-    /// The kernel's parameters in signature order (input binding).
-    pub(crate) fn params(&self) -> &[progen::ast::Param] {
-        &self.params
-    }
-
-    /// The resolved slot-addressed body (shared with the reference
-    /// executor so all execution paths walk identical code).
-    pub(crate) fn resolved_kernel(&self) -> &ResolvedKernel {
-        &self.resolved
-    }
-}
-
-/// Resolve a compiled kernel into its executable form.
+/// Check that a compiled kernel can run, and keep it for execution. It
+/// fails on the malformed kernels [`crate::vm::compile_kernel`] rejects,
+/// with the same error.
 pub fn prepare(ir: &KernelIr) -> Result<ExecutableKernel, ExecError> {
-    let resolved = resolve(ir).map_err(|e| match e {
-        ResolveError::UnknownName(n) => ExecError::UnknownVar(n),
-        ResolveError::NoComp => ExecError::UnknownVar("comp".into()),
-    })?;
-    Ok(ExecutableKernel {
-        program_id: ir.program_id.clone(),
-        precision: ir.precision,
-        flags: ir.flags,
-        params: ir.params.clone(),
-        resolved,
-    })
+    Ok(ExecutableKernel { comp: comp_slot(ir)?, ir: ir.clone() })
 }
 
 /// Execute a prepared kernel (single thread, tid 0) under the default
@@ -365,28 +337,93 @@ pub fn execute_prepared_budgeted(
     inputs: &InputSet,
     budget: ExecBudget,
 ) -> Result<ExecResult, ExecError> {
-    match kernel.precision {
-        Precision::F64 => {
-            run_thread_budgeted::<f64>(kernel, device, inputs, false, 0, budget).map(|(r, _)| r)
+    run(&kernel.ir, kernel.comp, device, inputs, false, 0, budget).map(|(r, _)| r)
+}
+
+/// One execution's variables: a value per float and int slot (`None`
+/// until something stores to it) and each array's elements. All three
+/// executors keep their variables here; the vm reuses one frame across
+/// a batch.
+pub(crate) struct Frame<V> {
+    pub(crate) scalars: Vec<Option<V>>,
+    pub(crate) ints: Vec<Option<i64>>,
+    pub(crate) arrays: Vec<Vec<V>>,
+}
+
+impl<V: Copy> Frame<V> {
+    /// An empty frame with room for every slot of `vars`.
+    pub(crate) fn new(vars: &Vars) -> Frame<V> {
+        Frame {
+            scalars: vec![None; vars.floats.len()],
+            ints: vec![None; vars.ints.len()],
+            arrays: vec![Vec::new(); vars.arrays.len()],
         }
-        Precision::F32 => {
-            run_thread_budgeted::<f32>(kernel, device, inputs, false, 0, budget).map(|(r, _)| r)
+    }
+
+    /// Unset every variable, then bind `inputs` to the parameters' slots,
+    /// converting each float input through `lift`. Array buffers keep
+    /// their allocation.
+    pub(crate) fn bind(
+        &mut self,
+        params: &[Param],
+        vars: &Vars,
+        inputs: &InputSet,
+        lift: impl Fn(f64) -> V,
+    ) -> Result<(), ExecError> {
+        if inputs.values.len() != params.len() {
+            return Err(ExecError::BadInputs(format!(
+                "{} inputs for {} parameters",
+                inputs.values.len(),
+                params.len()
+            )));
         }
+        self.scalars.fill(None);
+        self.ints.fill(None);
+        for ((param, value), slot) in params.iter().zip(&inputs.values).zip(&vars.params) {
+            match (*slot, value) {
+                (ParamSlot::Float(s), InputValue::Float(v)) => self.scalars[s] = Some(lift(*v)),
+                (ParamSlot::Int(s), InputValue::Int(v)) => self.ints[s] = Some(*v),
+                (ParamSlot::Array(s), InputValue::ArrayFill(v)) => {
+                    let a = &mut self.arrays[s];
+                    a.clear();
+                    a.resize(ARRAY_LEN, lift(*v));
+                }
+                (_, val) => {
+                    return Err(ExecError::BadInputs(format!(
+                        "parameter {} of type {:?} got {val:?}",
+                        param.name, param.ty
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The current value of the int slot an array access indexes with.
+    pub(crate) fn index(&self, idx: IntSlot) -> Result<usize, ExecError> {
+        let i = self.ints[idx].ok_or_else(|| ExecError::UnknownVar("index".into()))?;
+        usize::try_from(i).map_err(|_| ExecError::OutOfBounds("index".into()))
     }
 }
 
-fn run_thread<T: DeviceFloat>(
-    kernel: &ExecutableKernel,
+fn run(
+    ir: &KernelIr,
+    comp: FloatSlot,
     device: &Device,
     inputs: &InputSet,
     traced: bool,
     thread_idx: u32,
+    budget: ExecBudget,
 ) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
-    run_thread_budgeted::<T>(kernel, device, inputs, traced, thread_idx, ExecBudget::default())
+    match ir.precision {
+        Precision::F64 => run_as::<f64>(ir, comp, device, inputs, traced, thread_idx, budget),
+        Precision::F32 => run_as::<f32>(ir, comp, device, inputs, traced, thread_idx, budget),
+    }
 }
 
-fn run_thread_budgeted<T: DeviceFloat>(
-    kernel: &ExecutableKernel,
+fn run_as<T: DeviceFloat>(
+    ir: &KernelIr,
+    comp: FloatSlot,
     device: &Device,
     inputs: &InputSet,
     traced: bool,
@@ -394,23 +431,15 @@ fn run_thread_budgeted<T: DeviceFloat>(
     budget: ExecBudget,
 ) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
     #[cfg(feature = "chaos")]
-    crate::chaos::maybe_panic(&kernel.program_id);
-    if inputs.values.len() != kernel.params.len() {
-        return Err(ExecError::BadInputs(format!(
-            "{} inputs for {} parameters",
-            inputs.values.len(),
-            kernel.params.len()
-        )));
-    }
-    let env = device.fp_env(kernel.flags.fast_math);
-    let r = &kernel.resolved;
+    crate::chaos::maybe_panic(&ir.program_id);
+    let mut frame = Frame::new(&ir.vars);
+    frame.bind(&ir.params, &ir.vars, inputs, T::from_f64)?;
+    let env = device.fp_env(ir.flags.fast_math);
     let mut m = Machine::<T> {
         device,
-        kernel,
+        ir,
         ftz: T::ftz_mode(&env),
-        scalars: vec![None; r.n_floats],
-        ints: vec![None; r.n_ints],
-        arrays: vec![Vec::new(); r.n_arrays],
+        frame,
         exceptions: ExceptionFlags::new(),
         cost: 0,
         steps: 0,
@@ -422,27 +451,8 @@ fn run_thread_budgeted<T: DeviceFloat>(
             .max_wall_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
     };
-    for ((param, value), slot) in kernel.params.iter().zip(&inputs.values).zip(&r.param_slots) {
-        match (slot, value) {
-            (ParamSlot::Float(s), InputValue::Float(v)) => {
-                m.scalars[*s] = Some(T::from_f64(*v));
-            }
-            (ParamSlot::Int(s), InputValue::Int(v)) => {
-                m.ints[*s] = Some(*v);
-            }
-            (ParamSlot::Array(s), InputValue::ArrayFill(v)) => {
-                m.arrays[*s] = vec![T::from_f64(*v); ARRAY_LEN];
-            }
-            (_, val) => {
-                return Err(ExecError::BadInputs(format!(
-                    "parameter {} of type {:?} got {val:?}",
-                    param.name, param.ty
-                )))
-            }
-        }
-    }
     let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
-    m.run_nodes(&r.body)?;
+    m.run_nodes(&ir.body)?;
     // Flush the locally tallied telemetry once per execution — the hot
     // loop itself touches only the stack-local Machine fields.
     if obs::enabled() {
@@ -461,7 +471,7 @@ fn run_thread_budgeted<T: DeviceFloat>(
                     "interp.exec",
                     t,
                     ns,
-                    vec![("program", kernel.program_id.as_str().into()), ("steps", m.steps.into())],
+                    vec![("program", ir.program_id.as_str().into()), ("steps", m.steps.into())],
                 );
             }
         }
@@ -475,10 +485,10 @@ fn run_thread_budgeted<T: DeviceFloat>(
             obs::add_id(names.fpexc(e), 1);
         }
     }
-    let value = m.scalars[r.comp_slot].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
+    let value = m.frame.scalars[comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
     Ok((
         ExecResult {
-            value: wrap_value(value),
+            value: value.exec_value(),
             exceptions: m.exceptions,
             cost_slots: m.cost,
             steps: m.steps,
@@ -487,34 +497,11 @@ fn run_thread_budgeted<T: DeviceFloat>(
     ))
 }
 
-pub(crate) fn wrap_value<T: DeviceFloat>(v: T) -> ExecValue {
-    // T is f32 or f64; round-trip through bits width
-    if std::mem::size_of::<T>() == 4 {
-        ExecValue::F32(f32::from_f64_lossless(v))
-    } else {
-        ExecValue::F64(v.to_f64())
-    }
-}
-
-/// Helper to recover the f32 payload without rounding (T is already f32).
-trait F32Exact {
-    fn from_f64_lossless<T: GpuFloat>(v: T) -> f32;
-}
-
-impl F32Exact for f32 {
-    fn from_f64_lossless<T: GpuFloat>(v: T) -> f32 {
-        // exact: v is an f32 in disguise, widening then narrowing is lossless
-        v.to_f64() as f32
-    }
-}
-
 struct Machine<'a, T: DeviceFloat> {
     device: &'a Device,
-    kernel: &'a ExecutableKernel,
+    ir: &'a KernelIr,
     ftz: FtzMode,
-    scalars: Vec<Option<T>>,
-    ints: Vec<Option<i64>>,
-    arrays: Vec<Vec<T>>,
+    frame: Frame<T>,
     exceptions: ExceptionFlags,
     cost: u64,
     steps: u64,
@@ -526,43 +513,38 @@ struct Machine<'a, T: DeviceFloat> {
 }
 
 impl<'a, T: DeviceFloat> Machine<'a, T> {
-    fn run_nodes(&mut self, nodes: &[RNode]) -> Result<(), ExecError> {
+    fn run_nodes(&mut self, nodes: &[Node]) -> Result<(), ExecError> {
+        let vars = &self.ir.vars;
         for node in nodes {
             match node {
-                RNode::Store { target, seq } => {
+                Node::Store { target, seq } => {
                     let v = self.eval_seq(seq)?;
                     match *target {
-                        RTarget::Var(slot) => {
+                        StoreTarget::Var(slot) => {
                             if let Some(trace) = &mut self.trace {
                                 trace.push(TraceEvent {
-                                    target: self.kernel.resolved.float_names[slot].clone(),
-                                    bits: wrap_value(v).bits(),
+                                    target: vars.floats[slot].clone(),
+                                    bits: v.exec_value().bits(),
                                 });
                             }
-                            self.scalars[slot] = Some(v);
+                            self.frame.scalars[slot] = Some(v);
                         }
-                        RTarget::Arr(arr, idx) => {
-                            let i = self.index_value(idx)?;
+                        StoreTarget::Arr(arr, idx) => {
+                            let i = self.frame.index(idx)?;
                             if let Some(trace) = &mut self.trace {
                                 trace.push(TraceEvent {
-                                    target: format!(
-                                        "{}[{i}]",
-                                        self.kernel.resolved.array_names[arr]
-                                    ),
-                                    bits: wrap_value(v).bits(),
+                                    target: format!("{}[{i}]", vars.arrays[arr]),
+                                    bits: v.exec_value().bits(),
                                 });
                             }
-                            let a = &mut self.arrays[arr];
-                            *a.get_mut(i).ok_or_else(|| {
-                                ExecError::OutOfBounds(
-                                    self.kernel.resolved.array_names[arr].clone(),
-                                )
+                            *self.frame.arrays[arr].get_mut(i).ok_or_else(|| {
+                                ExecError::OutOfBounds(vars.arrays[arr].clone())
                             })? = v;
                             self.cost += 4; // store
                         }
                     }
                 }
-                RNode::If { lhs, op, rhs, body } => {
+                Node::If { lhs, op, rhs, body } => {
                     let a = self.eval_seq(lhs)?;
                     let b = self.eval_seq(rhs)?;
                     self.cost += 2; // compare + branch
@@ -570,12 +552,12 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                         self.run_nodes(body)?;
                     }
                 }
-                RNode::For { var, bound, body } => {
-                    let n = self.ints[*bound]
+                Node::For { var, bound, body } => {
+                    let n = self.frame.ints[*bound]
                         .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
                     let n = n.clamp(0, ARRAY_LEN as i64);
                     for i in 0..n {
-                        self.ints[*var] = Some(i);
+                        self.frame.ints[*var] = Some(i);
                         self.cost += cost::LOOP_OVERHEAD;
                         self.run_nodes(body)?;
                     }
@@ -585,12 +567,8 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
         Ok(())
     }
 
-    fn index_value(&self, idx: usize) -> Result<usize, ExecError> {
-        let i = self.ints[idx].ok_or_else(|| ExecError::UnknownVar("index".into()))?;
-        usize::try_from(i).map_err(|_| ExecError::OutOfBounds("index".into()))
-    }
-
-    fn eval_seq(&mut self, seq: &RSeq) -> Result<T, ExecError> {
+    fn eval_seq(&mut self, seq: &InstSeq) -> Result<T, ExecError> {
+        let vars = &self.ir.vars;
         let mut values: Vec<T> = Vec::with_capacity(seq.insts.len());
         for inst in &seq.insts {
             self.steps += 1;
@@ -610,33 +588,33 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                     }
                 }
             }
-            self.cost += rinst_cost(inst, self.kernel.precision, self.kernel.flags);
-            let resolve_op = |o: Operand, values: &[T]| -> T {
+            self.cost += cost::inst_cost(inst, self.ir.precision, self.ir.flags);
+            let operand = |o: Operand, values: &[T]| -> T {
                 match o {
                     Operand::Const(c) => T::from_f64(c),
                     Operand::Inst(i) => values[i],
                 }
             };
             let v = match inst {
-                RInst::Const(c) => T::from_f64(*c),
-                RInst::ReadVar(slot) => self.scalars[*slot].ok_or_else(|| {
-                    ExecError::UnknownVar(self.kernel.resolved.float_names[*slot].clone())
-                })?,
-                RInst::ReadIntAsFloat(slot) => {
-                    let i = self.ints[*slot].ok_or_else(|| ExecError::UnknownVar("int".into()))?;
+                Inst::Const(c) => T::from_f64(*c),
+                Inst::ReadVar(slot) => self.frame.scalars[*slot]
+                    .ok_or_else(|| ExecError::UnknownVar(vars.floats[*slot].clone()))?,
+                Inst::ReadIntAsFloat(slot) => {
+                    let i = self.frame.ints[*slot]
+                        .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
                     T::from_f64(i as f64)
                 }
-                RInst::ReadArr(arr, idx) => {
-                    let i = self.index_value(*idx)?;
-                    *self.arrays[*arr].get(i).ok_or_else(|| {
-                        ExecError::OutOfBounds(self.kernel.resolved.array_names[*arr].clone())
-                    })?
+                Inst::ReadArr(arr, idx) => {
+                    let i = self.frame.index(*idx)?;
+                    *self.frame.arrays[*arr]
+                        .get(i)
+                        .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[*arr].clone()))?
                 }
-                RInst::ReadThreadIdx => T::from_f64(f64::from(self.thread_idx)),
-                RInst::Neg(a) => -resolve_op(*a, &values),
-                RInst::Bin(op, a, b) => {
-                    let x = resolve_op(*a, &values).apply_daz(self.ftz);
-                    let y = resolve_op(*b, &values).apply_daz(self.ftz);
+                Inst::ReadThreadIdx => T::from_f64(f64::from(self.thread_idx)),
+                Inst::Neg(a) => -operand(*a, &values),
+                Inst::Bin(op, a, b) => {
+                    let x = operand(*a, &values).apply_daz(self.ftz);
+                    let y = operand(*b, &values).apply_daz(self.ftz);
                     let (r, aop) = match op {
                         BinOp::Add => (x + y, ArithOp::Add),
                         BinOp::Sub => (x - y, ArithOp::Sub),
@@ -646,47 +624,47 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                     self.exceptions.merge(T::detect_exceptions(aop, x, y, r));
                     r.apply_ftz(self.ftz)
                 }
-                RInst::Fma(a, b, c) => {
-                    let x = resolve_op(*a, &values).apply_daz(self.ftz);
-                    let y = resolve_op(*b, &values).apply_daz(self.ftz);
-                    let z = resolve_op(*c, &values).apply_daz(self.ftz);
+                Inst::Fma(a, b, c) => {
+                    let x = operand(*a, &values).apply_daz(self.ftz);
+                    let y = operand(*b, &values).apply_daz(self.ftz);
+                    let z = operand(*c, &values).apply_daz(self.ftz);
                     let r = x.mul_add(y, z);
                     self.record_nonbin_exceptions(&[x, y, z], r);
                     r.apply_ftz(self.ftz)
                 }
-                RInst::Fms(a, b, c) => {
-                    let x = resolve_op(*a, &values).apply_daz(self.ftz);
-                    let y = resolve_op(*b, &values).apply_daz(self.ftz);
-                    let z = resolve_op(*c, &values).apply_daz(self.ftz);
+                Inst::Fms(a, b, c) => {
+                    let x = operand(*a, &values).apply_daz(self.ftz);
+                    let y = operand(*b, &values).apply_daz(self.ftz);
+                    let z = operand(*c, &values).apply_daz(self.ftz);
                     let r = x.mul_add(y, -z);
                     self.record_nonbin_exceptions(&[x, y, z], r);
                     r.apply_ftz(self.ftz)
                 }
-                RInst::Fnma(a, b, c) => {
-                    let x = resolve_op(*a, &values).apply_daz(self.ftz);
-                    let y = resolve_op(*b, &values).apply_daz(self.ftz);
-                    let z = resolve_op(*c, &values).apply_daz(self.ftz);
+                Inst::Fnma(a, b, c) => {
+                    let x = operand(*a, &values).apply_daz(self.ftz);
+                    let y = operand(*b, &values).apply_daz(self.ftz);
+                    let z = operand(*c, &values).apply_daz(self.ftz);
                     let r = (-x).mul_add(y, z);
                     self.record_nonbin_exceptions(&[x, y, z], r);
                     r.apply_ftz(self.ftz)
                 }
-                RInst::Rcp(a) => {
-                    let x = resolve_op(*a, &values);
+                Inst::Rcp(a) => {
+                    let x = operand(*a, &values);
                     let r = T::rcp(x);
                     self.record_nonbin_exceptions(&[x], r);
                     r
                 }
-                RInst::Call(f, args) => {
+                Inst::Call(f, args) => {
                     self.math_calls[f.index()] += 1;
                     let a = args
                         .first()
-                        .map(|o| resolve_op(*o, &values).apply_daz(self.ftz))
+                        .map(|o| operand(*o, &values).apply_daz(self.ftz))
                         .unwrap_or(T::ZERO);
                     let b = args
                         .get(1)
-                        .map(|o| resolve_op(*o, &values).apply_daz(self.ftz))
+                        .map(|o| operand(*o, &values).apply_daz(self.ftz))
                         .unwrap_or(T::ZERO);
-                    let r = T::math_call(self.device, self.kernel.flags.fast_math, *f, a, b);
+                    let r = T::math_call(self.device, self.ir.flags.fast_math, *f, a, b);
                     self.record_nonbin_exceptions(&[a, b], r);
                     r.apply_ftz(self.ftz)
                 }
@@ -719,51 +697,6 @@ pub(crate) fn nonbin_exceptions<T: GpuFloat>(args: &[T], r: T, exceptions: &mut 
     }
     if r.is_subnormal() {
         exceptions.raise(FpException::Underflow);
-    }
-}
-
-/// Cost of a resolved instruction (mirrors [`cost::inst_cost`]).
-pub(crate) fn rinst_cost(inst: &RInst, prec: Precision, flags: crate::ir::CompileFlags) -> u64 {
-    let f64x = prec == Precision::F64;
-    match inst {
-        RInst::Const(_) => 0,
-        RInst::ReadVar(_) | RInst::ReadIntAsFloat(_) | RInst::ReadThreadIdx => 1,
-        RInst::ReadArr(..) => 4,
-        RInst::Neg(_) => 1,
-        RInst::Bin(op, _, _) => match op {
-            BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                if f64x {
-                    2
-                } else {
-                    1
-                }
-            }
-            BinOp::Div => {
-                if f64x {
-                    16
-                } else {
-                    8
-                }
-            }
-        },
-        RInst::Fma(..) | RInst::Fms(..) | RInst::Fnma(..) => {
-            if f64x {
-                2
-            } else {
-                1
-            }
-        }
-        RInst::Rcp(_) => 2,
-        RInst::Call(f, _) => {
-            let fast = flags.fast_math && f.has_fast_f32_variant() && !f64x;
-            if fast {
-                4
-            } else if f64x {
-                40
-            } else {
-                16
-            }
-        }
     }
 }
 

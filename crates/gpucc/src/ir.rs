@@ -4,17 +4,29 @@
 //! produces one value, and operands refer to earlier instructions by index
 //! or to immediate constants. Control flow stays structured ([`Node`]),
 //! mirroring the source kernels, which are reducible by construction.
+//!
+//! Variables are dense slots, one slot space per kind (float, int,
+//! array), given when the kernel is lowered. The passes, the listing and
+//! all three executors read these slots directly; [`Vars`] keeps each
+//! slot's name for listings, store traces and error text.
 
 use gpusim::mathlib::MathFunc;
 use progen::ast::{BinOp, CmpOp, Param, Precision};
-use serde::{Deserialize, Serialize};
+
+/// A float-variable slot: a float parameter, a temporary or `comp`.
+pub type FloatSlot = usize;
+/// An int-variable slot: an int parameter, a loop variable or an array
+/// index.
+pub type IntSlot = usize;
+/// An array slot.
+pub type ArraySlot = usize;
 
 /// An instruction operand: an earlier instruction's value or an immediate.
 ///
 /// Constant equality is **bitwise** (folding can produce NaN constants,
 /// which must still compare equal to themselves so identical pipelines
 /// produce equal IR).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Operand {
     /// Value of the instruction at this index in the same sequence.
     Inst(usize),
@@ -37,12 +49,15 @@ impl Eq for Operand {}
 
 /// One IR instruction. The destination register is the instruction's own
 /// index within its sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Inst {
-    /// Read a scalar variable (parameter, temporary, or `comp`).
-    ReadVar(String),
-    /// Read `array[loop_var]`.
-    ReadArr(String, String),
+    /// Read a float variable (parameter, temporary, or `comp`).
+    ReadVar(FloatSlot),
+    /// Read an int variable (int parameter or loop variable), promoted to
+    /// the kernel precision.
+    ReadIntAsFloat(IntSlot),
+    /// Read `array[index]`.
+    ReadArr(ArraySlot, IntSlot),
     /// Read `threadIdx.x` promoted to the kernel precision.
     ReadThreadIdx,
     /// Binary arithmetic.
@@ -74,7 +89,7 @@ impl PartialEq for Inst {
     fn eq(&self, other: &Inst) -> bool {
         use Inst::*;
         match (self, other) {
-            (ReadVar(a), ReadVar(b)) => a == b,
+            (ReadVar(a), ReadVar(b)) | (ReadIntAsFloat(a), ReadIntAsFloat(b)) => a == b,
             (ReadArr(a, i), ReadArr(b, j)) => a == b && i == j,
             (ReadThreadIdx, ReadThreadIdx) => true,
             (Bin(o1, a1, b1), Bin(o2, a2, b2)) => o1 == o2 && a1 == a2 && b1 == b2,
@@ -96,7 +111,11 @@ impl Inst {
     /// Visit the operands this instruction references, in order.
     pub fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
         match self {
-            Inst::ReadVar(_) | Inst::ReadArr(..) | Inst::ReadThreadIdx | Inst::Const(_) => {}
+            Inst::ReadVar(_)
+            | Inst::ReadIntAsFloat(_)
+            | Inst::ReadArr(..)
+            | Inst::ReadThreadIdx
+            | Inst::Const(_) => {}
             Inst::Neg(a) | Inst::Rcp(a) => f(*a),
             Inst::Bin(_, a, b) => {
                 f(*a);
@@ -114,7 +133,11 @@ impl Inst {
     /// Rewrite operand references through `f`.
     pub fn map_operands(&mut self, f: impl Fn(Operand) -> Operand) {
         match self {
-            Inst::ReadVar(_) | Inst::ReadArr(..) | Inst::ReadThreadIdx | Inst::Const(_) => {}
+            Inst::ReadVar(_)
+            | Inst::ReadIntAsFloat(_)
+            | Inst::ReadArr(..)
+            | Inst::ReadThreadIdx
+            | Inst::Const(_) => {}
             Inst::Neg(a) | Inst::Rcp(a) => *a = f(*a),
             Inst::Bin(_, a, b) => {
                 *a = f(*a);
@@ -135,7 +158,7 @@ impl Inst {
 }
 
 /// A straight-line instruction sequence computing one value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstSeq {
     /// Instructions, in execution order.
     pub insts: Vec<Inst>,
@@ -157,16 +180,16 @@ impl InstSeq {
 }
 
 /// Where a computed value is stored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StoreTarget {
-    /// Scalar variable.
-    Var(String),
-    /// `array[loop_var]`.
-    Arr(String, String),
+    /// Float variable.
+    Var(FloatSlot),
+    /// `array[index]`.
+    Arr(ArraySlot, IntSlot),
 }
 
 /// A structured IR node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// Evaluate `seq` and store its result (covers declarations and all
     /// assignment forms; compound assignments were expanded in lowering).
@@ -187,12 +210,12 @@ pub enum Node {
         /// Then-branch.
         body: Vec<Node>,
     },
-    /// Counted loop from 0 to the value of the `int` parameter `bound`.
+    /// Counted loop from 0 to the value of the int variable `bound`.
     For {
-        /// Induction variable name.
-        var: String,
-        /// Bounding parameter name.
-        bound: String,
+        /// Induction variable.
+        var: IntSlot,
+        /// Bounding variable.
+        bound: IntSlot,
         /// Loop body.
         body: Vec<Node>,
     },
@@ -200,7 +223,7 @@ pub enum Node {
 
 /// Flags recording how a kernel was compiled (they affect execution).
 /// Defaults to the `-O0`, no-fast-math configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileFlags {
     /// Fast-math: vendor fast intrinsics + vendor FTZ mode at execution.
     pub fast_math: bool,
@@ -215,8 +238,44 @@ impl CompileFlags {
     }
 }
 
+/// Where a kernel parameter lands in the slot spaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamSlot {
+    /// Float parameter.
+    Float(FloatSlot),
+    /// Int parameter.
+    Int(IntSlot),
+    /// Array parameter.
+    Array(ArraySlot),
+}
+
+/// A kernel's variables: the name of every slot, and where each
+/// parameter lands.
+///
+/// [`crate::lower`] gives the slots in one walk: parameters first, in
+/// signature order (each array parameter takes a new array slot); then
+/// the body in execution order, a store's value before its target and a
+/// loop's bound before its variable before its body. A name read as a
+/// value reads its float slot, else its int slot (promoted); a name
+/// with neither takes a new float slot, unset until something stores to
+/// it. An array that no parameter declares takes a slot after the
+/// parameters' ones, so a listing can name it and the executors can
+/// reject the kernel.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Vars {
+    /// Float-slot names (index = slot).
+    pub floats: Vec<String>,
+    /// Int-slot names.
+    pub ints: Vec<String>,
+    /// Array-slot names: the array parameters, then any array no
+    /// parameter declares.
+    pub arrays: Vec<String>,
+    /// Each parameter's slot, in signature order.
+    pub params: Vec<ParamSlot>,
+}
+
 /// A compiled kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelIr {
     /// Program identifier this kernel was compiled from.
     pub program_id: String,
@@ -224,6 +283,8 @@ pub struct KernelIr {
     pub precision: Precision,
     /// Parameters (shared with the AST).
     pub params: Vec<Param>,
+    /// The variables' slots and names.
+    pub vars: Vars,
     /// Structured body.
     pub body: Vec<Node>,
     /// Compilation flags.
@@ -283,7 +344,7 @@ mod tests {
     #[test]
     fn push_returns_reference_to_new_inst() {
         let mut seq = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let a = seq.push(Inst::ReadVar("x".into()));
+        let a = seq.push(Inst::ReadVar(0));
         let b = seq.push(Inst::Neg(a));
         assert_eq!(a, Operand::Inst(0));
         assert_eq!(b, Operand::Inst(1));
@@ -302,7 +363,7 @@ mod tests {
         assert_eq!(operands(&i), [Operand::Inst(0), Operand::Const(2.0), Operand::Inst(1)]);
         let c = Inst::Call(MathFunc::Pow, vec![Operand::Inst(0), Operand::Inst(1)]);
         assert_eq!(operands(&c), [Operand::Inst(0), Operand::Inst(1)]);
-        assert!(operands(&Inst::ReadVar("x".into())).is_empty());
+        assert!(operands(&Inst::ReadVar(0)).is_empty());
     }
 
     #[test]
@@ -322,19 +383,17 @@ mod tests {
             program_id: "t".into(),
             precision: Precision::F64,
             params: vec![],
+            vars: Vars::default(),
             body: vec![
-                Node::Store { target: StoreTarget::Var("comp".into()), seq: mk() },
+                Node::Store { target: StoreTarget::Var(0), seq: mk() },
                 Node::If {
                     lhs: mk(),
                     op: CmpOp::Lt,
                     rhs: mk(),
                     body: vec![Node::For {
-                        var: "i".into(),
-                        bound: "var_1".into(),
-                        body: vec![Node::Store {
-                            target: StoreTarget::Arr("a".into(), "i".into()),
-                            seq: mk(),
-                        }],
+                        var: 1,
+                        bound: 0,
+                        body: vec![Node::Store { target: StoreTarget::Arr(0, 1), seq: mk() }],
                     }],
                 },
             ],

@@ -5,9 +5,11 @@
 //! * [`ir`] — a register-based instruction IR inside structured control
 //!   flow. Expressions become three-address instruction sequences;
 //!   `if`/`for` stay structured (the kernels Varity emits are reducible by
-//!   construction).
+//!   construction). Variables are dense slots, with one name table per
+//!   kernel. It is the only IR between the AST and the bytecode: the
+//!   passes, the listing and all three executors read it.
 //! * [`lower`] — AST → IR lowering (compound assignments are expanded, so
-//!   passes see the full data flow).
+//!   passes see the full data flow; every variable gets its slot).
 //! * [`passes`] — the optimization passes: constant folding, FMA
 //!   contraction, value numbering (CSE), dead-code elimination, and the
 //!   fast-math set (reassociation, reciprocal substitution,
@@ -24,7 +26,7 @@
 //!   bit-identical to [`interp`] by a differential test battery and an
 //!   [`vm::ExecTier::Differential`] runtime mode.
 //! * [`refexec`] — the extended-precision ground-truth executor: the
-//!   same resolved IR evaluated over `fpcore::dd` double-double values
+//!   same IR evaluated over `fpcore::dd` double-double values
 //!   with a single final rounding, providing the campaign's third
 //!   (`reference`) side and the "who drifted" verdicts.
 //! * [`cost`] — the per-instruction cost model behind the simulated
@@ -46,7 +48,6 @@ mod names;
 pub mod passes;
 pub mod pipeline;
 pub mod refexec;
-pub mod resolve;
 pub mod vm;
 #[cfg(feature = "vm-inject")]
 pub mod vm_inject;

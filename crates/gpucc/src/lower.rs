@@ -1,97 +1,179 @@
 //! AST → IR lowering.
 //!
 //! Compound assignments are expanded (`comp += e` becomes
-//! `comp = comp + e` with an explicit `ReadVar(comp)`), so the optimization
+//! `comp = comp + e` with an explicit read of `comp`), so the optimization
 //! passes see the complete data flow of every statement. FP32 kernels get
 //! their literals rounded to `f32` here (the same rounding the real
-//! front-ends perform on `1.23F` tokens).
+//! front-ends perform on `1.23F` tokens). Every variable gets its slot
+//! here too, by the rule [`Vars`] states, so nothing after lowering looks
+//! a name up.
 
 use crate::ir::*;
-use progen::ast::{self, AssignOp, BinOp, Expr, Precision, Program, Stmt};
+use progen::ast::{self, AssignOp, BinOp, Expr, ParamType, Precision, Program, Stmt};
+use std::collections::HashMap;
 
 /// Lower a program to unoptimized IR (what `-O0` codegen emits).
 pub fn lower(program: &Program) -> KernelIr {
+    let mut l = Lowerer {
+        prec: program.precision,
+        floats: HashMap::new(),
+        ints: HashMap::new(),
+        arrays: HashMap::new(),
+        vars: Vars::default(),
+    };
+    for p in &program.params {
+        let slot = match p.ty {
+            ParamType::Float => ParamSlot::Float(l.float(&p.name)),
+            ParamType::Int => ParamSlot::Int(l.int(&p.name)),
+            ParamType::FloatArray => ParamSlot::Array(l.new_array(&p.name)),
+        };
+        l.vars.params.push(slot);
+    }
+    let body = l.stmts(&program.body);
     KernelIr {
         program_id: program.id.clone(),
         precision: program.precision,
         params: program.params.clone(),
-        body: lower_stmts(&program.body, program.precision),
+        vars: l.vars,
+        body,
         flags: CompileFlags::default(),
     }
 }
 
-fn lower_stmts(stmts: &[Stmt], prec: Precision) -> Vec<Node> {
-    stmts.iter().map(|s| lower_stmt(s, prec)).collect()
+/// The lowering walk: the kernel precision and the slots given so far.
+struct Lowerer<'a> {
+    prec: Precision,
+    floats: HashMap<&'a str, FloatSlot>,
+    ints: HashMap<&'a str, IntSlot>,
+    arrays: HashMap<&'a str, ArraySlot>,
+    vars: Vars,
 }
 
-fn lower_stmt(stmt: &Stmt, prec: Precision) -> Node {
-    match stmt {
-        Stmt::DeclTmp { name, init } => {
-            let mut seq = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            seq.result = lower_expr(init, &mut seq, prec);
-            Node::Store { target: StoreTarget::Var(name.clone()), seq }
-        }
-        Stmt::Assign { target, op, value } => {
-            let mut seq = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            let rhs = lower_expr(value, &mut seq, prec);
-            let result = match op {
-                AssignOp::Set => rhs,
-                AssignOp::AddAssign
-                | AssignOp::SubAssign
-                | AssignOp::MulAssign
-                | AssignOp::DivAssign => {
-                    let current = match target {
-                        ast::LValue::Var(v) => seq.push(Inst::ReadVar(v.clone())),
-                        ast::LValue::Index(a, i) => seq.push(Inst::ReadArr(a.clone(), i.clone())),
-                    };
-                    let bin = match op {
-                        AssignOp::AddAssign => BinOp::Add,
-                        AssignOp::SubAssign => BinOp::Sub,
-                        AssignOp::MulAssign => BinOp::Mul,
-                        AssignOp::DivAssign => BinOp::Div,
-                        AssignOp::Set => unreachable!(),
-                    };
-                    seq.push(Inst::Bin(bin, current, rhs))
-                }
-            };
-            seq.result = result;
-            let target = match target {
-                ast::LValue::Var(v) => StoreTarget::Var(v.clone()),
-                ast::LValue::Index(a, i) => StoreTarget::Arr(a.clone(), i.clone()),
-            };
-            Node::Store { target, seq }
-        }
-        Stmt::If { cond, body } => {
-            let mut lhs = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            lhs.result = lower_expr(&cond.lhs, &mut lhs, prec);
-            let mut rhs = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            rhs.result = lower_expr(&cond.rhs, &mut rhs, prec);
-            Node::If { lhs, op: cond.op, rhs, body: lower_stmts(body, prec) }
-        }
-        Stmt::For { var, bound, body } => {
-            Node::For { var: var.clone(), bound: bound.clone(), body: lower_stmts(body, prec) }
+/// `name`'s slot in `map`, given the next free slot of `names` if it has
+/// none yet.
+fn slot<'a>(map: &mut HashMap<&'a str, usize>, names: &mut Vec<String>, name: &'a str) -> usize {
+    *map.entry(name).or_insert_with(|| {
+        names.push(name.to_string());
+        names.len() - 1
+    })
+}
+
+impl<'a> Lowerer<'a> {
+    fn float(&mut self, name: &'a str) -> FloatSlot {
+        slot(&mut self.floats, &mut self.vars.floats, name)
+    }
+
+    fn int(&mut self, name: &'a str) -> IntSlot {
+        slot(&mut self.ints, &mut self.vars.ints, name)
+    }
+
+    fn new_array(&mut self, name: &'a str) -> ArraySlot {
+        self.vars.arrays.push(name.to_string());
+        let s = self.vars.arrays.len() - 1;
+        self.arrays.insert(name, s);
+        s
+    }
+
+    fn array(&mut self, name: &'a str) -> ArraySlot {
+        match self.arrays.get(name) {
+            Some(&s) => s,
+            None => self.new_array(name),
         }
     }
-}
 
-fn lower_expr(e: &Expr, seq: &mut InstSeq, prec: Precision) -> Operand {
-    match e {
-        Expr::Lit(v) => Operand::Const(round_const(*v, prec)),
-        Expr::Var(name) => seq.push(Inst::ReadVar(name.clone())),
-        Expr::ThreadIdx => seq.push(Inst::ReadThreadIdx),
-        Expr::Index(a, i) => seq.push(Inst::ReadArr(a.clone(), i.clone())),
-        Expr::Neg(inner) => {
-            let x = lower_expr(inner, seq, prec);
-            seq.push(Inst::Neg(x))
+    /// A read of `name` as a value: its float slot, else its int slot,
+    /// else a new float slot.
+    fn read_var(&mut self, name: &'a str) -> Inst {
+        if let Some(&s) = self.floats.get(name) {
+            Inst::ReadVar(s)
+        } else if let Some(&s) = self.ints.get(name) {
+            Inst::ReadIntAsFloat(s)
+        } else {
+            Inst::ReadVar(self.float(name))
         }
-        Expr::Bin(op, l, r) => {
-            let a = lower_expr(l, seq, prec);
-            let b = lower_expr(r, seq, prec);
-            seq.push(Inst::Bin(*op, a, b))
+    }
+
+    fn read_arr(&mut self, arr: &'a str, idx: &'a str) -> Inst {
+        Inst::ReadArr(self.array(arr), self.int(idx))
+    }
+
+    fn stmts(&mut self, stmts: &'a [Stmt]) -> Vec<Node> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn seq(&mut self, e: &'a Expr) -> InstSeq {
+        let mut seq = InstSeq { insts: vec![], result: Operand::Const(0.0) };
+        seq.result = self.expr(e, &mut seq);
+        seq
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt) -> Node {
+        match stmt {
+            Stmt::DeclTmp { name, init } => {
+                let seq = self.seq(init);
+                Node::Store { target: StoreTarget::Var(self.float(name)), seq }
+            }
+            Stmt::Assign { target, op, value } => {
+                let mut seq = self.seq(value);
+                let bin = match op {
+                    AssignOp::Set => None,
+                    AssignOp::AddAssign => Some(BinOp::Add),
+                    AssignOp::SubAssign => Some(BinOp::Sub),
+                    AssignOp::MulAssign => Some(BinOp::Mul),
+                    AssignOp::DivAssign => Some(BinOp::Div),
+                };
+                if let Some(bin) = bin {
+                    let current = match target {
+                        ast::LValue::Var(v) => self.read_var(v),
+                        ast::LValue::Index(a, i) => self.read_arr(a, i),
+                    };
+                    let current = seq.push(current);
+                    seq.result = seq.push(Inst::Bin(bin, current, seq.result));
+                }
+                let target = match target {
+                    ast::LValue::Var(v) => StoreTarget::Var(self.float(v)),
+                    ast::LValue::Index(a, i) => StoreTarget::Arr(self.array(a), self.int(i)),
+                };
+                Node::Store { target, seq }
+            }
+            Stmt::If { cond, body } => {
+                let lhs = self.seq(&cond.lhs);
+                let rhs = self.seq(&cond.rhs);
+                Node::If { lhs, op: cond.op, rhs, body: self.stmts(body) }
+            }
+            Stmt::For { var, bound, body } => {
+                let bound = self.int(bound);
+                let var = self.int(var);
+                Node::For { var, bound, body: self.stmts(body) }
+            }
         }
-        Expr::Call(f, args) => {
-            let ops: Vec<Operand> = args.iter().map(|a| lower_expr(a, seq, prec)).collect();
-            seq.push(Inst::Call(*f, ops))
+    }
+
+    fn expr(&mut self, e: &'a Expr, seq: &mut InstSeq) -> Operand {
+        match e {
+            Expr::Lit(v) => Operand::Const(round_const(*v, self.prec)),
+            Expr::Var(name) => {
+                let read = self.read_var(name);
+                seq.push(read)
+            }
+            Expr::ThreadIdx => seq.push(Inst::ReadThreadIdx),
+            Expr::Index(a, i) => {
+                let read = self.read_arr(a, i);
+                seq.push(read)
+            }
+            Expr::Neg(inner) => {
+                let x = self.expr(inner, seq);
+                seq.push(Inst::Neg(x))
+            }
+            Expr::Bin(op, l, r) => {
+                let a = self.expr(l, seq);
+                let b = self.expr(r, seq);
+                seq.push(Inst::Bin(*op, a, b))
+            }
+            Expr::Call(f, args) => {
+                let ops: Vec<Operand> = args.iter().map(|a| self.expr(a, seq)).collect();
+                seq.push(Inst::Call(*f, ops))
+            }
         }
     }
 }
@@ -134,8 +216,8 @@ mod tests {
         let ir = lower(&p);
         match &ir.body[0] {
             Node::Store { target: StoreTarget::Var(v), seq } => {
-                assert_eq!(v, "comp");
-                assert_eq!(seq.insts[0], Inst::ReadVar("comp".into()));
+                assert_eq!(ir.vars.floats[*v], "comp");
+                assert_eq!(seq.insts[0], Inst::ReadVar(*v));
                 assert_eq!(
                     seq.insts[1],
                     Inst::Bin(BinOp::Add, Operand::Inst(0), Operand::Const(1.5))
@@ -156,7 +238,8 @@ mod tests {
         let ir = lower(&p);
         match &ir.body[0] {
             Node::Store { seq, .. } => {
-                assert_eq!(seq.insts, vec![Inst::ReadVar("var_2".into())]);
+                assert_eq!(seq.insts, vec![Inst::ReadVar(1)]);
+                assert_eq!(ir.vars.floats[1], "var_2");
             }
             other => panic!("{other:?}"),
         }
@@ -238,5 +321,93 @@ mod tests {
         let ir = lower(&p);
         assert!(!ir.flags.fast_math);
         assert_eq!(ir.flags.opt_level_index, 0);
+    }
+
+    fn generated(seed: u64, i: u64) -> KernelIr {
+        use progen::gen::generate_program;
+        use progen::grammar::GenConfig;
+        lower(&generate_program(&GenConfig::varity_default(Precision::F64), seed, i))
+    }
+
+    #[test]
+    fn parameters_take_the_first_slots_in_signature_order() {
+        for i in 0..50 {
+            let ir = generated(5, i);
+            // comp + int + 8 floats + 1 array
+            assert_eq!(ir.vars.params.len(), 11);
+            assert_eq!(ir.vars.params[0], ParamSlot::Float(0), "comp is the first parameter");
+            assert_eq!(ir.vars.floats[0], "comp");
+            assert!(matches!(ir.vars.params[1], ParamSlot::Int(_)));
+            assert!(matches!(ir.vars.params.last(), Some(ParamSlot::Array(0))));
+            for (param, slot) in ir.params.iter().zip(&ir.vars.params) {
+                let name = match *slot {
+                    ParamSlot::Float(s) => &ir.vars.floats[s],
+                    ParamSlot::Int(s) => &ir.vars.ints[s],
+                    ParamSlot::Array(s) => &ir.vars.arrays[s],
+                };
+                assert_eq!(*name, param.name);
+            }
+        }
+    }
+
+    #[test]
+    fn slots_are_dense_and_names_unique() {
+        for i in 0..50 {
+            let ir = generated(7, i);
+            for names in [&ir.vars.floats, &ir.vars.ints, &ir.vars.arrays] {
+                let mut seen = std::collections::HashSet::new();
+                for name in names {
+                    assert!(seen.insert(name), "duplicate name {name}");
+                }
+            }
+            let mut max = [0usize; 3];
+            ir.for_each_seq(&mut |seq| {
+                for inst in &seq.insts {
+                    match *inst {
+                        Inst::ReadVar(s) => max[0] = max[0].max(s + 1),
+                        Inst::ReadIntAsFloat(s) => max[1] = max[1].max(s + 1),
+                        Inst::ReadArr(a, i) => {
+                            max[2] = max[2].max(a + 1);
+                            max[1] = max[1].max(i + 1);
+                        }
+                        _ => {}
+                    }
+                }
+            });
+            assert!(max[0] <= ir.vars.floats.len());
+            assert!(max[1] <= ir.vars.ints.len());
+            assert!(max[2] <= ir.vars.arrays.len());
+        }
+    }
+
+    #[test]
+    fn a_read_names_the_float_before_the_int_and_unknown_names_get_new_slots() {
+        // for (i < var_1) { comp += i }; tmp = 1.0; for (tmp < var_1) { comp += tmp }; comp += x
+        let add = |v: &str| Stmt::Assign {
+            target: LValue::Var("comp".into()),
+            op: AssignOp::AddAssign,
+            value: Expr::Var(v.into()),
+        };
+        let p = prog(vec![
+            Stmt::For { var: "i".into(), bound: "var_1".into(), body: vec![add("i")] },
+            Stmt::DeclTmp { name: "tmp".into(), init: Expr::Lit(1.0) },
+            Stmt::For { var: "tmp".into(), bound: "var_1".into(), body: vec![add("tmp")] },
+            add("x"),
+        ]);
+        let ir = lower(&p);
+        assert_eq!(ir.vars.floats, ["comp", "var_2", "tmp", "x"]);
+        assert_eq!(ir.vars.ints, ["var_1", "i", "tmp"]);
+        let first_read = |node: &Node| match node {
+            Node::For { body, .. } => match &body[0] {
+                Node::Store { seq, .. } => seq.insts[0].clone(),
+                other => panic!("{other:?}"),
+            },
+            Node::Store { seq, .. } => seq.insts[0].clone(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(first_read(&ir.body[0]), Inst::ReadIntAsFloat(1));
+        assert!(matches!(ir.body[2], Node::For { var: 2, bound: 0, .. }));
+        assert_eq!(first_read(&ir.body[2]), Inst::ReadVar(2));
+        assert_eq!(first_read(&ir.body[3]), Inst::ReadVar(3));
     }
 }

@@ -57,6 +57,7 @@ fn fold(inst: &Inst, prec: Precision) -> Option<f64> {
         Inst::Call(..)
         | Inst::Rcp(_)
         | Inst::ReadVar(_)
+        | Inst::ReadIntAsFloat(_)
         | Inst::ReadArr(..)
         | Inst::ReadThreadIdx => None,
     }
@@ -143,7 +144,7 @@ mod tests {
     #[test]
     fn does_not_fold_variables_or_calls() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         let c = s.push(Inst::Call(MathFunc::Cos, vec![Operand::Const(0.0)]));
         s.result = s.push(Inst::Bin(BinOp::Add, x, c));
         run(&mut s, Precision::F64);

@@ -79,12 +79,10 @@ fn hash(inst: &Inst, degenerate: bool) -> u64 {
             Operand::Const(c) => c.to_bits(),
         }
     }
-    fn text(h: u64, s: &str) -> u64 {
-        s.bytes().fold(mix(h, s.len() as u64), |h, b| mix(h, u64::from(b)))
-    }
     match inst {
-        Inst::ReadVar(v) => text(1, v),
-        Inst::ReadArr(a, i) => text(text(2, a), i),
+        Inst::ReadVar(v) => mix(1, *v as u64),
+        Inst::ReadIntAsFloat(v) => mix(12, *v as u64),
+        Inst::ReadArr(a, i) => mix(mix(2, *a as u64), *i as u64),
         Inst::ReadThreadIdx => 3,
         Inst::Const(c) => mix(4, c.to_bits()),
         Inst::Neg(a) => mix(5, word(*a)),
@@ -113,8 +111,8 @@ mod tests {
     #[test]
     fn duplicate_reads_are_merged() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x1 = s.push(Inst::ReadVar("x".into()));
-        let x2 = s.push(Inst::ReadVar("x".into()));
+        let x1 = s.push(Inst::ReadVar(0));
+        let x2 = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Add, x1, x2));
         Cse.run(&mut s, Precision::F64);
         assert_eq!(s.insts[2], Inst::Bin(BinOp::Add, Operand::Inst(0), Operand::Inst(0)));
@@ -124,9 +122,9 @@ mod tests {
     fn duplicate_calls_are_merged_transitively() {
         // cos(x) + cos(x): reads merge first, then the calls become equal
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x1 = s.push(Inst::ReadVar("x".into()));
+        let x1 = s.push(Inst::ReadVar(0));
         let c1 = s.push(Inst::Call(MathFunc::Cos, vec![x1]));
-        let x2 = s.push(Inst::ReadVar("x".into()));
+        let x2 = s.push(Inst::ReadVar(0));
         let c2 = s.push(Inst::Call(MathFunc::Cos, vec![x2]));
         s.result = s.push(Inst::Bin(BinOp::Add, c1, c2));
         Cse.run(&mut s, Precision::F64);
@@ -136,8 +134,8 @@ mod tests {
     #[test]
     fn different_variables_stay_distinct() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Add, x, y));
         let before = s.clone();
         Cse.run(&mut s, Precision::F64);
@@ -158,8 +156,8 @@ mod tests {
     #[test]
     fn result_operand_is_forwarded() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let _x1 = s.push(Inst::ReadVar("x".into()));
-        let x2 = s.push(Inst::ReadVar("x".into()));
+        let _x1 = s.push(Inst::ReadVar(0));
+        let x2 = s.push(Inst::ReadVar(0));
         s.result = x2;
         Cse.run(&mut s, Precision::F64);
         assert_eq!(s.result, Operand::Inst(0));

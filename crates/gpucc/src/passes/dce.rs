@@ -80,9 +80,9 @@ mod tests {
     #[test]
     fn removes_orphaned_instructions() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let _dead = s.push(Inst::ReadVar("dead".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let _dead = s.push(Inst::ReadVar(5));
+        let y = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Add, x, y));
         Dce.run(&mut s, Precision::F64);
         assert_eq!(s.insts.len(), 3);
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn keeps_everything_reachable() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         let n = s.push(Inst::Neg(x));
         s.result = s.push(Inst::Bin(BinOp::Mul, x, n));
         let before = s.clone();
@@ -104,8 +104,8 @@ mod tests {
     #[test]
     fn const_result_empties_sequence() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let _a = s.push(Inst::ReadVar("x".into()));
-        let _b = s.push(Inst::ReadVar("y".into()));
+        let _a = s.push(Inst::ReadVar(0));
+        let _b = s.push(Inst::ReadVar(1));
         s.result = Operand::Const(7.0);
         Dce.run(&mut s, Precision::F64);
         assert!(s.insts.is_empty());
@@ -116,7 +116,7 @@ mod tests {
     fn diamond_dependencies_survive() {
         // r = (x+x) * (x+x)  [after CSE: one add, used twice]
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         let a = s.push(Inst::Bin(BinOp::Add, x, x));
         s.result = s.push(Inst::Bin(BinOp::Mul, a, a));
         Dce.run(&mut s, Precision::F64);

@@ -61,7 +61,7 @@ mod tests {
     fn mul_by_zero_becomes_zero() {
         // the unsound one: Inf * 0 would be NaN without fast math
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Mul, x, Operand::Const(0.0)));
         FiniteMath.run(&mut s, Precision::F64);
         assert_eq!(s.result, Operand::Const(0.0));
@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn mul_by_negative_zero_also_simplifies() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Mul, Operand::Const(-0.0), x));
         FiniteMath.run(&mut s, Precision::F64);
         assert_eq!(s.result, Operand::Const(0.0));
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn add_zero_forwards_operand() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Add, x, Operand::Const(0.0)));
         FiniteMath.run(&mut s, Precision::F64);
         assert_eq!(s.result, x);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn self_subtraction_becomes_zero() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Sub, x, x));
         FiniteMath.run(&mut s, Precision::F64);
         assert_eq!(s.result, Operand::Const(0.0));
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn self_division_becomes_one() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Div, x, x));
         FiniteMath.run(&mut s, Precision::F64);
         assert_eq!(s.result, Operand::Const(1.0));
@@ -116,7 +116,7 @@ mod tests {
     fn sub_zero_rhs_only() {
         // 0 - x is a negation, not a no-op: must NOT forward x
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Sub, Operand::Const(0.0), x));
         FiniteMath.run(&mut s, Precision::F64);
         assert!(matches!(s.insts[1], Inst::Bin(BinOp::Sub, _, _)));
@@ -125,8 +125,8 @@ mod tests {
     #[test]
     fn non_trivial_arithmetic_untouched() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Mul, x, y));
         let before = s.clone();
         FiniteMath.run(&mut s, Precision::F64);

@@ -99,11 +99,11 @@ mod tests {
     /// Build `x*y + u*v`.
     fn both_sides_mul() -> InstSeq {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         let m1 = s.push(Inst::Bin(BinOp::Mul, x, y));
-        let u = s.push(Inst::ReadVar("u".into()));
-        let v = s.push(Inst::ReadVar("v".into()));
+        let u = s.push(Inst::ReadVar(3));
+        let v = s.push(Inst::ReadVar(4));
         let m2 = s.push(Inst::Bin(BinOp::Mul, u, v));
         s.result = s.push(Inst::Bin(BinOp::Add, m1, m2));
         s
@@ -128,10 +128,10 @@ mod tests {
         // x*y + z: only one candidate, both vendors fuse it
         for pref in [FmaPreference::LhsFirst, FmaPreference::RhsFirst] {
             let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            let x = s.push(Inst::ReadVar("x".into()));
-            let y = s.push(Inst::ReadVar("y".into()));
+            let x = s.push(Inst::ReadVar(0));
+            let y = s.push(Inst::ReadVar(1));
             let m = s.push(Inst::Bin(BinOp::Mul, x, y));
-            let z = s.push(Inst::ReadVar("z".into()));
+            let z = s.push(Inst::ReadVar(2));
             s.result = s.push(Inst::Bin(BinOp::Add, m, z));
             FmaContract { preference: pref, contract_sub: false }.run(&mut s, Precision::F64);
             assert_eq!(s.insts[4], Inst::Fma(x, y, z), "{pref:?}");
@@ -142,8 +142,8 @@ mod tests {
     fn multi_use_mul_is_not_fused() {
         // m = x*y used twice: m + m must stay an add
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         let m = s.push(Inst::Bin(BinOp::Mul, x, y));
         s.result = s.push(Inst::Bin(BinOp::Add, m, m));
         FmaContract { preference: FmaPreference::LhsFirst, contract_sub: false }
@@ -154,10 +154,10 @@ mod tests {
     #[test]
     fn sub_is_not_contracted() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         let m = s.push(Inst::Bin(BinOp::Mul, x, y));
-        let z = s.push(Inst::ReadVar("z".into()));
+        let z = s.push(Inst::ReadVar(2));
         s.result = s.push(Inst::Bin(BinOp::Sub, m, z));
         FmaContract { preference: FmaPreference::LhsFirst, contract_sub: false }
             .run(&mut s, Precision::F64);
@@ -167,8 +167,8 @@ mod tests {
     #[test]
     fn plain_add_untouched() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Add, x, y));
         FmaContract { preference: FmaPreference::LhsFirst, contract_sub: false }
             .run(&mut s, Precision::F64);

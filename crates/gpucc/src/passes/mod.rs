@@ -115,8 +115,8 @@ mod tests {
 
     fn seq_xy_add() -> InstSeq {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
-        let y = s.push(Inst::ReadVar("y".into()));
+        let x = s.push(Inst::ReadVar(0));
+        let y = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Add, x, y));
         s
     }

@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn constant_divisor_becomes_multiply() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Div, x, Operand::Const(4.0)));
         Recip.run(&mut s, Precision::F64);
         assert_eq!(s.insts[1], Inst::Bin(BinOp::Mul, x, Operand::Const(0.25)));
@@ -92,7 +92,7 @@ mod tests {
         // 1/3 is inexact: x * (1/3) differs from x / 3 in the last ULP for
         // many x — the divergence this pass exists to model
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let x = s.push(Inst::ReadVar("x".into()));
+        let x = s.push(Inst::ReadVar(0));
         s.result = s.push(Inst::Bin(BinOp::Div, x, Operand::Const(3.0)));
         Recip.run(&mut s, Precision::F64);
         match s.insts[1] {
@@ -107,7 +107,7 @@ mod tests {
         // leave the division for the runtime to handle
         for c in [0.0, f64::INFINITY] {
             let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-            let x = s.push(Inst::ReadVar("x".into()));
+            let x = s.push(Inst::ReadVar(0));
             s.result = s.push(Inst::Bin(BinOp::Div, x, Operand::Const(c)));
             Recip.run(&mut s, Precision::F64);
             assert!(matches!(s.insts[1], Inst::Bin(BinOp::Div, _, _)), "divisor {c}");
@@ -117,8 +117,8 @@ mod tests {
     #[test]
     fn f32_variable_divisor_gets_hardware_rcp() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let a = s.push(Inst::ReadVar("a".into()));
-        let b = s.push(Inst::ReadVar("b".into()));
+        let a = s.push(Inst::ReadVar(0));
+        let b = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Div, a, b));
         Recip.run(&mut s, Precision::F32);
         assert_eq!(s.insts.len(), 4);
@@ -131,8 +131,8 @@ mod tests {
     fn f64_variable_divisor_keeps_ieee_division() {
         // nvcc fast math does not relax FP64 division
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let a = s.push(Inst::ReadVar("a".into()));
-        let b = s.push(Inst::ReadVar("b".into()));
+        let a = s.push(Inst::ReadVar(0));
+        let b = s.push(Inst::ReadVar(1));
         s.result = s.push(Inst::Bin(BinOp::Div, a, b));
         Recip.run(&mut s, Precision::F64);
         assert_eq!(s.insts.len(), 3);
@@ -143,10 +143,10 @@ mod tests {
     fn rebuild_preserves_downstream_references() {
         // r = (a/b) + c : the add must point at the new multiply
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
-        let a = s.push(Inst::ReadVar("a".into()));
-        let b = s.push(Inst::ReadVar("b".into()));
+        let a = s.push(Inst::ReadVar(0));
+        let b = s.push(Inst::ReadVar(1));
         let d = s.push(Inst::Bin(BinOp::Div, a, b));
-        let c = s.push(Inst::ReadVar("c".into()));
+        let c = s.push(Inst::ReadVar(2));
         s.result = s.push(Inst::Bin(BinOp::Add, d, c));
         Recip.run(&mut s, Precision::F32);
         assert_eq!(s.insts.len(), 6);

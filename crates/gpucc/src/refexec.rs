@@ -4,7 +4,7 @@
 //! other* — a discrepancy says the toolchains disagree, never which one
 //! drifted from the true value. This module adds the third side of the
 //! comparison plane: a strict reference executor that evaluates the same
-//! resolved kernel over [`fpcore::dd::Dd`] double-double values
+//! slot-addressed IR over [`fpcore::dd::Dd`] double-double values
 //! (~106-bit significand) and rounds **once** at the very end, so the
 //! result is the correctly-rounded-from-truth value for the whole
 //! kernel rather than a chain of per-operation roundings.
@@ -30,18 +30,17 @@
 //! fast-math cells have no single true value to compare against, which
 //! is exactly why the verdict layer marks them `TruthUndecided`.
 
-use crate::interp::{ExecBudget, ExecError, ExecResult, ExecutableKernel};
-use crate::ir::Operand;
-use crate::resolve::{ParamSlot, RInst, RNode, RSeq, RTarget, ResolvedKernel};
+use crate::interp::{
+    ExecBudget, ExecError, ExecResult, ExecValue, ExecutableKernel, Frame, DEADLINE_POLL_MASK,
+};
+use crate::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
 use fpcore::dd::Dd;
 use fpcore::exceptions::ExceptionFlags;
 use gpusim::mathlib::MathFunc;
 use progen::ast::CmpOp;
-use progen::inputs::{InputSet, InputValue, ARRAY_LEN};
+use progen::inputs::{InputSet, ARRAY_LEN};
 use progen::Precision;
 use std::time::Instant;
-
-use crate::interp::{ExecValue, DEADLINE_POLL_MASK};
 
 /// Evaluate one math-library entry point over double-double values.
 ///
@@ -118,50 +117,22 @@ pub fn execute_reference_budgeted(
     inputs: &InputSet,
     budget: ExecBudget,
 ) -> Result<ExecResult, ExecError> {
+    let ir = &kernel.ir;
     #[cfg(feature = "chaos")]
-    crate::chaos::maybe_panic(&kernel.program_id);
-    let params = kernel.params();
-    if inputs.values.len() != params.len() {
-        return Err(ExecError::BadInputs(format!(
-            "{} inputs for {} parameters",
-            inputs.values.len(),
-            params.len()
-        )));
-    }
-    let r = kernel.resolved_kernel();
+    crate::chaos::maybe_panic(&ir.program_id);
+    let mut frame = Frame::new(&ir.vars);
+    frame.bind(&ir.params, &ir.vars, inputs, |x| lift(ir.precision, x))?;
     let mut m = RefMachine {
-        resolved: r,
-        precision: kernel.precision,
-        scalars: vec![None; r.n_floats],
-        ints: vec![None; r.n_ints],
-        arrays: vec![Vec::new(); r.n_arrays],
+        ir,
+        frame,
         steps: 0,
         budget,
         deadline: budget
             .max_wall_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
     };
-    for ((param, value), slot) in params.iter().zip(&inputs.values).zip(&r.param_slots) {
-        match (slot, value) {
-            (ParamSlot::Float(s), InputValue::Float(v)) => {
-                m.scalars[*s] = Some(m.lift(*v));
-            }
-            (ParamSlot::Int(s), InputValue::Int(v)) => {
-                m.ints[*s] = Some(*v);
-            }
-            (ParamSlot::Array(s), InputValue::ArrayFill(v)) => {
-                m.arrays[*s] = vec![m.lift(*v); ARRAY_LEN];
-            }
-            (_, val) => {
-                return Err(ExecError::BadInputs(format!(
-                    "parameter {} of type {:?} got {val:?}",
-                    param.name, param.ty
-                )))
-            }
-        }
-    }
     let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
-    m.run_nodes(&r.body)?;
+    m.run_nodes(&ir.body)?;
     if obs::enabled() {
         static EXECS: obs::Name = obs::Name::new("reference.execs");
         static OPS: obs::Name = obs::Name::new("reference.ops");
@@ -175,8 +146,8 @@ pub fn execute_reference_budgeted(
             NS_PER_OP.record(ns / m.steps.max(1));
         }
     }
-    let truth = m.scalars[r.comp_slot].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
-    let value = match kernel.precision {
+    let truth = m.frame.scalars[kernel.comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
+    let value = match ir.precision {
         Precision::F64 => ExecValue::F64(truth.to_f64()),
         Precision::F32 => ExecValue::F32(truth.to_f32()),
     };
@@ -191,58 +162,59 @@ pub fn execute_reference_budgeted(
     })
 }
 
+/// Lift a host value into double-double through the kernel's storage
+/// precision: FP32 kernels round to f32 first (exactly what the vendor
+/// interpreters' `T::from_f64` does), so the reference answers for the
+/// same bit-level inputs.
+fn lift(precision: Precision, x: f64) -> Dd {
+    match precision {
+        Precision::F64 => Dd::from_f64(x),
+        Precision::F32 => Dd::from_f64((x as f32) as f64),
+    }
+}
+
 struct RefMachine<'a> {
-    resolved: &'a ResolvedKernel,
-    precision: Precision,
-    scalars: Vec<Option<Dd>>,
-    ints: Vec<Option<i64>>,
-    arrays: Vec<Vec<Dd>>,
+    ir: &'a KernelIr,
+    frame: Frame<Dd>,
     steps: u64,
     budget: ExecBudget,
     deadline: Option<Instant>,
 }
 
 impl<'a> RefMachine<'a> {
-    /// Lift a host value into double-double through the kernel's storage
-    /// precision: FP32 kernels round to f32 first (exactly what the
-    /// vendor interpreters' `T::from_f64` does), so the reference
-    /// answers for the same bit-level inputs.
     fn lift(&self, x: f64) -> Dd {
-        match self.precision {
-            Precision::F64 => Dd::from_f64(x),
-            Precision::F32 => Dd::from_f64((x as f32) as f64),
-        }
+        lift(self.ir.precision, x)
     }
 
-    fn run_nodes(&mut self, nodes: &[RNode]) -> Result<(), ExecError> {
+    fn run_nodes(&mut self, nodes: &[Node]) -> Result<(), ExecError> {
+        let vars = &self.ir.vars;
         for node in nodes {
             match node {
-                RNode::Store { target, seq } => {
+                Node::Store { target, seq } => {
                     let v = self.eval_seq(seq)?;
                     match *target {
-                        RTarget::Var(slot) => self.scalars[slot] = Some(v),
-                        RTarget::Arr(arr, idx) => {
-                            let i = self.index_value(idx)?;
-                            let a = &mut self.arrays[arr];
-                            *a.get_mut(i).ok_or_else(|| {
-                                ExecError::OutOfBounds(self.resolved.array_names[arr].clone())
+                        StoreTarget::Var(slot) => self.frame.scalars[slot] = Some(v),
+                        StoreTarget::Arr(arr, idx) => {
+                            let i = self.frame.index(idx)?;
+                            *self.frame.arrays[arr].get_mut(i).ok_or_else(|| {
+                                ExecError::OutOfBounds(vars.arrays[arr].clone())
                             })? = v;
                         }
                     }
                 }
-                RNode::If { lhs, op, rhs, body } => {
+                Node::If { lhs, op, rhs, body } => {
                     let a = self.eval_seq(lhs)?;
                     let b = self.eval_seq(rhs)?;
                     if compare_dd(*op, a, b) {
                         self.run_nodes(body)?;
                     }
                 }
-                RNode::For { var, bound, body } => {
-                    let n = self.ints[*bound]
+                Node::For { var, bound, body } => {
+                    let n = self.frame.ints[*bound]
                         .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
                     let n = n.clamp(0, ARRAY_LEN as i64);
                     for i in 0..n {
-                        self.ints[*var] = Some(i);
+                        self.frame.ints[*var] = Some(i);
                         self.run_nodes(body)?;
                     }
                 }
@@ -251,12 +223,8 @@ impl<'a> RefMachine<'a> {
         Ok(())
     }
 
-    fn index_value(&self, idx: usize) -> Result<usize, ExecError> {
-        let i = self.ints[idx].ok_or_else(|| ExecError::UnknownVar("index".into()))?;
-        usize::try_from(i).map_err(|_| ExecError::OutOfBounds("index".into()))
-    }
-
-    fn eval_seq(&mut self, seq: &RSeq) -> Result<Dd, ExecError> {
+    fn eval_seq(&mut self, seq: &InstSeq) -> Result<Dd, ExecError> {
+        let vars = &self.ir.vars;
         let mut values: Vec<Dd> = Vec::with_capacity(seq.insts.len());
         for inst in &seq.insts {
             self.steps += 1;
@@ -276,33 +244,33 @@ impl<'a> RefMachine<'a> {
                     }
                 }
             }
-            let resolve_op = |o: Operand, values: &[Dd]| -> Dd {
+            let operand = |o: Operand, values: &[Dd]| -> Dd {
                 match o {
                     Operand::Const(c) => self.lift(c),
                     Operand::Inst(i) => values[i],
                 }
             };
             let v = match inst {
-                RInst::Const(c) => self.lift(*c),
-                RInst::ReadVar(slot) => self.scalars[*slot].ok_or_else(|| {
-                    ExecError::UnknownVar(self.resolved.float_names[*slot].clone())
-                })?,
-                RInst::ReadIntAsFloat(slot) => {
-                    let i = self.ints[*slot].ok_or_else(|| ExecError::UnknownVar("int".into()))?;
+                Inst::Const(c) => self.lift(*c),
+                Inst::ReadVar(slot) => self.frame.scalars[*slot]
+                    .ok_or_else(|| ExecError::UnknownVar(vars.floats[*slot].clone()))?,
+                Inst::ReadIntAsFloat(slot) => {
+                    let i = self.frame.ints[*slot]
+                        .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
                     self.lift(i as f64)
                 }
-                RInst::ReadArr(arr, idx) => {
-                    let i = self.index_value(*idx)?;
-                    *self.arrays[*arr].get(i).ok_or_else(|| {
-                        ExecError::OutOfBounds(self.resolved.array_names[*arr].clone())
-                    })?
+                Inst::ReadArr(arr, idx) => {
+                    let i = self.frame.index(*idx)?;
+                    *self.frame.arrays[*arr]
+                        .get(i)
+                        .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[*arr].clone()))?
                 }
                 // truth runs one thread, tid 0 — same as the campaign
-                RInst::ReadThreadIdx => Dd::ZERO,
-                RInst::Neg(a) => -resolve_op(*a, &values),
-                RInst::Bin(op, a, b) => {
-                    let x = resolve_op(*a, &values);
-                    let y = resolve_op(*b, &values);
+                Inst::ReadThreadIdx => Dd::ZERO,
+                Inst::Neg(a) => -operand(*a, &values),
+                Inst::Bin(op, a, b) => {
+                    let x = operand(*a, &values);
+                    let y = operand(*b, &values);
                     match op {
                         progen::ast::BinOp::Add => x + y,
                         progen::ast::BinOp::Sub => x - y,
@@ -310,19 +278,19 @@ impl<'a> RefMachine<'a> {
                         progen::ast::BinOp::Div => x / y,
                     }
                 }
-                RInst::Fma(a, b, c) => {
-                    resolve_op(*a, &values) * resolve_op(*b, &values) + resolve_op(*c, &values)
+                Inst::Fma(a, b, c) => {
+                    operand(*a, &values) * operand(*b, &values) + operand(*c, &values)
                 }
-                RInst::Fms(a, b, c) => {
-                    resolve_op(*a, &values) * resolve_op(*b, &values) - resolve_op(*c, &values)
+                Inst::Fms(a, b, c) => {
+                    operand(*a, &values) * operand(*b, &values) - operand(*c, &values)
                 }
-                RInst::Fnma(a, b, c) => {
-                    resolve_op(*c, &values) - resolve_op(*a, &values) * resolve_op(*b, &values)
+                Inst::Fnma(a, b, c) => {
+                    operand(*c, &values) - operand(*a, &values) * operand(*b, &values)
                 }
-                RInst::Rcp(a) => resolve_op(*a, &values).recip(),
-                RInst::Call(f, args) => {
-                    let a = args.first().map(|o| resolve_op(*o, &values)).unwrap_or(Dd::ZERO);
-                    let b = args.get(1).map(|o| resolve_op(*o, &values)).unwrap_or(Dd::ZERO);
+                Inst::Rcp(a) => operand(*a, &values).recip(),
+                Inst::Call(f, args) => {
+                    let a = args.first().map(|o| operand(*o, &values)).unwrap_or(Dd::ZERO);
+                    let b = args.get(1).map(|o| operand(*o, &values)).unwrap_or(Dd::ZERO);
                     dd_math_call(*f, a, b)
                 }
             };
@@ -342,6 +310,7 @@ mod tests {
     use crate::pipeline::{compile, OptLevel, Toolchain};
     use gpusim::{Device, DeviceKind};
     use progen::ast::*;
+    use progen::inputs::InputValue;
 
     fn device() -> Device {
         Device::new(DeviceKind::NvidiaLike)

@@ -1,7 +1,7 @@
 //! The compiled bytecode execution tier.
 //!
-//! [`compile_kernel`] lowers a [`KernelIr`] through [`crate::resolve`]
-//! into the flat, register-allocated bytecode of [`crate::bytecode`];
+//! [`compile_kernel`] lowers a [`KernelIr`] into the flat,
+//! register-allocated bytecode of [`crate::bytecode`];
 //! [`execute_compiled`] / [`execute_batch`] then run it with a dispatch
 //! loop over a contiguous register file. Compile once, run many: the
 //! campaign and the oracle both execute every compiled kernel against
@@ -23,15 +23,16 @@
 
 use crate::bytecode::{self, Code, FmaKind, Op, Src};
 use crate::cost;
-use crate::interp::{DeviceFloat, ExecBudget, ExecError, ExecResult, ExecutableKernel};
-use crate::ir::KernelIr;
-use crate::resolve::{resolve, ParamSlot, ResolveError};
+use crate::interp::{
+    comp_slot, DeviceFloat, ExecBudget, ExecError, ExecResult, ExecutableKernel, Frame,
+};
+use crate::ir::{FloatSlot, KernelIr, Vars};
 use fpcore::exceptions::{ArithOp, ExceptionFlags};
 use fpcore::ftz::FtzMode;
 use gpusim::mathlib::MathFunc;
 use gpusim::Device;
 use progen::ast::{BinOp, Precision};
-use progen::inputs::{InputSet, InputValue, ARRAY_LEN};
+use progen::inputs::{InputSet, ARRAY_LEN};
 use std::time::Instant;
 
 /// Which executor runs compiled kernels.
@@ -92,13 +93,8 @@ pub struct CompiledKernel {
     /// Compilation flags (fast math, level).
     pub flags: crate::ir::CompileFlags,
     params: Vec<progen::ast::Param>,
-    param_slots: Vec<ParamSlot>,
-    n_floats: usize,
-    n_ints: usize,
-    n_arrays: usize,
-    float_names: Vec<String>,
-    array_names: Vec<String>,
-    comp_slot: usize,
+    vars: Vars,
+    comp: FloatSlot,
     code: Code,
 }
 
@@ -117,24 +113,14 @@ impl CompiledKernel {
 /// Compile a kernel to bytecode (the vm analogue of
 /// [`crate::interp::prepare`]; fails on the same malformed kernels).
 pub fn compile_kernel(ir: &KernelIr) -> Result<CompiledKernel, ExecError> {
-    let resolved = resolve(ir).map_err(|e| match e {
-        ResolveError::UnknownName(n) => ExecError::UnknownVar(n),
-        ResolveError::NoComp => ExecError::UnknownVar("comp".into()),
-    })?;
-    let code = bytecode::lower(&resolved, ir.precision, ir.flags);
     Ok(CompiledKernel {
+        comp: comp_slot(ir)?,
+        code: bytecode::lower(ir),
         program_id: ir.program_id.clone(),
         precision: ir.precision,
         flags: ir.flags,
         params: ir.params.clone(),
-        param_slots: resolved.param_slots,
-        n_floats: resolved.n_floats,
-        n_ints: resolved.n_ints,
-        n_arrays: resolved.n_arrays,
-        float_names: resolved.float_names,
-        array_names: resolved.array_names,
-        comp_slot: resolved.comp_slot,
-        code,
+        vars: ir.vars.clone(),
     })
 }
 
@@ -234,13 +220,12 @@ pub fn execute_ir_tier(
     }
 }
 
-/// Reusable execution scratch: the register file plus the slot files the
-/// interpreter allocates fresh per run.
+/// Reusable execution scratch: the register file, the variable frame
+/// the interpreter allocates fresh per run, and the loop limits.
+/// Registers and limits are written before they are read.
 struct VmState<T> {
     regs: Vec<T>,
-    scalars: Vec<Option<T>>,
-    ints: Vec<Option<i64>>,
-    arrays: Vec<Vec<T>>,
+    frame: Frame<T>,
     limits: Vec<i64>,
 }
 
@@ -248,18 +233,9 @@ impl<T: DeviceFloat> VmState<T> {
     fn new(kernel: &CompiledKernel) -> VmState<T> {
         VmState {
             regs: vec![T::ZERO; kernel.code.n_regs],
-            scalars: vec![None; kernel.n_floats],
-            ints: vec![None; kernel.n_ints],
-            arrays: vec![Vec::new(); kernel.n_arrays],
+            frame: Frame::new(&kernel.vars),
             limits: vec![0; kernel.code.n_limits],
         }
-    }
-
-    fn reset(&mut self) {
-        self.scalars.fill(None);
-        self.ints.fill(None);
-        // arrays are rebound (clear + resize in place) by the parameter
-        // binding loop; registers and limits are write-before-read.
     }
 }
 
@@ -274,11 +250,6 @@ fn ftz_bin_result<T: DeviceFloat>(r: T, ftz: FtzMode) -> T {
     r.apply_ftz(ftz)
 }
 
-fn int_index(ints: &[Option<i64>], idx: usize) -> Result<usize, ExecError> {
-    let i = ints[idx].ok_or_else(|| ExecError::UnknownVar("index".into()))?;
-    usize::try_from(i).map_err(|_| ExecError::OutOfBounds("index".into()))
-}
-
 fn run_vm<T: DeviceFloat>(
     kernel: &CompiledKernel,
     device: &Device,
@@ -288,39 +259,10 @@ fn run_vm<T: DeviceFloat>(
 ) -> Result<ExecResult, ExecError> {
     #[cfg(feature = "chaos")]
     crate::chaos::maybe_panic(&kernel.program_id);
-    if inputs.values.len() != kernel.params.len() {
-        return Err(ExecError::BadInputs(format!(
-            "{} inputs for {} parameters",
-            inputs.values.len(),
-            kernel.params.len()
-        )));
-    }
+    let VmState { regs, frame, limits } = state;
+    frame.bind(&kernel.params, &kernel.vars, inputs, T::from_f64)?;
     let env = device.fp_env(kernel.flags.fast_math);
     let ftz = T::ftz_mode(&env);
-    state.reset();
-    let VmState { regs, scalars, ints, arrays, limits } = state;
-    for ((param, value), slot) in kernel.params.iter().zip(&inputs.values).zip(&kernel.param_slots)
-    {
-        match (slot, value) {
-            (ParamSlot::Float(s), InputValue::Float(v)) => {
-                scalars[*s] = Some(T::from_f64(*v));
-            }
-            (ParamSlot::Int(s), InputValue::Int(v)) => {
-                ints[*s] = Some(*v);
-            }
-            (ParamSlot::Array(s), InputValue::ArrayFill(v)) => {
-                let a = &mut arrays[*s];
-                a.clear();
-                a.resize(ARRAY_LEN, T::from_f64(*v));
-            }
-            (_, val) => {
-                return Err(ExecError::BadInputs(format!(
-                    "parameter {} of type {:?} got {val:?}",
-                    param.name, param.ty
-                )))
-            }
-        }
-    }
 
     let mut exceptions = ExceptionFlags::new();
     let mut cost_slots: u64 = 0;
@@ -372,20 +314,21 @@ fn run_vm<T: DeviceFloat>(
             }
             Op::ReadVar { dst, slot } => {
                 bump!(1u8);
-                regs[*dst as usize] = scalars[*slot as usize].ok_or_else(|| {
-                    ExecError::UnknownVar(kernel.float_names[*slot as usize].clone())
+                regs[*dst as usize] = frame.scalars[*slot as usize].ok_or_else(|| {
+                    ExecError::UnknownVar(kernel.vars.floats[*slot as usize].clone())
                 })?;
             }
             Op::ReadIntAsFloat { dst, slot } => {
                 bump!(1u8);
-                let i = ints[*slot as usize].ok_or_else(|| ExecError::UnknownVar("int".into()))?;
+                let i = frame.ints[*slot as usize]
+                    .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
                 regs[*dst as usize] = T::from_f64(i as f64);
             }
             Op::ReadArr { dst, arr, idx } => {
                 bump!(4u8);
-                let i = int_index(ints, *idx as usize)?;
-                regs[*dst as usize] = *arrays[*arr as usize].get(i).ok_or_else(|| {
-                    ExecError::OutOfBounds(kernel.array_names[*arr as usize].clone())
+                let i = frame.index(*idx as usize)?;
+                regs[*dst as usize] = *frame.arrays[*arr as usize].get(i).ok_or_else(|| {
+                    ExecError::OutOfBounds(kernel.vars.arrays[*arr as usize].clone())
                 })?;
             }
             Op::ReadThreadIdx { dst } => {
@@ -445,14 +388,13 @@ fn run_vm<T: DeviceFloat>(
                 regs[*dst as usize] = r.apply_ftz(ftz);
             }
             Op::StoreVar { slot, src } => {
-                scalars[*slot as usize] = Some(val!(*src));
+                frame.scalars[*slot as usize] = Some(val!(*src));
             }
             Op::StoreArr { arr, idx, src } => {
                 let v = val!(*src);
-                let i = int_index(ints, *idx as usize)?;
-                let a = &mut arrays[*arr as usize];
-                *a.get_mut(i).ok_or_else(|| {
-                    ExecError::OutOfBounds(kernel.array_names[*arr as usize].clone())
+                let i = frame.index(*idx as usize)?;
+                *frame.arrays[*arr as usize].get_mut(i).ok_or_else(|| {
+                    ExecError::OutOfBounds(kernel.vars.arrays[*arr as usize].clone())
                 })? = v;
                 cost_slots += 4;
             }
@@ -466,7 +408,7 @@ fn run_vm<T: DeviceFloat>(
                 }
             }
             Op::LoopInit { var, bound, limit, exit_to } => {
-                let n = ints[*bound as usize]
+                let n = frame.ints[*bound as usize]
                     .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
                 let n = n.clamp(0, ARRAY_LEN as i64);
                 if n <= 0 {
@@ -474,13 +416,13 @@ fn run_vm<T: DeviceFloat>(
                     continue;
                 }
                 limits[*limit as usize] = n;
-                ints[*var as usize] = Some(0);
+                frame.ints[*var as usize] = Some(0);
                 cost_slots += cost::LOOP_OVERHEAD;
             }
             Op::LoopBack { var, limit, back_to } => {
-                let i = ints[*var as usize].unwrap_or(0) + 1;
+                let i = frame.ints[*var as usize].unwrap_or(0) + 1;
                 if i < limits[*limit as usize] {
-                    ints[*var as usize] = Some(i);
+                    frame.ints[*var as usize] = Some(i);
                     cost_slots += cost::LOOP_OVERHEAD;
                     pc = *back_to as usize;
                     continue;
@@ -521,8 +463,8 @@ fn run_vm<T: DeviceFloat>(
         }
     }
 
-    let value = scalars[kernel.comp_slot].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
-    Ok(ExecResult { value: crate::interp::wrap_value(value), exceptions, cost_slots, steps })
+    let value = frame.scalars[kernel.comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
+    Ok(ExecResult { value: value.exec_value(), exceptions, cost_slots, steps })
 }
 
 #[cfg(test)]
@@ -533,7 +475,7 @@ mod tests {
     use gpusim::DeviceKind;
     use progen::gen::generate_program;
     use progen::grammar::GenConfig;
-    use progen::inputs::generate_inputs;
+    use progen::inputs::{generate_inputs, InputValue};
 
     fn nv() -> Device {
         Device::new(DeviceKind::NvidiaLike)

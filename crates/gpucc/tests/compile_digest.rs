@@ -5,24 +5,28 @@
 //! generated programs per precision with both toolchains at all five
 //! levels, hipified on and off (4,800 compiles), and folds every
 //! resulting kernel and its pass statistics into one FNV-1a digest. The
-//! walker is canonical: every node, instruction and variable name, every
-//! operand kind, every constant as `to_bits()`, the compile flags, and
-//! each pass's `(name, rewrites)`, with lengths prefixed so no two
-//! different kernels feed the same byte stream.
+//! walker is canonical: every node, instruction and variable name (read
+//! through the kernel's name table; a float read and an int read both
+//! hash as `V` and the name), every operand kind, every constant as
+//! `to_bits()`, the compile flags, and each pass's `(name, rewrites)`,
+//! with lengths prefixed so no two different kernels feed the same byte
+//! stream.
 //!
 //! `PINNED` was computed by this walker over this corpus with the
 //! passes as they stood before their linear-time rewrite (CSE keyed on
 //! a formatted `String` per instruction, every rewrite forwarded by a
 //! sweep over the whole sequence): the test ran with a placeholder and
-//! its failure message printed the value. A compile that changes any
-//! kernel or any rewrite count changes it.
+//! its failure message printed the value. It held when the IR's
+//! variables became slots, and the walker learned to read names through
+//! the table. A compile that changes any kernel or any rewrite count
+//! changes it.
 //!
 //! The same corpus checks the pass-schedule invariant that campaigns
 //! rely on to compile each schedule once: every level's kernel equals
 //! the kernel of the level [`schedule_level`] names, except for the
 //! flags.
 
-use gpucc::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
+use gpucc::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget, Vars};
 use gpucc::pipeline::{compile_with_stats, schedule_level, CompileStats, OptLevel, Toolchain};
 use progen::ast::Program;
 use progen::gen::generate_program;
@@ -72,16 +76,20 @@ impl Fnv {
         }
     }
 
-    fn inst(&mut self, inst: &Inst) {
+    fn inst(&mut self, vars: &Vars, inst: &Inst) {
         match inst {
             Inst::ReadVar(v) => {
                 self.tag(b'V');
-                self.str(v);
+                self.str(&vars.floats[*v]);
+            }
+            Inst::ReadIntAsFloat(v) => {
+                self.tag(b'V');
+                self.str(&vars.ints[*v]);
             }
             Inst::ReadArr(a, i) => {
                 self.tag(b'A');
-                self.str(a);
-                self.str(i);
+                self.str(&vars.arrays[*a]);
+                self.str(&vars.ints[*i]);
             }
             Inst::ReadThreadIdx => self.tag(b'T'),
             Inst::Bin(op, a, b) => {
@@ -123,45 +131,45 @@ impl Fnv {
         }
     }
 
-    fn seq(&mut self, seq: &InstSeq) {
+    fn seq(&mut self, vars: &Vars, seq: &InstSeq) {
         self.u64(seq.insts.len() as u64);
         for inst in &seq.insts {
-            self.inst(inst);
+            self.inst(vars, inst);
         }
         self.operand(seq.result);
     }
 
-    fn nodes(&mut self, nodes: &[Node]) {
+    fn nodes(&mut self, vars: &Vars, nodes: &[Node]) {
         self.u64(nodes.len() as u64);
         for node in nodes {
             match node {
                 Node::Store { target, seq } => {
                     self.tag(b's');
-                    match target {
+                    match *target {
                         StoreTarget::Var(v) => {
                             self.tag(b'v');
-                            self.str(v);
+                            self.str(&vars.floats[v]);
                         }
                         StoreTarget::Arr(a, i) => {
                             self.tag(b'a');
-                            self.str(a);
-                            self.str(i);
+                            self.str(&vars.arrays[a]);
+                            self.str(&vars.ints[i]);
                         }
                     }
-                    self.seq(seq);
+                    self.seq(vars, seq);
                 }
                 Node::If { lhs, op, rhs, body } => {
                     self.tag(b'?');
-                    self.seq(lhs);
+                    self.seq(vars, lhs);
                     self.str(op.symbol());
-                    self.seq(rhs);
-                    self.nodes(body);
+                    self.seq(vars, rhs);
+                    self.nodes(vars, body);
                 }
                 Node::For { var, bound, body } => {
                     self.tag(b'f');
-                    self.str(var);
-                    self.str(bound);
-                    self.nodes(body);
+                    self.str(&vars.ints[*var]);
+                    self.str(&vars.ints[*bound]);
+                    self.nodes(vars, body);
                 }
             }
         }
@@ -177,7 +185,7 @@ impl Fnv {
         }
         self.tag(u8::from(ir.flags.fast_math));
         self.tag(ir.flags.opt_level_index);
-        self.nodes(&ir.body);
+        self.nodes(&ir.vars, &ir.body);
     }
 
     fn stats(&mut self, stats: &CompileStats) {
