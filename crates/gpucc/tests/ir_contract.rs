@@ -10,6 +10,11 @@
 //!   hipified on and off);
 //! * [`interp::execute_traced`] of each of those kernels on one generated
 //!   input: every store event (target and bits) and the result;
+//! * [`refexec::execute_reference_budgeted`] (through [`interp::prepare`])
+//!   of each of those kernels on the same input: the double-double truth,
+//!   including the fused and reciprocal instructions only O1+ and
+//!   fast-math kernels contain, with every NaN result folded as one
+//!   canonical NaN;
 //! * hand-written kernels the generator never emits: an array that no
 //!   parameter declares, a kernel with no `comp`, a temporary read before
 //!   it is stored, a loop body moved to top level the way
@@ -22,7 +27,8 @@
 //!   [`interp::prepare`]) are folded into one digest.
 //!
 //! The digests are FNV-1a over length-prefixed fields, computed by this
-//! file before the variables of the IR were given slots at lowering; the
+//! file before the variables of the IR were given slots at lowering
+//! (`REFERENCE`: while the truth still had a walker of its own); the
 //! test ran with a placeholder and its failure message printed each
 //! value.
 
@@ -41,6 +47,8 @@ use progen::Precision;
 const LISTINGS: u64 = 0xa7bc_788d_ba5c_3388;
 /// [`interp::execute_traced`] over the corpus.
 const TRACES: u64 = 0xff03_903d_6e96_8c8c;
+/// [`refexec::execute_reference_budgeted`] over the corpus.
+const REFERENCE: u64 = 0x2f5a_f25b_268c_41be;
 /// Everything the hand-written kernels produce.
 const HAND_WRITTEN: u64 = 0xa845_b2ad_5dcf_e1c1;
 
@@ -125,6 +133,7 @@ fn device(toolchain: Toolchain) -> Device {
 fn corpus_listings_and_store_traces_are_pinned() {
     let mut listings = Fnv::new();
     let mut traces = Fnv::new();
+    let mut truth = Fnv::new();
     let mut compiles = 0u64;
     for precision in [Precision::F32, Precision::F64] {
         let cfg = GenConfig::varity_default(precision);
@@ -138,6 +147,7 @@ fn corpus_listings_and_store_traces_are_pinned() {
                         let ir = compile(&program, toolchain, level, hipified);
                         listings.str(&render_ir(&ir));
                         traces.traced(&interp::execute_traced(&ir, &device, &input));
+                        truth.outcome(&nan_as_canonical(reference(&ir, &input)));
                         compiles += 1;
                     }
                 }
@@ -146,11 +156,12 @@ fn corpus_listings_and_store_traces_are_pinned() {
     }
     assert_eq!(compiles, 2 * PROGRAMS * 2 * 5 * 2);
     assert_eq!(
-        (listings.0, traces.0),
-        (LISTINGS, TRACES),
-        "listing digest {:#018x}, trace digest {:#018x}",
+        (listings.0, traces.0, truth.0),
+        (LISTINGS, TRACES, REFERENCE),
+        "listing digest {:#018x}, trace digest {:#018x}, reference digest {:#018x}",
         listings.0,
-        traces.0
+        traces.0,
+        truth.0
     );
 }
 
@@ -276,6 +287,22 @@ fn hand_written() -> Vec<(Program, InputSet)> {
             },
         ),
     ]
+}
+
+/// `o` with a NaN result replaced by the canonical quiet NaN. Rust
+/// leaves the sign and payload of a NaN result unspecified, and the
+/// double-double code's NaNs do differ in sign between debug and release
+/// builds (about 900 of the corpus truths), so the digest pins only that the
+/// result is a NaN.
+fn nan_as_canonical(o: Result<ExecResult, ExecError>) -> Result<ExecResult, ExecError> {
+    o.map(|mut r| {
+        r.value = match r.value {
+            ExecValue::F32(v) if v.is_nan() => ExecValue::F32(f32::NAN),
+            ExecValue::F64(v) if v.is_nan() => ExecValue::F64(f64::NAN),
+            v => v,
+        };
+        r
+    })
 }
 
 fn reference(ir: &KernelIr, input: &InputSet) -> Result<ExecResult, ExecError> {
