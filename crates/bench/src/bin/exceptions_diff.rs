@@ -6,9 +6,11 @@
 //! Usage: `exceptions_diff [--programs N] [--fp32] [--seed S]`
 
 use difftest::campaign::{CampaignConfig, TestMode};
+use difftest::checkpoint::{run_sides_ft, FtSession};
 use difftest::metadata::CampaignMeta;
 use difftest::stats::exception_diff;
-use gpucc::pipeline::Toolchain;
+use difftest::Side;
+use gpucc::ExecTier;
 use progen::ast::Precision;
 
 fn main() {
@@ -33,8 +35,8 @@ fn main() {
 
     eprintln!("running {} {} programs …", programs, precision.label());
     let mut meta = CampaignMeta::generate(&cfg);
-    meta.run_side(Toolchain::Nvcc);
-    meta.run_side(Toolchain::Hipcc);
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
 
     let rows = exception_diff::analyze(&meta);
     println!("{}", exception_diff::render(&rows));

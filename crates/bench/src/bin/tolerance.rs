@@ -8,9 +8,11 @@
 //! Usage: `tolerance [--programs N] [--fp32] [--seed S]`
 
 use difftest::campaign::{analyze_with_tolerance, CampaignConfig, TestMode};
+use difftest::checkpoint::{run_sides_ft, FtSession};
 use difftest::metadata::CampaignMeta;
 use difftest::outcome::DiscrepancyClass;
-use gpucc::pipeline::Toolchain;
+use difftest::Side;
+use gpucc::ExecTier;
 use progen::ast::Precision;
 
 fn main() {
@@ -35,8 +37,8 @@ fn main() {
 
     eprintln!("running {} {} programs once …", programs, precision.label());
     let mut meta = CampaignMeta::generate(&cfg);
-    meta.run_side(Toolchain::Nvcc);
-    meta.run_side(Toolchain::Hipcc);
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
 
     println!(
         "DISCREPANCIES vs RELATIVE TOLERANCE ({} programs, {}, seed {seed})\n",

@@ -16,6 +16,7 @@
 //! drift fails loudly instead of silently orphaning the trajectory.
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
+use difftest::checkpoint::{run_sides_ft, FtSession};
 use difftest::metadata::CampaignMeta;
 use difftest::report::throughput_per_sec;
 use gpucc::pipeline::Toolchain;
@@ -93,7 +94,7 @@ fn run_tier(campaign: &CampaignConfig, tier: ExecTier) -> (serde_json::Value, St
     let started = Instant::now();
     let mut meta = CampaignMeta::generate(campaign);
     for tc in Toolchain::ALL {
-        meta.run_side_tier(tc, tier);
+        run_sides_ft(&mut meta, &[tc.into()], &FtSession::plain(), tier);
     }
     let wall_ms = started.elapsed().as_millis() as u64;
     let snap = obs::snapshot();

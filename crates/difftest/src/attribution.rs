@@ -203,15 +203,18 @@ pub fn attribute(meta: &CampaignMeta) -> AttributionReport {
 mod tests {
     use super::*;
     use crate::campaign::{analyze, CampaignConfig, TestMode};
+    use crate::checkpoint::{run_sides_ft, FtSession};
+    use crate::side::Side;
     use gpucc::pipeline::OptLevel;
+    use gpucc::ExecTier;
     use gpusim::QuirkSet;
     use progen::ast::Precision;
 
     fn completed(n: usize) -> CampaignMeta {
         let config = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(n);
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         meta
     }
 
@@ -254,8 +257,8 @@ mod tests {
             .shard(4)
             .into_iter()
             .map(|mut s| {
-                s.run_side(Toolchain::Nvcc);
-                s.run_side(Toolchain::Hipcc);
+                run_sides_ft(&mut s, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+                run_sides_ft(&mut s, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
                 s
             })
             .collect();
@@ -275,8 +278,8 @@ mod tests {
             CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(120);
         config.levels = vec![OptLevel::O3Fm];
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let attr = attribute(&meta);
         assert!(attr.total_discrepancies > 0, "O3_FM campaign found nothing");
         assert!(
@@ -294,7 +297,7 @@ mod tests {
         assert!(attr.rows.iter().all(|r| r.by_verdict == [0; 4]));
 
         let mut meta = completed(80);
-        meta.run_reference();
+        run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         let attr = attribute(&meta);
         assert!(attr.has_verdicts);
         // every discrepancy in every row received some verdict
@@ -316,8 +319,8 @@ mod tests {
         config.quirks = QuirkSet::none();
         config.levels = vec![OptLevel::O0];
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let attr = attribute(&meta);
         assert_eq!(attr.total_discrepancies, 0);
         assert!(attr.rows.is_empty());

@@ -379,6 +379,7 @@ pub fn decode(precision: Precision, bits: u64) -> ExecValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{run_sides_ft, FtSession};
 
     fn small(precision: Precision, mode: TestMode) -> CampaignConfig {
         CampaignConfig::default_for(precision, mode).with_programs(40)
@@ -451,11 +452,11 @@ mod tests {
     fn reference_side_yields_pairs_and_verdicts() {
         let cfg = small(Precision::F64, TestMode::Direct).with_programs(150);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let two_side = analyze(&meta);
         assert!(!two_side.has_verdicts());
-        meta.run_reference();
+        run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         let report = analyze(&meta);
         assert!(report.has_verdicts());
         for ((level, s), (_, legacy)) in report.per_level.iter().zip(&two_side.per_level) {
@@ -480,9 +481,9 @@ mod tests {
         use crate::verdict::Verdict;
         let cfg = small(Precision::F64, TestMode::Direct).with_programs(5);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
-        meta.run_reference();
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         // forge the paper's Fig. 5 record: nvcc overflowed to Inf while
         // hipcc — matching the strict truth — kept 1.34887e-306
         let truth_bits = 1.34887e-306f64.to_bits();

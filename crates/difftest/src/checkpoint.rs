@@ -37,7 +37,6 @@ use crate::codec::Names;
 use crate::fault::{self, TestFault};
 use crate::metadata::{campaign_devices, run_unit, CampaignMeta, MetaError, RunRecord, TestBuild};
 use crate::side::{Side, SideKey};
-use gpucc::pipeline::Toolchain;
 use gpucc::ExecTier;
 use progen::gen::generate_program;
 use serde::{Deserialize, Serialize};
@@ -644,9 +643,9 @@ impl FtSession {
 
     /// A plain session: no journal, no skip set, no fault cap, and deaf
     /// to the global shutdown flag (so concurrent library users can't
-    /// interrupt each other). This is what `CampaignMeta::run_side`
-    /// uses — isolation and quarantine accounting always on,
-    /// persistence opt-in.
+    /// interrupt each other). Library callers of [`run_sides_ft`] use
+    /// it — isolation and quarantine accounting always on, persistence
+    /// opt-in.
     pub fn plain() -> FtSession {
         FtSession { heed_shutdown: false, ..FtSession::new(None, None) }
     }
@@ -734,28 +733,6 @@ impl FtSession {
     fn record_io_error(&self, e: &io::Error) {
         let _ = self.io_error.set(e.to_string());
     }
-}
-
-/// Execute one side of a campaign fault-tolerantly on the interpreter
-/// tier: [`run_sides_ft`] with one side.
-pub fn run_side_ft(meta: &mut CampaignMeta, toolchain: Toolchain, session: &FtSession) -> FtStatus {
-    run_sides_ft(meta, &[toolchain.into()], session, ExecTier::Interp)
-}
-
-/// [`run_sides_ft`] with one vendor side on a chosen execution tier.
-pub fn run_side_ft_tier(
-    meta: &mut CampaignMeta,
-    toolchain: Toolchain,
-    session: &FtSession,
-    tier: ExecTier,
-) -> FtStatus {
-    run_sides_ft(meta, &[toolchain.into()], session, tier)
-}
-
-/// Execute the ground-truth reference side fault-tolerantly:
-/// [`run_sides_ft`] with [`Side::Reference`] alone.
-pub fn run_reference_ft(meta: &mut CampaignMeta, session: &FtSession) -> FtStatus {
-    run_sides_ft(meta, &[Side::Reference], session, ExecTier::Interp)
 }
 
 /// Execute `sides` of a campaign fault-tolerantly, test-major: per-unit
@@ -1133,7 +1110,6 @@ mod tests {
 
     #[test]
     fn stop_file_drains_the_session_at_a_unit_boundary() {
-        use gpucc::pipeline::Toolchain;
         use progen::ast::Precision;
         let config = CampaignConfig::default_for(Precision::F64, crate::campaign::TestMode::Direct)
             .with_programs(3);
@@ -1145,13 +1121,16 @@ mod tests {
         // stop file absent: the run completes
         let session = FtSession::plain().with_stop_file(stop.clone());
         let mut meta = CampaignMeta::generate(&config);
-        assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
 
         // stop file present up front: nothing runs, status is Interrupted
         std::fs::write(&stop, b"").unwrap();
         let session = FtSession::plain().with_stop_file(stop.clone());
         let mut meta = CampaignMeta::generate(&config);
-        let status = run_side_ft(&mut meta, Toolchain::Hipcc, &session);
+        let status = run_sides_ft(&mut meta, &[Side::Hipcc], &session, ExecTier::Interp);
         assert_eq!(status, FtStatus::Interrupted);
         assert!(meta.tests.iter().all(|t| t.results.is_empty()), "no unit may start");
         assert!(!meta.sides_run.contains(&Side::Hipcc));
@@ -1194,7 +1173,10 @@ mod tests {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let session = FtSession::new(Some(ckpt.into_journal()), None);
         let mut meta = CampaignMeta::generate(&config);
-        assert_eq!(run_reference_ft(&mut meta, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Reference], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
         assert_eq!(meta.sides_run, vec![Side::Reference]);
 
         // resume: every unit replays, nothing re-runs, results identical
@@ -1206,7 +1188,10 @@ mod tests {
         let mut session = FtSession::new(Some(ckpt.into_journal()), None);
         session.apply_replay(&mut resumed, units);
         assert_eq!(session.replayed(), 3);
-        assert_eq!(run_reference_ft(&mut resumed, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut resumed, &[Side::Reference], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
         for (a, b) in meta.tests.iter().zip(&resumed.tests) {
             assert_eq!(a.results, b.results);
         }

@@ -5,8 +5,8 @@
 //! its own compiler, and saves a JSON metadata file; system `C2` loads the
 //! metadata, *regenerates exactly the same tests and inputs* (generation
 //! is deterministic in the config), runs its side, and the merged file is
-//! analyzed. [`CampaignMeta::run_side`] + [`CampaignMeta::merge`]
-//! implement that protocol on one machine or two.
+//! analyzed. [`crate::checkpoint::run_sides_ft`] with one side, then
+//! [`CampaignMeta::merge`], implement that protocol on one machine or two.
 
 use crate::campaign::CampaignConfig;
 use crate::campaign::TestMode;
@@ -14,8 +14,7 @@ use crate::fault::{FaultKind, TestFault};
 use crate::side::{Side, SideKey};
 use fpcore::classify::Outcome;
 use gpucc::interp::{
-    execute_prepared_budgeted, prepare, ExecBudget, ExecError, ExecResult, ExecValue,
-    ExecutableKernel,
+    execute_prepared_budgeted, ExecBudget, ExecError, ExecResult, ExecValue, ExecutableKernel,
 };
 use gpucc::ir::CompileFlags;
 use gpucc::pipeline::{
@@ -169,30 +168,6 @@ impl CampaignMeta {
         p
     }
 
-    /// Execute one side of the campaign (all levels, all tests, all
-    /// inputs) and store the results. This is what runs on each cluster in
-    /// the Fig. 3 protocol.
-    ///
-    /// Runs through the fault-tolerant runner with a plain session
-    /// (isolation on, no journal, no fault cap): a panicking or
-    /// budget-exhausted test becomes error records instead of aborting
-    /// the campaign. Callers that want checkpointing, a circuit breaker
-    /// or several sides built once per test use
-    /// [`crate::checkpoint::run_sides_ft`] directly.
-    pub fn run_side(&mut self, toolchain: Toolchain) {
-        self.run_side_tier(toolchain, ExecTier::Interp);
-    }
-
-    /// [`CampaignMeta::run_side`] on a chosen execution tier. The interp
-    /// tier is the reference; `ExecTier::Vm` runs the compiled bytecode
-    /// tier (bit-identical results, several times the throughput);
-    /// `ExecTier::Differential` runs both in lockstep and quarantines any
-    /// divergence. Reports are byte-identical across tiers.
-    pub fn run_side_tier(&mut self, toolchain: Toolchain, tier: ExecTier) {
-        let session = crate::checkpoint::FtSession::plain();
-        let _ = crate::checkpoint::run_sides_ft(self, &[toolchain.into()], &session, tier);
-    }
-
     /// True once both compilers' results are present. The reference
     /// side is optional: a campaign is complete without ground truth —
     /// verdicts simply stay `TruthUndecided`.
@@ -203,17 +178,6 @@ impl CampaignMeta {
     /// True when the ground-truth side has been executed.
     pub fn has_reference(&self) -> bool {
         self.sides_run.contains(&Side::Reference)
-    }
-
-    /// Execute the ground-truth reference side: the strict O0 IR of
-    /// every test evaluated over double-double values
-    /// ([`gpucc::refexec`]), stored under the single `"reference:O0"`
-    /// column. Plain session; callers wanting checkpointing use
-    /// [`crate::checkpoint::run_sides_ft`] directly.
-    pub fn run_reference(&mut self) {
-        let session = crate::checkpoint::FtSession::plain();
-        let _ =
-            crate::checkpoint::run_sides_ft(self, &[Side::Reference], &session, ExecTier::Interp);
     }
 
     /// Merge two half-campaigns (same config, different sides run).
@@ -488,13 +452,12 @@ fn error_record(error: String) -> RunRecord {
 /// whose kernels execute alike ([`gpucc::pipeline::kernel_level`]) share
 /// one [`ClassBuild`]: O1–O3 on each toolchain, with O0 and O3_FM
 /// classes of their own; hipcc's O3_FM class takes O1's body under the
-/// fast-math flags. A class lowers its bytecode or prepares its
-/// interpreter kernel only when a unit executes it that way, and
-/// executes once: a later unit of the same class copies the first
-/// one's records. The cache is private to one map item (one test), so
-/// nothing is locked, and it is filled *inside* the unit's
-/// `catch_isolated`, so a panic during a build is attributed to the
-/// unit that needed it.
+/// fast-math flags. A class checks its kernel when it is built, lowers
+/// its bytecode only when a unit executes it on the vm, and executes
+/// once: a later unit of the same class copies the first one's records.
+/// The cache is private to one map item (one test), so nothing is
+/// locked, and it is filled *inside* the unit's `catch_isolated`, so a
+/// panic during a build is attributed to the unit that needed it.
 pub(crate) struct TestBuild<'p> {
     program: &'p Program,
     mode: TestMode,
@@ -512,12 +475,13 @@ struct ToolchainBuild {
     classes: [Option<ClassBuild>; 5],
 }
 
-/// One execution class: its kernel, the executables derived from it on
-/// demand, and the records of its first execution.
+/// One execution class: its checked kernel (which the interpreter and
+/// the reference execute, and which holds the class's only copy of its
+/// IR), the bytecode lowered from it on demand, and the records of its
+/// first execution.
 struct ClassBuild {
-    ir: KernelIr,
+    kernel: ExecutableKernel,
     bytecode: OnceCell<CompiledKernel>,
-    prepared: OnceCell<ExecutableKernel>,
     /// The first execution's records, kept only when none is an error
     /// record. A run with an error (a step-budget or timeout fault, a
     /// vm/interp mismatch, a panic) is not reused, so every later unit
@@ -526,19 +490,18 @@ struct ClassBuild {
 }
 
 impl ClassBuild {
+    /// Check `ir` for execution and keep it. A malformed kernel panics
+    /// here, inside the unit that built the class.
     fn new(ir: KernelIr) -> ClassBuild {
-        ClassBuild { ir, bytecode: OnceCell::new(), prepared: OnceCell::new(), records: None }
+        let kernel = ExecutableKernel::try_from(ir).expect("generated kernels are valid");
+        ClassBuild { kernel, bytecode: OnceCell::new(), records: None }
     }
 
     /// The vm tier's lowered bytecode.
     fn bytecode(&self) -> &CompiledKernel {
-        self.bytecode
-            .get_or_init(|| vm::compile_kernel(&self.ir).expect("generated kernels are valid"))
-    }
-
-    /// The checked kernel the interpreter and the reference execute.
-    fn prepared(&self) -> &ExecutableKernel {
-        self.prepared.get_or_init(|| prepare(&self.ir).expect("generated kernels are valid"))
+        self.bytecode.get_or_init(|| {
+            vm::compile_kernel(self.kernel.ir()).expect("generated kernels are valid")
+        })
     }
 }
 
@@ -564,7 +527,7 @@ impl<'p> TestBuild<'p> {
                 let (parsed, hipified) = self.toolchains[t].parsed.as_ref().expect("parsed above");
                 compile_with_stats(parsed, toolchain, owner, *hipified).0
             } else {
-                let shared = &self.class(toolchain, schedule).ir;
+                let shared = self.class(toolchain, schedule).kernel.ir();
                 KernelIr { flags: CompileFlags::for_level(owner), ..shared.clone() }
             };
             self.toolchains[t].classes[owner.index()] = Some(ClassBuild::new(ir));
@@ -590,7 +553,7 @@ impl<'p> TestBuild<'p> {
         budget: ExecBudget,
     ) -> Vec<(RunRecord, Option<ExecError>)> {
         let Some(toolchain) = key.side.toolchain() else {
-            let kernel = self.class(Toolchain::Nvcc, OptLevel::O0).prepared();
+            let kernel = &self.class(Toolchain::Nvcc, OptLevel::O0).kernel;
             return inputs
                 .iter()
                 .map(|input| {
@@ -608,7 +571,7 @@ impl<'p> TestBuild<'p> {
             ExecTier::Interp => inputs
                 .iter()
                 .map(|input| {
-                    record_of(execute_prepared_budgeted(class.prepared(), device, input, budget))
+                    record_of(execute_prepared_budgeted(&class.kernel, device, input, budget))
                 })
                 .collect(),
             ExecTier::Vm => vm::execute_batch(class.bytecode(), device, inputs, budget)
@@ -619,7 +582,7 @@ impl<'p> TestBuild<'p> {
                 .iter()
                 .map(|input| {
                     record_of(vm::execute_differential(
-                        class.prepared(),
+                        &class.kernel,
                         class.bytecode(),
                         device,
                         input,
@@ -765,6 +728,7 @@ fn record_unit_telemetry(
 mod tests {
     use super::*;
     use crate::campaign::{analyze, run_campaign, CampaignConfig};
+    use crate::checkpoint::{run_sides_ft, FtSession};
     use progen::ast::Precision;
 
     fn cfg() -> CampaignConfig {
@@ -780,9 +744,9 @@ mod tests {
         // two "clusters": each generates from the shared config, runs its
         // side, and the metadata files are merged
         let mut c1 = CampaignMeta::generate(&config);
-        c1.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut c1, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let mut c2 = CampaignMeta::generate(&config);
-        c2.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut c2, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         assert!(!c1.is_complete() && !c2.is_complete());
         let merged = CampaignMeta::merge(c1, c2).unwrap();
         assert!(merged.is_complete());
@@ -794,7 +758,7 @@ mod tests {
     fn save_load_roundtrip() {
         let config = cfg().with_programs(4);
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let dir = std::env::temp_dir().join("difftest_meta_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("meta.json");
@@ -815,7 +779,7 @@ mod tests {
     fn merge_is_idempotent_on_overlapping_sides() {
         let config = cfg().with_programs(3);
         let mut a = CampaignMeta::generate(&config);
-        a.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut a, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let b = a.clone();
         let merged = CampaignMeta::merge(a.clone(), b).unwrap();
         assert_eq!(merged, a);
@@ -834,7 +798,7 @@ mod tests {
     fn records_store_exact_bits_and_print() {
         let config = cfg().with_programs(5);
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let t = &meta.tests[0];
         let recs = t.results.get(&side_key(Toolchain::Nvcc, OptLevel::O0)).unwrap();
         assert_eq!(recs.len(), config.inputs_per_program);
@@ -857,8 +821,8 @@ mod tests {
         let run_shards: Vec<CampaignMeta> = shards
             .into_iter()
             .map(|mut s| {
-                s.run_side(Toolchain::Nvcc);
-                s.run_side(Toolchain::Hipcc);
+                run_sides_ft(&mut s, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+                run_sides_ft(&mut s, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
                 s
             })
             .collect();
@@ -902,8 +866,8 @@ mod tests {
             .shard(3)
             .into_iter()
             .map(|mut s| {
-                s.run_side(Toolchain::Nvcc);
-                s.run_side(Toolchain::Hipcc);
+                run_sides_ft(&mut s, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+                run_sides_ft(&mut s, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
                 s
             })
             .collect();
@@ -961,10 +925,10 @@ mod tests {
     fn merge_halves_unions_quarantine() {
         let config = cfg().with_programs(3);
         let mut a = CampaignMeta::generate(&config);
-        a.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut a, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         a.quarantine.push(fault(0, "nvcc:O1"));
         let mut b = CampaignMeta::generate(&config);
-        b.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut b, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         b.quarantine.push(fault(0, "hipcc:O1"));
         b.quarantine.push(fault(0, "nvcc:O1")); // duplicate across halves
         let merged = CampaignMeta::merge(a, b).unwrap();
@@ -997,8 +961,8 @@ mod tests {
             .shard(3)
             .into_iter()
             .map(|mut s| {
-                s.run_side(Toolchain::Nvcc);
-                s.run_side(Toolchain::Hipcc);
+                run_sides_ft(&mut s, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+                run_sides_ft(&mut s, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
                 s
             })
             .collect();
@@ -1028,9 +992,9 @@ mod tests {
     fn merge_shards_keeps_only_commonly_run_sides() {
         let config = cfg().with_programs(4);
         let mut shards = CampaignMeta::generate(&config).shard(2);
-        shards[0].run_side(Toolchain::Nvcc);
-        shards[0].run_side(Toolchain::Hipcc);
-        shards[1].run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut shards[0], &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut shards[0], &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut shards[1], &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let merged = CampaignMeta::merge_shards(shards).unwrap();
         assert!(!merged.is_complete(), "hipcc missing from one batch");
         assert_eq!(merged.sides_run, vec![Side::Nvcc]);
@@ -1040,7 +1004,7 @@ mod tests {
     fn reference_side_stores_truth_under_one_key() {
         let config = cfg().with_programs(4);
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_reference();
+        run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         assert!(meta.sides_run.contains(&Side::Reference));
         assert!(!meta.is_complete(), "reference alone is not a campaign");
         for t in &meta.tests {
@@ -1056,10 +1020,10 @@ mod tests {
     fn three_side_merge_is_complete_and_canonically_ordered() {
         let config = cfg().with_programs(3);
         let mut a = CampaignMeta::generate(&config);
-        a.run_side(Toolchain::Nvcc);
-        a.run_reference();
+        run_sides_ft(&mut a, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut a, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         let mut b = CampaignMeta::generate(&config);
-        b.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut b, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let merged = CampaignMeta::merge(a, b).unwrap();
         assert!(merged.is_complete());
         assert!(merged.has_reference());
@@ -1068,7 +1032,7 @@ mod tests {
         // the other grouping: the truth is built in the half that never
         // compiled nvcc, from its own nvcc O0 build
         let mut c = CampaignMeta::generate(&config);
-        c.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut c, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let mut d = CampaignMeta::generate(&config);
         let session = crate::checkpoint::FtSession::plain();
         let status = crate::checkpoint::run_sides_ft(
@@ -1114,7 +1078,7 @@ mod tests {
     fn metrics_snapshot_survives_save_load_and_merge() {
         let config = cfg().with_programs(3);
         let mut a = CampaignMeta::generate(&config);
-        a.run_side(Toolchain::Nvcc);
+        run_sides_ft(&mut a, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let reg = obs::Registry::new();
         reg.counter("campaign.runs_done").add(10);
         reg.hist("span.campaign.generate").record(1234);
@@ -1131,7 +1095,7 @@ mod tests {
 
         // merging halves adds their telemetry together
         let mut b = CampaignMeta::generate(&config);
-        b.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut b, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let reg2 = obs::Registry::new();
         reg2.counter("campaign.runs_done").add(5);
         b.metrics = Some(reg2.snapshot());

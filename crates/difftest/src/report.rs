@@ -445,6 +445,9 @@ pub fn render_class_bars(stats: &LevelStats, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::campaign::{run_campaign, CampaignConfig, TestMode};
+    use crate::checkpoint::{run_sides_ft, FtSession};
+    use crate::side::Side;
+    use gpucc::ExecTier;
     use progen::ast::Precision;
 
     fn report() -> CampaignReport {
@@ -487,15 +490,14 @@ mod tests {
     #[test]
     fn verdict_table_renders_only_with_the_reference_side() {
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
         let r = report();
         assert_eq!(render_verdicts(&r), "", "two-side reports have no verdict table");
 
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(60);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
-        meta.run_reference();
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
         let s = render_verdicts(&crate::campaign::analyze(&meta));
         assert!(s.contains("WHO DRIFTED"), "{s}");
         for v in Verdict::ALL {
@@ -518,11 +520,10 @@ mod tests {
     #[test]
     fn failures_listing_reconciles_with_totals() {
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(60);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let report = crate::campaign::analyze(&meta);
         let listing = render_failures(&meta);
         let expected = report.total_discrepancies();
@@ -541,8 +542,8 @@ mod tests {
         use gpucc::pipeline::{OptLevel, Toolchain};
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(5);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         // forge one error of each kind into stored records
         let key = side_key(Toolchain::Nvcc, OptLevel::O0);
         let recs = meta.tests[0].results.get_mut(&key).unwrap();
@@ -561,13 +562,12 @@ mod tests {
     #[test]
     fn profile_table_shows_spans_counters_and_throughput() {
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
         obs::reset();
         obs::set_enabled(true);
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(20);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let snap = obs::snapshot();
         let s = render_profile(&snap);
         assert!(s.contains("CAMPAIGN PROFILE"));
@@ -606,15 +606,13 @@ mod tests {
     #[test]
     fn profile_labels_per_op_rows_by_execution_tier() {
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
-        use gpucc::ExecTier;
         obs::reset();
         obs::set_enabled(true);
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(6);
         let mut meta = CampaignMeta::generate(&cfg);
         // differential runs both tiers, so the profile must show one
         // labeled row per tier
-        meta.run_side_tier(Toolchain::Nvcc, ExecTier::Differential);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Differential);
         let snap = obs::snapshot();
         let s = render_profile(&snap);
         assert!(s.contains("-- Execution tiers --"), "{s}");
@@ -632,7 +630,7 @@ mod tests {
         // an interp-only campaign shows exactly the interp row
         obs::reset();
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side_tier(Toolchain::Nvcc, ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
         let s = render_profile(&obs::snapshot());
         assert!(s.lines().any(|l| l.starts_with("interp ")), "{s}");
         assert!(!s.lines().any(|l| l.starts_with("vm ")), "{s}");
@@ -683,11 +681,10 @@ mod tests {
     fn attribution_table_lists_rows_and_footer() {
         use crate::attribution::{attribute, UNATTRIBUTED};
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(60);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let attr = attribute(&meta);
         let s = render_attribution(&attr);
         assert!(s.contains("DISCREPANCIES BY RESPONSIBLE PASS"));

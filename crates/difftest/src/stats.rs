@@ -391,6 +391,7 @@ pub mod exception_diff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{run_sides_ft, FtSession};
     use gpusim::mathlib::MathFunc;
     use progen::gen::generate_batch;
     use progen::grammar::GenConfig;
@@ -439,13 +440,14 @@ mod tests {
         use super::exception_diff::analyze;
         use crate::campaign::{CampaignConfig, TestMode};
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
+        use crate::side::Side;
+        use gpucc::ExecTier;
         use progen::Precision;
 
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(40);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let rows = analyze(&meta);
         assert_eq!(rows.len(), 5);
         for (_, s) in &rows {
@@ -465,13 +467,14 @@ mod tests {
         use super::input_features::{analyze, features_of};
         use crate::campaign::{CampaignConfig, TestMode};
         use crate::metadata::CampaignMeta;
-        use gpucc::pipeline::Toolchain;
+        use crate::side::Side;
+        use gpucc::ExecTier;
         use progen::Precision;
 
         let cfg = CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(30);
         let mut meta = CampaignMeta::generate(&cfg);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         let report = analyze(&meta);
         let total_inputs = (cfg.n_programs * cfg.inputs_per_program) as u64;
         // every input lands in >= 1 feature row, and counts are bounded

@@ -15,14 +15,13 @@
 #![cfg(feature = "chaos")]
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
-use difftest::checkpoint::{
-    run_reference_ft, run_side_ft, Checkpoint, FtSession, FtStatus, Journal, UnitRecord,
-};
+use difftest::checkpoint::{run_sides_ft, Checkpoint, FtSession, FtStatus, Journal, UnitRecord};
 use difftest::fault::{self, FaultKind};
 use difftest::metadata::CampaignMeta;
 use difftest::par::with_threads;
 use difftest::side::Side;
 use gpucc::pipeline::Toolchain;
+use gpucc::ExecTier;
 use progen::Precision;
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
@@ -59,8 +58,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 fn reference(config: &CampaignConfig) -> String {
     let mut meta = CampaignMeta::generate(config);
-    meta.run_side(Toolchain::Nvcc);
-    meta.run_side(Toolchain::Hipcc);
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
     serde_json::to_string(&analyze(&meta)).unwrap()
 }
 
@@ -68,9 +67,9 @@ fn reference(config: &CampaignConfig) -> String {
 /// plane — the report gains per-pair stats and who-drifted verdicts.
 fn reference_three_side(config: &CampaignConfig) -> String {
     let mut meta = CampaignMeta::generate(config);
-    meta.run_side(Toolchain::Nvcc);
-    meta.run_side(Toolchain::Hipcc);
-    meta.run_reference();
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Reference], &FtSession::plain(), ExecTier::Interp);
     serde_json::to_string(&analyze(&meta)).unwrap()
 }
 
@@ -102,10 +101,10 @@ fn crash_then_resume_sides(
         let mut meta = CampaignMeta::generate(config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
         with_threads(threads, || {
-            let _ = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
-            let _ = run_side_ft(&mut meta, Toolchain::Hipcc, &session);
+            let _ = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
+            let _ = run_sides_ft(&mut meta, &[Side::Hipcc], &session, ExecTier::Interp);
             if with_reference {
-                let _ = run_reference_ft(&mut meta, &session);
+                let _ = run_sides_ft(&mut meta, &[Side::Reference], &session, ExecTier::Interp);
             }
         });
     }));
@@ -125,11 +124,15 @@ fn crash_then_resume_sides(
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        let status = with_threads(threads, || run_side_ft(&mut meta, tc, &session));
+        let status = with_threads(threads, || {
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp)
+        });
         assert_eq!(status, FtStatus::Complete);
     }
     if with_reference {
-        let status = with_threads(threads, || run_reference_ft(&mut meta, &session));
+        let status = with_threads(threads, || {
+            run_sides_ft(&mut meta, &[Side::Reference], &session, ExecTier::Interp)
+        });
         assert_eq!(status, FtStatus::Complete);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -199,7 +202,7 @@ fn injected_panics_are_quarantined_exactly_as_predicted() {
     assert!(victims.len() < 16, "and miss someone");
 
     let session = FtSession::new(None, None);
-    let status = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
+    let status = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
     gpucc::chaos::disarm();
     assert_eq!(status, FtStatus::Complete, "contained panics must not abort the campaign");
 
@@ -307,7 +310,7 @@ fn journal_io_error_mid_campaign_reports_io_status() {
     let session = FtSession::new(Some(ckpt.into_journal()), None);
     // every attempt fails: the first unit's append exhausts its retries
     difftest::chaos::arm_io_errors(u64::MAX);
-    let status = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
+    let status = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
     difftest::chaos::disarm();
     match status {
         FtStatus::IoError(e) => assert!(e.contains("ENOSPC"), "unexpected error text: {e}"),

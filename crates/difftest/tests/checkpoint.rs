@@ -6,12 +6,13 @@
 //! seeded panics) live in `tests/chaos.rs` behind the `chaos` feature.
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
-use difftest::checkpoint::{run_side_ft, Checkpoint, FtSession, FtStatus};
+use difftest::checkpoint::{run_sides_ft, Checkpoint, FtSession, FtStatus};
 use difftest::fault::{self, FaultKind};
 use difftest::metadata::CampaignMeta;
 use difftest::par::with_threads;
 use difftest::side::Side;
 use gpucc::pipeline::Toolchain;
+use gpucc::ExecTier;
 use progen::Precision;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -38,8 +39,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// generate-and-run-both-sides campaign.
 fn reference(config: &CampaignConfig) -> String {
     let mut meta = CampaignMeta::generate(config);
-    meta.run_side(Toolchain::Nvcc);
-    meta.run_side(Toolchain::Hipcc);
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+    run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
     serde_json::to_string(&analyze(&meta)).unwrap()
 }
 
@@ -51,7 +52,9 @@ fn run_killed_then_resumed(dir: &Path, config: &CampaignConfig, threads: usize) 
         let ckpt = Checkpoint::create(dir, config).unwrap();
         let mut meta = CampaignMeta::generate(config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        let status = with_threads(threads, || run_side_ft(&mut meta, Toolchain::Nvcc, &session));
+        let status = with_threads(threads, || {
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp)
+        });
         assert_eq!(status, FtStatus::Complete);
         // `meta`, `session`, and the journal handle drop here: the only
         // surviving state is the checkpoint directory, as after SIGKILL
@@ -67,7 +70,9 @@ fn run_killed_then_resumed(dir: &Path, config: &CampaignConfig, threads: usize) 
         "every nvcc unit must replay from the journal"
     );
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        let status = with_threads(threads, || run_side_ft(&mut meta, tc, &session));
+        let status = with_threads(threads, || {
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp)
+        });
         assert_eq!(status, FtStatus::Complete);
     }
     assert!(meta.is_complete());
@@ -99,7 +104,10 @@ fn truncated_journal_tail_is_rerun_not_fatal() {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let mut meta = CampaignMeta::generate(&config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     // chop bytes off the journal tail: the torn record is dropped on
     // resume and its unit simply re-runs
@@ -116,7 +124,10 @@ fn truncated_journal_tail_is_rerun_not_fatal() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft(&mut meta, tc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     assert_eq!(serde_json::to_string(&analyze(&meta)).unwrap(), expected);
     std::fs::remove_dir_all(&dir).ok();
@@ -135,7 +146,7 @@ fn shutdown_request_interrupts_and_resume_completes() {
         // the "SIGINT" lands before the run: every unit is skipped, the
         // side is NOT marked complete, and the status reports Interrupted
         fault::request_shutdown();
-        let status = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
+        let status = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
         fault::reset_shutdown();
         assert_eq!(status, FtStatus::Interrupted);
         assert!(!meta.sides_run.contains(&Side::Nvcc));
@@ -146,7 +157,10 @@ fn shutdown_request_interrupts_and_resume_completes() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft(&mut meta, tc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     assert_eq!(serde_json::to_string(&analyze(&meta)).unwrap(), expected);
     std::fs::remove_dir_all(&dir).ok();
@@ -160,7 +174,7 @@ fn plain_sessions_ignore_the_global_shutdown_flag() {
     fault::request_shutdown();
     let config = small(2);
     let mut meta = CampaignMeta::generate(&config);
-    meta.run_side(Toolchain::Nvcc);
+    run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
     fault::reset_shutdown();
     assert!(meta.sides_run.contains(&Side::Nvcc));
 }
@@ -173,7 +187,7 @@ fn fuel_exhaustion_quarantines_every_unit_and_campaign_completes() {
     config.budget.max_steps = 1; // every generated program exceeds this
     let mut meta = CampaignMeta::generate(&config);
     let session = FtSession::new(None, None);
-    let status = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
+    let status = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
     assert_eq!(status, FtStatus::Complete, "budget faults must not abort the campaign");
     let faults = session.faults();
     assert_eq!(faults.len(), config.n_programs * config.levels.len(), "one fault per unit");
@@ -197,7 +211,7 @@ fn max_faults_circuit_breaker_trips_and_skips_remaining_work() {
     config.budget.max_steps = 1;
     let mut meta = CampaignMeta::generate(&config);
     let session = FtSession::new(None, Some(0)); // tolerate zero faults
-    let status = run_side_ft(&mut meta, Toolchain::Nvcc, &session);
+    let status = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp);
     assert_eq!(status, FtStatus::FaultLimit);
     assert!(session.fault_limit_hit());
     assert!(!meta.sides_run.contains(&Side::Nvcc));
@@ -217,7 +231,10 @@ fn wall_clock_budget_quarantines_as_timeout() {
     config.budget.max_wall_ms = Some(0); // every run's deadline is already past
     let mut meta = CampaignMeta::generate(&config);
     let session = FtSession::new(None, None);
-    assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+    assert_eq!(
+        run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+        FtStatus::Complete
+    );
     let faults = session.faults();
     // programs short enough to finish before the first deadline poll
     // produce no fault; any fault that does occur must be a Timeout

@@ -15,8 +15,8 @@
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
 use difftest::checkpoint::{
-    encode_frame, run_side_ft, run_sides_ft, Checkpoint, FramedLog, FtSession, FtStatus, Journal,
-    UnitRecord, JOURNAL_MAGIC, JOURNAL_MAGIC_V2,
+    encode_frame, run_sides_ft, Checkpoint, FramedLog, FtSession, FtStatus, Journal, UnitRecord,
+    JOURNAL_MAGIC, JOURNAL_MAGIC_V2,
 };
 use difftest::metadata::CampaignMeta;
 use difftest::Side;
@@ -83,8 +83,8 @@ fn v2_journal_cut_mid_campaign_resumes_as_v3_to_the_uninterrupted_run() {
     obs::set_enabled(true);
     let (expected_report, expected_view) = {
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         (report(&meta), deterministic_view(&obs::snapshot()))
     };
 
@@ -95,7 +95,10 @@ fn v2_journal_cut_mid_campaign_resumes_as_v3_to_the_uninterrupted_run() {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let mut meta = CampaignMeta::generate(&config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     let path = Checkpoint::journal_path(&dir);
     let (_, units) = Journal::open_for_resume(&path).unwrap();
@@ -128,7 +131,10 @@ fn v2_journal_cut_mid_campaign_resumes_as_v3_to_the_uninterrupted_run() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, replayed);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft(&mut meta, tc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     drop(session);
     assert_eq!(report(&meta), expected_report, "resumed report differs");

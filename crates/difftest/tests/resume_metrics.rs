@@ -10,9 +10,11 @@
 //! registry, which tests in a shared binary would race on.
 
 use difftest::campaign::{CampaignConfig, TestMode};
-use difftest::checkpoint::{run_side_ft, Checkpoint, FtSession, FtStatus};
+use difftest::checkpoint::{run_sides_ft, Checkpoint, FtSession, FtStatus};
 use difftest::metadata::CampaignMeta;
+use difftest::Side;
 use gpucc::pipeline::Toolchain;
+use gpucc::ExecTier;
 use obs::MetricsSnapshot;
 use progen::Precision;
 use std::collections::BTreeMap;
@@ -61,8 +63,8 @@ fn resumed_campaign_metric_totals_match_an_uninterrupted_run() {
     obs::set_enabled(true);
     let expected = {
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         deterministic_view(&obs::snapshot())
     };
 
@@ -75,7 +77,10 @@ fn resumed_campaign_metric_totals_match_an_uninterrupted_run() {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let mut meta = CampaignMeta::generate(&config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
 
     // --- run 2: fresh "process" (registry wiped), resume and finish ---
@@ -86,7 +91,10 @@ fn resumed_campaign_metric_totals_match_an_uninterrupted_run() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft(&mut meta, tc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     let resumed = deterministic_view(&obs::snapshot());
     std::fs::remove_dir_all(&dir).ok();

@@ -8,9 +8,11 @@
 //! on.
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
-use difftest::checkpoint::{run_side_ft, Checkpoint, FtSession, FtStatus};
+use difftest::checkpoint::{run_sides_ft, Checkpoint, FtSession, FtStatus};
 use difftest::metadata::CampaignMeta;
+use difftest::Side;
 use gpucc::pipeline::Toolchain;
+use gpucc::ExecTier;
 use progen::Precision;
 
 #[test]
@@ -22,8 +24,8 @@ fn traced_kill_and_resume_report_is_byte_identical_to_untraced_run() {
     obs::set_enabled(true);
     let reference = {
         let mut meta = CampaignMeta::generate(&config);
-        meta.run_side(Toolchain::Nvcc);
-        meta.run_side(Toolchain::Hipcc);
+        run_sides_ft(&mut meta, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
+        run_sides_ft(&mut meta, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
         serde_json::to_vec(&analyze(&meta)).unwrap()
     };
 
@@ -37,7 +39,10 @@ fn traced_kill_and_resume_report_is_byte_identical_to_untraced_run() {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let mut meta = CampaignMeta::generate(&config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        assert_eq!(run_side_ft(&mut meta, Toolchain::Nvcc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     let first_events = obs::trace::stop();
     assert!(!first_events.is_empty(), "the traced half produced no events");
@@ -51,7 +56,10 @@ fn traced_kill_and_resume_report_is_byte_identical_to_untraced_run() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft(&mut meta, tc, &session), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Interp),
+            FtStatus::Complete
+        );
     }
     let events = obs::trace::stop();
     std::fs::remove_dir_all(&dir).ok();

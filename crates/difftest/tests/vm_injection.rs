@@ -17,9 +17,10 @@
 //! binary, so the stock difftest tests never see an armed bug.
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
-use difftest::checkpoint::{run_side_ft_tier, FtSession, FtStatus};
+use difftest::checkpoint::{run_sides_ft, FtSession, FtStatus};
 use difftest::fault::FaultKind;
 use difftest::metadata::CampaignMeta;
+use difftest::Side;
 use gpucc::pipeline::{compile, OptLevel, Toolchain};
 use gpucc::vm::execute_ir_tier;
 use gpucc::vm_inject::{arm, disarm, VmBug};
@@ -70,7 +71,7 @@ fn run_nvcc_side(
 ) -> (CampaignMeta, Vec<difftest::fault::TestFault>) {
     let mut meta = CampaignMeta::generate(config);
     let session = FtSession::new(None, None);
-    assert_eq!(run_side_ft_tier(&mut meta, Toolchain::Nvcc, &session, tier), FtStatus::Complete);
+    assert_eq!(run_sides_ft(&mut meta, &[Side::Nvcc], &session, tier), FtStatus::Complete);
     (meta, session.faults())
 }
 

@@ -14,8 +14,9 @@
 //! a test journaling concurrently would otherwise take the armed crash.
 
 use difftest::campaign::{analyze, CampaignConfig, TestMode};
-use difftest::checkpoint::{run_side_ft_tier, Checkpoint, FtSession, FtStatus};
+use difftest::checkpoint::{run_sides_ft, Checkpoint, FtSession, FtStatus};
 use difftest::metadata::CampaignMeta;
+use difftest::Side;
 use gpucc::pipeline::Toolchain;
 use gpucc::ExecTier;
 use progen::Precision;
@@ -43,7 +44,7 @@ fn full_run(config: &CampaignConfig, tier: ExecTier) -> String {
     let mut meta = CampaignMeta::generate(config);
     let session = FtSession::new(None, None);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft_tier(&mut meta, tc, &session, tier), FtStatus::Complete);
+        assert_eq!(run_sides_ft(&mut meta, &[tc.into()], &session, tier), FtStatus::Complete);
     }
     serde_json::to_string(&analyze(&meta)).unwrap()
 }
@@ -63,7 +64,7 @@ fn interrupted_run(
         let mut meta = CampaignMeta::generate(config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
         assert_eq!(
-            run_side_ft_tier(&mut meta, Toolchain::Nvcc, &session, first_tier),
+            run_sides_ft(&mut meta, &[Side::Nvcc], &session, first_tier),
             FtStatus::Complete
         );
     }
@@ -74,7 +75,10 @@ fn interrupted_run(
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft_tier(&mut meta, tc, &session, resume_tier), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, resume_tier),
+            FtStatus::Complete
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
     serde_json::to_string(&analyze(&meta)).unwrap()
@@ -131,8 +135,8 @@ fn chaos_killed_vm_campaign_recovers_byte_identical_across_tiers() {
         let ckpt = Checkpoint::create(&dir, &config).unwrap();
         let mut meta = CampaignMeta::generate(&config);
         let session = FtSession::new(Some(ckpt.into_journal()), None);
-        let _ = run_side_ft_tier(&mut meta, Toolchain::Nvcc, &session, ExecTier::Vm);
-        let _ = run_side_ft_tier(&mut meta, Toolchain::Hipcc, &session, ExecTier::Vm);
+        let _ = run_sides_ft(&mut meta, &[Side::Nvcc], &session, ExecTier::Vm);
+        let _ = run_sides_ft(&mut meta, &[Side::Hipcc], &session, ExecTier::Vm);
     }));
     difftest::chaos::disarm();
     assert!(crashed.is_err(), "the injected crash must propagate out of the campaign");
@@ -142,7 +146,10 @@ fn chaos_killed_vm_campaign_recovers_byte_identical_across_tiers() {
     let mut session = FtSession::new(Some(ckpt.into_journal()), None);
     session.apply_replay(&mut meta, units);
     for tc in [Toolchain::Nvcc, Toolchain::Hipcc] {
-        assert_eq!(run_side_ft_tier(&mut meta, tc, &session, ExecTier::Vm), FtStatus::Complete);
+        assert_eq!(
+            run_sides_ft(&mut meta, &[tc.into()], &session, ExecTier::Vm),
+            FtStatus::Complete
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
     let recovered = serde_json::to_string(&analyze(&meta)).unwrap();

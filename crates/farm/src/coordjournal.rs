@@ -210,6 +210,9 @@ impl CoordJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use difftest::checkpoint::run_sides_ft;
+    use difftest::FtSession;
+    use gpucc::ExecTier;
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -277,7 +280,7 @@ mod tests {
             let config = meta.config.clone();
             meta = CampaignMeta::generate_shard(&config, 1, 2);
             for side in difftest::Side::VENDORS {
-                meta.run_side(side.toolchain().expect("a vendor side has a toolchain"));
+                run_sides_ft(&mut meta, &[side], &FtSession::plain(), ExecTier::Interp);
             }
         }
         meta

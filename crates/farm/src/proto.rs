@@ -478,13 +478,15 @@ pub(crate) mod tests {
     /// A real shard result: shard 0 of 2 of a 4-program campaign, both
     /// vendors run, with telemetry and a quarantined fault.
     pub(crate) fn shard_result() -> CampaignMeta {
-        use difftest::{FaultKind, TestFault, TestMode};
+        use difftest::checkpoint::run_sides_ft;
+        use difftest::{FaultKind, FtSession, TestFault, TestMode};
+        use gpucc::ExecTier;
         let mut config =
             CampaignConfig::default_for(progen::Precision::F32, TestMode::Direct).with_programs(4);
         config.inputs_per_program = 1;
         let mut meta = CampaignMeta::generate_shard(&config, 0, 2);
         for side in difftest::Side::VENDORS {
-            meta.run_side(side.toolchain().expect("a vendor side has a toolchain"));
+            run_sides_ft(&mut meta, &[side], &FtSession::plain(), ExecTier::Interp);
         }
         let reg = obs::Registry::new();
         reg.counter("campaign.runs_done").add(20);

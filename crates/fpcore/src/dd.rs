@@ -408,6 +408,15 @@ impl Dd {
     }
 }
 
+impl PartialOrd for Dd {
+    /// The order of the represented values, [`Dd::cmp_val`]: NaN is
+    /// unordered, so every comparison with it is false except `!=`.
+    #[inline]
+    fn partial_cmp(&self, other: &Dd) -> Option<std::cmp::Ordering> {
+        self.cmp_val(*other)
+    }
+}
+
 impl Neg for Dd {
     type Output = Dd;
 

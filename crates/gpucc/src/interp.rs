@@ -1,13 +1,23 @@
-//! The kernel interpreter: executes compiled IR on a simulated device.
+//! The tree-walking executor: runs compiled IR in an arithmetic domain.
 //!
-//! This is the "run on the GPU" step of the pipeline. All basic arithmetic
-//! uses Rust's IEEE-754 ops (both real GPUs are correctly rounded there);
-//! math calls dispatch into the device's vendor library (accurate or fast
-//! entry points, per the kernel's compile flags); the device's FTZ/DAZ
-//! environment is applied around every operation; and the five IEEE
-//! exception events of Table II are tracked the way a binary-
-//! instrumentation tool (GPU-FPX, paper ref \[12\]) would reconstruct them.
+//! One walk (structured control flow, variable slots, the step budget
+//! and wall-clock deadline, store traces) serves two arithmetic
+//! `Domain`s, and a caller picks one by the entry point it calls:
+//!
+//! * The vendor domain, behind this module's `execute*` functions, is the
+//!   "run on the GPU" step of the pipeline. All basic arithmetic uses
+//!   Rust's IEEE-754 ops (both real GPUs are correctly rounded there);
+//!   math calls dispatch into the device's vendor library (accurate or
+//!   fast entry points, per the kernel's compile flags); the device's
+//!   FTZ/DAZ environment is applied around every operation; the five IEEE
+//!   exception events of Table II are tracked the way a binary-
+//!   instrumentation tool (GPU-FPX, paper ref \[12\]) would reconstruct
+//!   them; and every instruction is charged to the cost model.
+//! * The strict double-double truth domain, behind
+//!   [`crate::refexec::execute_reference_budgeted`], evaluates the same
+//!   walk over `fpcore::dd` values and keeps none of those books.
 
+use crate::bytecode::FmaKind;
 use crate::cost;
 use crate::ir::{
     FloatSlot, Inst, InstSeq, IntSlot, KernelIr, Node, Operand, ParamSlot, StoreTarget, Vars,
@@ -23,6 +33,8 @@ use gpusim::Device;
 use progen::ast::{BinOp, CmpOp, Param, Precision};
 use progen::inputs::{InputSet, InputValue, ARRAY_LEN};
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
+use std::ops::Neg;
 use std::time::Instant;
 
 /// Default cap on executed instructions (guards hand-written programs;
@@ -310,11 +322,28 @@ pub struct ExecutableKernel {
     pub(crate) comp: FloatSlot,
 }
 
+impl ExecutableKernel {
+    /// The kernel's IR.
+    pub fn ir(&self) -> &KernelIr {
+        &self.ir
+    }
+}
+
 /// Check that a compiled kernel can run, and keep it for execution. It
 /// fails on the malformed kernels [`crate::vm::compile_kernel`] rejects,
 /// with the same error.
+impl TryFrom<KernelIr> for ExecutableKernel {
+    type Error = ExecError;
+
+    fn try_from(ir: KernelIr) -> Result<ExecutableKernel, ExecError> {
+        Ok(ExecutableKernel { comp: comp_slot(&ir)?, ir })
+    }
+}
+
+/// [`ExecutableKernel::try_from`] on a copy of `ir`, for a caller that
+/// keeps the IR.
 pub fn prepare(ir: &KernelIr) -> Result<ExecutableKernel, ExecError> {
-    Ok(ExecutableKernel { comp: comp_slot(ir)?, ir: ir.clone() })
+    ExecutableKernel::try_from(ir.clone())
 }
 
 /// Execute a prepared kernel (single thread, tid 0) under the default
@@ -341,9 +370,9 @@ pub fn execute_prepared_budgeted(
 }
 
 /// One execution's variables: a value per float and int slot (`None`
-/// until something stores to it) and each array's elements. All three
-/// executors keep their variables here; the vm reuses one frame across
-/// a batch.
+/// until something stores to it) and each array's elements. The walk,
+/// in either domain, and the vm keep their variables here; the vm reuses
+/// one frame across a batch.
 pub(crate) struct Frame<V> {
     pub(crate) scalars: Vec<Option<V>>,
     pub(crate) ints: Vec<Option<i64>>,
@@ -416,15 +445,62 @@ fn run(
     budget: ExecBudget,
 ) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
     match ir.precision {
-        Precision::F64 => run_as::<f64>(ir, comp, device, inputs, traced, thread_idx, budget),
-        Precision::F32 => run_as::<f32>(ir, comp, device, inputs, traced, thread_idx, budget),
+        Precision::F64 => {
+            walk(ir, comp, Vendor::<f64>::new(device, ir), inputs, traced, thread_idx, budget)
+        }
+        Precision::F32 => {
+            walk(ir, comp, Vendor::<f32>::new(device, ir), inputs, traced, thread_idx, budget)
+        }
     }
 }
 
-fn run_as<T: DeviceFloat>(
+/// An arithmetic the walk evaluates IR in: what a value is, how each
+/// operation rounds, and what the domain tallies on the way. The
+/// bookkeeping hooks default to nothing, so a domain that keeps no books
+/// pays nothing for them in the walk.
+pub(crate) trait Domain {
+    /// A value in this arithmetic.
+    type Val: Copy + PartialOrd + Neg<Output = Self::Val>;
+    /// Zero: what a math call's missing second argument reads.
+    const ZERO: Self::Val;
+
+    /// A host value (an input, a constant, an int read) as a value.
+    fn lift(&self, x: f64) -> Self::Val;
+    /// `x op y`.
+    fn bin(&mut self, op: BinOp, x: Self::Val, y: Self::Val) -> Self::Val;
+    /// The fused multiply-add variant `kind` of `x`, `y` and `z`.
+    fn fused(&mut self, kind: FmaKind, x: Self::Val, y: Self::Val, z: Self::Val) -> Self::Val;
+    /// The reciprocal (only fast-math IR holds one).
+    fn rcp(&mut self, x: Self::Val) -> Self::Val;
+    /// Math-library entry point `f` (unary functions ignore `b`).
+    fn call(&mut self, f: MathFunc, a: Self::Val, b: Self::Val) -> Self::Val;
+    /// A value as the kernel prints it, rounded to the kernel's precision.
+    fn round(&self, v: Self::Val) -> ExecValue;
+    /// Record one finished execution of `steps` instructions, timed from
+    /// `t`, in the telemetry (called only while it is enabled).
+    fn flush(&self, steps: u64, t: Option<Instant>);
+
+    /// Charge the issue slots of one instruction.
+    fn charge_inst(&mut self, _inst: &Inst) {}
+    /// Charge `slots` issue slots of a store, branch or loop iteration.
+    fn charge(&mut self, _slots: u64) {}
+    /// The IEEE exception events raised so far.
+    fn exceptions(&self) -> ExceptionFlags {
+        ExceptionFlags::new()
+    }
+    /// The issue slots charged so far.
+    fn cost(&self) -> u64 {
+        0
+    }
+}
+
+/// Run `ir` once in the domain `dom`: bind `inputs`, walk the body
+/// within `budget`, and return the value of `comp` with `dom`'s books
+/// (and every store, if `traced`).
+pub(crate) fn walk<D: Domain>(
     ir: &KernelIr,
     comp: FloatSlot,
-    device: &Device,
+    dom: D,
     inputs: &InputSet,
     traced: bool,
     thread_idx: u32,
@@ -433,17 +509,12 @@ fn run_as<T: DeviceFloat>(
     #[cfg(feature = "chaos")]
     crate::chaos::maybe_panic(&ir.program_id);
     let mut frame = Frame::new(&ir.vars);
-    frame.bind(&ir.params, &ir.vars, inputs, T::from_f64)?;
-    let env = device.fp_env(ir.flags.fast_math);
-    let mut m = Machine::<T> {
-        device,
+    frame.bind(&ir.params, &ir.vars, inputs, |x| dom.lift(x))?;
+    let mut m = Machine {
         ir,
-        ftz: T::ftz_mode(&env),
+        dom,
         frame,
-        exceptions: ExceptionFlags::new(),
-        cost: 0,
         steps: 0,
-        math_calls: [0; MathFunc::COUNT],
         trace: if traced { Some(Vec::new()) } else { None },
         thread_idx,
         budget,
@@ -456,63 +527,32 @@ fn run_as<T: DeviceFloat>(
     // Flush the locally tallied telemetry once per execution — the hot
     // loop itself touches only the stack-local Machine fields.
     if obs::enabled() {
-        static EXECS: obs::Name = obs::Name::new("interp.execs");
-        static OPS: obs::Name = obs::Name::new("interp.ops");
-        static EXEC_NS: obs::Name = obs::Name::new("interp.execns");
-        static NS_PER_OP: obs::Name = obs::Name::new("interp.nsperop");
-        EXECS.add(1);
-        OPS.add(m.steps);
-        if let Some(t) = exec_t {
-            let ns = t.elapsed().as_nanos() as u64;
-            EXEC_NS.record(ns);
-            NS_PER_OP.record(ns / m.steps.max(1));
-            if obs::trace::active() {
-                obs::trace::emit(
-                    "interp.exec",
-                    t,
-                    ns,
-                    vec![("program", ir.program_id.as_str().into()), ("steps", m.steps.into())],
-                );
-            }
-        }
-        let names = crate::names::ExecNames::interp();
-        for (i, &n) in m.math_calls.iter().enumerate() {
-            if n > 0 {
-                obs::add_id(names.mathcall(device.kind, MathFunc::ALL[i]), n as u64);
-            }
-        }
-        for e in m.exceptions.iter() {
-            obs::add_id(names.fpexc(e), 1);
-        }
+        m.dom.flush(m.steps, exec_t);
     }
     let value = m.frame.scalars[comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
     Ok((
         ExecResult {
-            value: value.exec_value(),
-            exceptions: m.exceptions,
-            cost_slots: m.cost,
+            value: m.dom.round(value),
+            exceptions: m.dom.exceptions(),
+            cost_slots: m.dom.cost(),
             steps: m.steps,
         },
         m.trace.unwrap_or_default(),
     ))
 }
 
-struct Machine<'a, T: DeviceFloat> {
-    device: &'a Device,
+struct Machine<'a, D: Domain> {
     ir: &'a KernelIr,
-    ftz: FtzMode,
-    frame: Frame<T>,
-    exceptions: ExceptionFlags,
-    cost: u64,
+    dom: D,
+    frame: Frame<D::Val>,
     steps: u64,
-    math_calls: [u32; MathFunc::COUNT],
     trace: Option<Vec<TraceEvent>>,
     thread_idx: u32,
     budget: ExecBudget,
     deadline: Option<Instant>,
 }
 
-impl<'a, T: DeviceFloat> Machine<'a, T> {
+impl<'a, D: Domain> Machine<'a, D> {
     fn run_nodes(&mut self, nodes: &[Node]) -> Result<(), ExecError> {
         let vars = &self.ir.vars;
         for node in nodes {
@@ -524,7 +564,7 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                             if let Some(trace) = &mut self.trace {
                                 trace.push(TraceEvent {
                                     target: vars.floats[slot].clone(),
-                                    bits: v.exec_value().bits(),
+                                    bits: self.dom.round(v).bits(),
                                 });
                             }
                             self.frame.scalars[slot] = Some(v);
@@ -534,20 +574,20 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                             if let Some(trace) = &mut self.trace {
                                 trace.push(TraceEvent {
                                     target: format!("{}[{i}]", vars.arrays[arr]),
-                                    bits: v.exec_value().bits(),
+                                    bits: self.dom.round(v).bits(),
                                 });
                             }
                             *self.frame.arrays[arr].get_mut(i).ok_or_else(|| {
                                 ExecError::OutOfBounds(vars.arrays[arr].clone())
                             })? = v;
-                            self.cost += 4; // store
+                            self.dom.charge(4); // store
                         }
                     }
                 }
                 Node::If { lhs, op, rhs, body } => {
                     let a = self.eval_seq(lhs)?;
                     let b = self.eval_seq(rhs)?;
-                    self.cost += 2; // compare + branch
+                    self.dom.charge(2); // compare + branch
                     if compare(*op, a, b) {
                         self.run_nodes(body)?;
                     }
@@ -558,7 +598,7 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                     let n = n.clamp(0, ARRAY_LEN as i64);
                     for i in 0..n {
                         self.frame.ints[*var] = Some(i);
-                        self.cost += cost::LOOP_OVERHEAD;
+                        self.dom.charge(cost::LOOP_OVERHEAD);
                         self.run_nodes(body)?;
                     }
                 }
@@ -567,9 +607,9 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
         Ok(())
     }
 
-    fn eval_seq(&mut self, seq: &InstSeq) -> Result<T, ExecError> {
+    fn eval_seq(&mut self, seq: &InstSeq) -> Result<D::Val, ExecError> {
         let vars = &self.ir.vars;
-        let mut values: Vec<T> = Vec::with_capacity(seq.insts.len());
+        let mut values: Vec<D::Val> = Vec::with_capacity(seq.insts.len());
         for inst in &seq.insts {
             self.steps += 1;
             if self.steps > self.budget.max_steps {
@@ -588,21 +628,19 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                     }
                 }
             }
-            self.cost += cost::inst_cost(inst, self.ir.precision, self.ir.flags);
-            let operand = |o: Operand, values: &[T]| -> T {
-                match o {
-                    Operand::Const(c) => T::from_f64(c),
-                    Operand::Inst(i) => values[i],
-                }
+            self.dom.charge_inst(inst);
+            let operand = |o: Operand, values: &[D::Val]| match o {
+                Operand::Const(c) => self.dom.lift(c),
+                Operand::Inst(i) => values[i],
             };
             let v = match inst {
-                Inst::Const(c) => T::from_f64(*c),
+                Inst::Const(c) => self.dom.lift(*c),
                 Inst::ReadVar(slot) => self.frame.scalars[*slot]
                     .ok_or_else(|| ExecError::UnknownVar(vars.floats[*slot].clone()))?,
                 Inst::ReadIntAsFloat(slot) => {
                     let i = self.frame.ints[*slot]
                         .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
-                    T::from_f64(i as f64)
+                    self.dom.lift(i as f64)
                 }
                 Inst::ReadArr(arr, idx) => {
                     let i = self.frame.index(*idx)?;
@@ -610,77 +648,157 @@ impl<'a, T: DeviceFloat> Machine<'a, T> {
                         .get(i)
                         .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[*arr].clone()))?
                 }
-                Inst::ReadThreadIdx => T::from_f64(f64::from(self.thread_idx)),
+                Inst::ReadThreadIdx => self.dom.lift(f64::from(self.thread_idx)),
                 Inst::Neg(a) => -operand(*a, &values),
                 Inst::Bin(op, a, b) => {
-                    let x = operand(*a, &values).apply_daz(self.ftz);
-                    let y = operand(*b, &values).apply_daz(self.ftz);
-                    let (r, aop) = match op {
-                        BinOp::Add => (x + y, ArithOp::Add),
-                        BinOp::Sub => (x - y, ArithOp::Sub),
-                        BinOp::Mul => (x * y, ArithOp::Mul),
-                        BinOp::Div => (x / y, ArithOp::Div),
+                    self.dom.bin(*op, operand(*a, &values), operand(*b, &values))
+                }
+                Inst::Fma(a, b, c) | Inst::Fms(a, b, c) | Inst::Fnma(a, b, c) => {
+                    let kind = match inst {
+                        Inst::Fma(..) => FmaKind::Fma,
+                        Inst::Fms(..) => FmaKind::Fms,
+                        _ => FmaKind::Fnma,
                     };
-                    self.exceptions.merge(T::detect_exceptions(aop, x, y, r));
-                    r.apply_ftz(self.ftz)
+                    let [x, y, z] = [a, b, c].map(|o| operand(*o, &values));
+                    self.dom.fused(kind, x, y, z)
                 }
-                Inst::Fma(a, b, c) => {
-                    let x = operand(*a, &values).apply_daz(self.ftz);
-                    let y = operand(*b, &values).apply_daz(self.ftz);
-                    let z = operand(*c, &values).apply_daz(self.ftz);
-                    let r = x.mul_add(y, z);
-                    self.record_nonbin_exceptions(&[x, y, z], r);
-                    r.apply_ftz(self.ftz)
-                }
-                Inst::Fms(a, b, c) => {
-                    let x = operand(*a, &values).apply_daz(self.ftz);
-                    let y = operand(*b, &values).apply_daz(self.ftz);
-                    let z = operand(*c, &values).apply_daz(self.ftz);
-                    let r = x.mul_add(y, -z);
-                    self.record_nonbin_exceptions(&[x, y, z], r);
-                    r.apply_ftz(self.ftz)
-                }
-                Inst::Fnma(a, b, c) => {
-                    let x = operand(*a, &values).apply_daz(self.ftz);
-                    let y = operand(*b, &values).apply_daz(self.ftz);
-                    let z = operand(*c, &values).apply_daz(self.ftz);
-                    let r = (-x).mul_add(y, z);
-                    self.record_nonbin_exceptions(&[x, y, z], r);
-                    r.apply_ftz(self.ftz)
-                }
-                Inst::Rcp(a) => {
-                    let x = operand(*a, &values);
-                    let r = T::rcp(x);
-                    self.record_nonbin_exceptions(&[x], r);
-                    r
-                }
+                Inst::Rcp(a) => self.dom.rcp(operand(*a, &values)),
                 Inst::Call(f, args) => {
-                    self.math_calls[f.index()] += 1;
-                    let a = args
-                        .first()
-                        .map(|o| operand(*o, &values).apply_daz(self.ftz))
-                        .unwrap_or(T::ZERO);
-                    let b = args
-                        .get(1)
-                        .map(|o| operand(*o, &values).apply_daz(self.ftz))
-                        .unwrap_or(T::ZERO);
-                    let r = T::math_call(self.device, self.ir.flags.fast_math, *f, a, b);
-                    self.record_nonbin_exceptions(&[a, b], r);
-                    r.apply_ftz(self.ftz)
+                    let a = args.first().map_or(D::ZERO, |o| operand(*o, &values));
+                    let b = args.get(1).map_or(D::ZERO, |o| operand(*o, &values));
+                    self.dom.call(*f, a, b)
                 }
             };
             values.push(v);
         }
         Ok(match seq.result {
-            Operand::Const(c) => T::from_f64(c),
+            Operand::Const(c) => self.dom.lift(c),
             Operand::Inst(i) => values[i],
         })
     }
+}
 
-    /// Exception reconstruction for non-binary operations (FMA, calls,
-    /// reciprocal): classify from operand/result patterns.
-    fn record_nonbin_exceptions(&mut self, args: &[T], r: T) {
-        nonbin_exceptions(args, r, &mut self.exceptions);
+/// The vendor arithmetic: `T` on a device, under the device's FTZ/DAZ
+/// mode and math library, reconstructing IEEE exception events, charging
+/// the cost model and tallying math calls.
+struct Vendor<'a, T> {
+    device: &'a Device,
+    ir: &'a KernelIr,
+    ftz: FtzMode,
+    exceptions: ExceptionFlags,
+    cost: u64,
+    math_calls: [u32; MathFunc::COUNT],
+    value: PhantomData<T>,
+}
+
+impl<'a, T: DeviceFloat> Vendor<'a, T> {
+    fn new(device: &'a Device, ir: &'a KernelIr) -> Vendor<'a, T> {
+        Vendor {
+            device,
+            ir,
+            ftz: T::ftz_mode(&device.fp_env(ir.flags.fast_math)),
+            exceptions: ExceptionFlags::new(),
+            cost: 0,
+            math_calls: [0; MathFunc::COUNT],
+            value: PhantomData,
+        }
+    }
+}
+
+impl<T: DeviceFloat> Domain for Vendor<'_, T> {
+    type Val = T;
+    const ZERO: T = T::ZERO;
+
+    fn lift(&self, x: f64) -> T {
+        T::from_f64(x)
+    }
+
+    fn bin(&mut self, op: BinOp, x: T, y: T) -> T {
+        let (x, y) = (x.apply_daz(self.ftz), y.apply_daz(self.ftz));
+        let (r, aop) = match op {
+            BinOp::Add => (x + y, ArithOp::Add),
+            BinOp::Sub => (x - y, ArithOp::Sub),
+            BinOp::Mul => (x * y, ArithOp::Mul),
+            BinOp::Div => (x / y, ArithOp::Div),
+        };
+        self.exceptions.merge(T::detect_exceptions(aop, x, y, r));
+        r.apply_ftz(self.ftz)
+    }
+
+    fn fused(&mut self, kind: FmaKind, x: T, y: T, z: T) -> T {
+        let (x, y, z) = (x.apply_daz(self.ftz), y.apply_daz(self.ftz), z.apply_daz(self.ftz));
+        let r = match kind {
+            FmaKind::Fma => x.mul_add(y, z),
+            FmaKind::Fms => x.mul_add(y, -z),
+            FmaKind::Fnma => (-x).mul_add(y, z),
+        };
+        nonbin_exceptions(&[x, y, z], r, &mut self.exceptions);
+        r.apply_ftz(self.ftz)
+    }
+
+    fn rcp(&mut self, x: T) -> T {
+        let r = T::rcp(x);
+        nonbin_exceptions(&[x], r, &mut self.exceptions);
+        r
+    }
+
+    fn call(&mut self, f: MathFunc, a: T, b: T) -> T {
+        self.math_calls[f.index()] += 1;
+        let (a, b) = (a.apply_daz(self.ftz), b.apply_daz(self.ftz));
+        let r = T::math_call(self.device, self.ir.flags.fast_math, f, a, b);
+        nonbin_exceptions(&[a, b], r, &mut self.exceptions);
+        r.apply_ftz(self.ftz)
+    }
+
+    fn round(&self, v: T) -> ExecValue {
+        v.exec_value()
+    }
+
+    fn flush(&self, steps: u64, t: Option<Instant>) {
+        static EXECS: obs::Name = obs::Name::new("interp.execs");
+        static OPS: obs::Name = obs::Name::new("interp.ops");
+        static EXEC_NS: obs::Name = obs::Name::new("interp.execns");
+        static NS_PER_OP: obs::Name = obs::Name::new("interp.nsperop");
+        EXECS.add(1);
+        OPS.add(steps);
+        if let Some(t) = t {
+            let ns = t.elapsed().as_nanos() as u64;
+            EXEC_NS.record(ns);
+            NS_PER_OP.record(ns / steps.max(1));
+            if obs::trace::active() {
+                obs::trace::emit(
+                    "interp.exec",
+                    t,
+                    ns,
+                    vec![("program", self.ir.program_id.as_str().into()), ("steps", steps.into())],
+                );
+            }
+        }
+        let names = crate::names::ExecNames::interp();
+        for (i, &n) in self.math_calls.iter().enumerate() {
+            if n > 0 {
+                obs::add_id(names.mathcall(self.device.kind, MathFunc::ALL[i]), n as u64);
+            }
+        }
+        for e in self.exceptions.iter() {
+            obs::add_id(names.fpexc(e), 1);
+        }
+    }
+
+    fn charge_inst(&mut self, inst: &Inst) {
+        self.cost += cost::inst_cost(inst, self.ir.precision, self.ir.flags);
+    }
+
+    fn charge(&mut self, slots: u64) {
+        self.cost += slots;
+    }
+
+    fn exceptions(&self) -> ExceptionFlags {
+        self.exceptions
+    }
+
+    fn cost(&self) -> u64 {
+        self.cost
     }
 }
 
@@ -701,8 +819,8 @@ pub(crate) fn nonbin_exceptions<T: GpuFloat>(args: &[T], r: T, exceptions: &mut 
 }
 
 /// IEEE comparison semantics: any comparison with NaN is false, except
-/// `!=` which is true.
-pub(crate) fn compare<T: GpuFloat>(op: CmpOp, a: T, b: T) -> bool {
+/// `!=` which is true. Both domains' values order this way.
+pub(crate) fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
         CmpOp::Lt => a < b,
         CmpOp::Le => a <= b,

@@ -7,7 +7,8 @@
 //!   `if`/`for` stay structured (the kernels Varity emits are reducible by
 //!   construction). Variables are dense slots, with one name table per
 //!   kernel. It is the only IR between the AST and the bytecode: the
-//!   passes, the listing and all three executors read it.
+//!   passes, the listing, the tree walk and the bytecode lowering read
+//!   it.
 //! * [`lower`] — AST → IR lowering (compound assignments are expanded, so
 //!   passes see the full data flow; every variable gets its slot).
 //! * [`passes`] — the optimization passes: constant folding, FMA
@@ -18,17 +19,19 @@
 //!   The two toolchains differ exactly where the real ones do: FMA
 //!   association preference, and the fast-math sets (`-ffast-math` vs
 //!   `-DHIP_FAST_MATH`, which omits finite-math-only — paper §III-D).
-//! * [`interp`] — executes compiled IR against a `gpusim::Device`,
-//!   tracking IEEE exception flags and an operation-cost estimate. It is
-//!   the vendor-faithful executor both campaign sides run on.
+//! * [`interp`] — the one tree-walking executor: a single walk over the
+//!   IR, generic over an arithmetic domain. Its vendor domain executes
+//!   compiled IR against a `gpusim::Device`, tracking IEEE exception
+//!   flags and an operation-cost estimate; it is the vendor-faithful
+//!   executor both campaign sides run on.
 //! * [`vm`] — the compiled execution tier: IR lowered once to a flat,
 //!   register-allocated bytecode and run by a dispatch loop, proved
 //!   bit-identical to [`interp`] by a differential test battery and an
 //!   [`vm::ExecTier::Differential`] runtime mode.
-//! * [`refexec`] — the extended-precision ground-truth executor: the
-//!   same IR evaluated over `fpcore::dd` double-double values
-//!   with a single final rounding, providing the campaign's third
-//!   (`reference`) side and the "who drifted" verdicts.
+//! * [`refexec`] — the extended-precision ground truth: the walk's
+//!   second domain, evaluating the same IR over `fpcore::dd`
+//!   double-double values with a single final rounding, providing the
+//!   campaign's third (`reference`) side and the "who drifted" verdicts.
 //! * [`cost`] — the per-instruction cost model behind the simulated
 //!   runtimes of the paper's Table I.
 

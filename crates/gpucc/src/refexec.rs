@@ -3,11 +3,12 @@
 //! The campaign's two vendor sides can only be compared *against each
 //! other* — a discrepancy says the toolchains disagree, never which one
 //! drifted from the true value. This module adds the third side of the
-//! comparison plane: a strict reference executor that evaluates the same
-//! slot-addressed IR over [`fpcore::dd::Dd`] double-double values
-//! (~106-bit significand) and rounds **once** at the very end, so the
-//! result is the correctly-rounded-from-truth value for the whole
-//! kernel rather than a chain of per-operation roundings.
+//! comparison plane: the strict double-double truth domain of the one
+//! tree walk in [`crate::interp`]. It evaluates the same slot-addressed
+//! IR over [`fpcore::dd::Dd`] values (~106-bit significand) and rounds
+//! **once** at the very end, so the result is the correctly-rounded-
+//! from-truth value for the whole kernel rather than a chain of
+//! per-operation roundings.
 //!
 //! Semantics are deliberately strict:
 //!
@@ -16,36 +17,39 @@
 //! * math calls dispatch to the double-double ports in [`fpcore::dd`]
 //!   (the divergence-prone entry points — `fmod`, `ceil`, the
 //!   transcendentals — are genuine extended-precision implementations,
-//!   not round-trips through the vendor libraries);
+//!   not round-trips through the vendor libraries), whatever the
+//!   kernel's fast-math flags say;
 //! * control flow (`if` comparisons, loop bounds) follows the *true*
 //!   values, because the reference answers "what should this kernel
 //!   have computed", not "what did a particular rounding schedule do".
 //!
-//! Inputs and literal constants are first rounded to the kernel's
-//! storage precision (`f32` for FP32 kernels) before being lifted into
-//! double-double: the reference answers for the same bit-level inputs
-//! the vendor kernels actually received.
+//! Inputs, literal constants and int reads are first rounded to the
+//! kernel's storage precision (`f32` for FP32 kernels) before being
+//! lifted into double-double: the reference answers for the same
+//! bit-level inputs the vendor kernels actually received.
+//!
+//! The walk's budget, deadline and error texts are the vendor domain's;
+//! the truth keeps no vendor books (no cost model, no exception events,
+//! no math-call tally) and records `reference.*` telemetry instead of
+//! `interp.*`.
 //!
 //! The executor is only meaningful on strict (non-fast-math) O0 IR —
 //! fast-math cells have no single true value to compare against, which
 //! is exactly why the verdict layer marks them `TruthUndecided`.
 
-use crate::interp::{
-    ExecBudget, ExecError, ExecResult, ExecValue, ExecutableKernel, Frame, DEADLINE_POLL_MASK,
-};
-use crate::ir::{Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
+use crate::bytecode::FmaKind;
+use crate::interp::{walk, Domain, ExecBudget, ExecError, ExecResult, ExecValue, ExecutableKernel};
 use fpcore::dd::Dd;
-use fpcore::exceptions::ExceptionFlags;
 use gpusim::mathlib::MathFunc;
-use progen::ast::CmpOp;
-use progen::inputs::{InputSet, ARRAY_LEN};
+use progen::ast::BinOp;
+use progen::inputs::InputSet;
 use progen::Precision;
 use std::time::Instant;
 
 /// Evaluate one math-library entry point over double-double values.
 ///
-/// Unary functions ignore `b` (the caller binds missing arguments to
-/// zero, mirroring the interpreter).
+/// Unary functions ignore `b` (the walk binds missing arguments to
+/// zero).
 pub fn dd_math_call(f: MathFunc, a: Dd, b: Dd) -> Dd {
     match f {
         MathFunc::Sin => a.sin(),
@@ -87,25 +91,6 @@ pub fn dd_math_call(f: MathFunc, a: Dd, b: Dd) -> Dd {
     }
 }
 
-/// IEEE comparison semantics over double-double values: any comparison
-/// involving NaN is false, except `!=` which is true. Mirrors
-/// [`crate::interp`]'s `compare` so control flow classifies identically
-/// when values agree.
-fn compare_dd(op: CmpOp, a: Dd, b: Dd) -> bool {
-    use std::cmp::Ordering;
-    match a.cmp_val(b) {
-        None => op == CmpOp::Ne,
-        Some(ord) => match op {
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-        },
-    }
-}
-
 /// Execute a prepared kernel over double-double values under an explicit
 /// fuel budget, rounding once to the kernel's precision at the end.
 ///
@@ -117,189 +102,75 @@ pub fn execute_reference_budgeted(
     inputs: &InputSet,
     budget: ExecBudget,
 ) -> Result<ExecResult, ExecError> {
-    let ir = &kernel.ir;
-    #[cfg(feature = "chaos")]
-    crate::chaos::maybe_panic(&ir.program_id);
-    let mut frame = Frame::new(&ir.vars);
-    frame.bind(&ir.params, &ir.vars, inputs, |x| lift(ir.precision, x))?;
-    let mut m = RefMachine {
-        ir,
-        frame,
-        steps: 0,
-        budget,
-        deadline: budget
-            .max_wall_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
-    };
-    let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
-    m.run_nodes(&ir.body)?;
-    if obs::enabled() {
+    let truth = Truth(kernel.ir.precision);
+    // untraced, one thread at tid 0: the campaign runs every side that way
+    walk(&kernel.ir, kernel.comp, truth, inputs, false, 0, budget).map(|(r, _)| r)
+}
+
+/// The strict double-double arithmetic, for a kernel of one precision.
+/// It has no FPU status register, so it raises no exception events:
+/// those are a property of a particular rounding schedule, which the
+/// single-rounding truth deliberately does not have.
+struct Truth(Precision);
+
+impl Domain for Truth {
+    type Val = Dd;
+    const ZERO: Dd = Dd::ZERO;
+
+    /// Lift through the kernel's storage precision: FP32 kernels round
+    /// to f32 first (exactly what the vendor domain's `T::from_f64`
+    /// does), so the truth answers for the same bit-level inputs.
+    fn lift(&self, x: f64) -> Dd {
+        match self.0 {
+            Precision::F64 => Dd::from_f64(x),
+            Precision::F32 => Dd::from_f64((x as f32) as f64),
+        }
+    }
+
+    fn bin(&mut self, op: BinOp, x: Dd, y: Dd) -> Dd {
+        match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+        }
+    }
+
+    fn fused(&mut self, kind: FmaKind, a: Dd, b: Dd, c: Dd) -> Dd {
+        match kind {
+            FmaKind::Fma => a * b + c,
+            FmaKind::Fms => a * b - c,
+            FmaKind::Fnma => c - a * b,
+        }
+    }
+
+    fn rcp(&mut self, x: Dd) -> Dd {
+        x.recip()
+    }
+
+    fn call(&mut self, f: MathFunc, a: Dd, b: Dd) -> Dd {
+        dd_math_call(f, a, b)
+    }
+
+    fn round(&self, v: Dd) -> ExecValue {
+        match self.0 {
+            Precision::F64 => ExecValue::F64(v.to_f64()),
+            Precision::F32 => ExecValue::F32(v.to_f32()),
+        }
+    }
+
+    fn flush(&self, steps: u64, t: Option<Instant>) {
         static EXECS: obs::Name = obs::Name::new("reference.execs");
         static OPS: obs::Name = obs::Name::new("reference.ops");
         static EXEC_NS: obs::Name = obs::Name::new("reference.execns");
         static NS_PER_OP: obs::Name = obs::Name::new("reference.nsperop");
         EXECS.add(1);
-        OPS.add(m.steps);
-        if let Some(t) = exec_t {
+        OPS.add(steps);
+        if let Some(t) = t {
             let ns = t.elapsed().as_nanos() as u64;
             EXEC_NS.record(ns);
-            NS_PER_OP.record(ns / m.steps.max(1));
+            NS_PER_OP.record(ns / steps.max(1));
         }
-    }
-    let truth = m.frame.scalars[kernel.comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
-    let value = match ir.precision {
-        Precision::F64 => ExecValue::F64(truth.to_f64()),
-        Precision::F32 => ExecValue::F32(truth.to_f32()),
-    };
-    Ok(ExecResult {
-        value,
-        // the reference has no FPU status register: IEEE exception events
-        // are a property of a particular rounding schedule, which the
-        // single-rounding truth deliberately does not have
-        exceptions: ExceptionFlags::new(),
-        cost_slots: 0,
-        steps: m.steps,
-    })
-}
-
-/// Lift a host value into double-double through the kernel's storage
-/// precision: FP32 kernels round to f32 first (exactly what the vendor
-/// interpreters' `T::from_f64` does), so the reference answers for the
-/// same bit-level inputs.
-fn lift(precision: Precision, x: f64) -> Dd {
-    match precision {
-        Precision::F64 => Dd::from_f64(x),
-        Precision::F32 => Dd::from_f64((x as f32) as f64),
-    }
-}
-
-struct RefMachine<'a> {
-    ir: &'a KernelIr,
-    frame: Frame<Dd>,
-    steps: u64,
-    budget: ExecBudget,
-    deadline: Option<Instant>,
-}
-
-impl<'a> RefMachine<'a> {
-    fn lift(&self, x: f64) -> Dd {
-        lift(self.ir.precision, x)
-    }
-
-    fn run_nodes(&mut self, nodes: &[Node]) -> Result<(), ExecError> {
-        let vars = &self.ir.vars;
-        for node in nodes {
-            match node {
-                Node::Store { target, seq } => {
-                    let v = self.eval_seq(seq)?;
-                    match *target {
-                        StoreTarget::Var(slot) => self.frame.scalars[slot] = Some(v),
-                        StoreTarget::Arr(arr, idx) => {
-                            let i = self.frame.index(idx)?;
-                            *self.frame.arrays[arr].get_mut(i).ok_or_else(|| {
-                                ExecError::OutOfBounds(vars.arrays[arr].clone())
-                            })? = v;
-                        }
-                    }
-                }
-                Node::If { lhs, op, rhs, body } => {
-                    let a = self.eval_seq(lhs)?;
-                    let b = self.eval_seq(rhs)?;
-                    if compare_dd(*op, a, b) {
-                        self.run_nodes(body)?;
-                    }
-                }
-                Node::For { var, bound, body } => {
-                    let n = self.frame.ints[*bound]
-                        .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
-                    let n = n.clamp(0, ARRAY_LEN as i64);
-                    for i in 0..n {
-                        self.frame.ints[*var] = Some(i);
-                        self.run_nodes(body)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn eval_seq(&mut self, seq: &InstSeq) -> Result<Dd, ExecError> {
-        let vars = &self.ir.vars;
-        let mut values: Vec<Dd> = Vec::with_capacity(seq.insts.len());
-        for inst in &seq.insts {
-            self.steps += 1;
-            if self.steps > self.budget.max_steps {
-                return Err(ExecError::StepLimit {
-                    budget: self.budget.max_steps,
-                    steps: self.steps,
-                });
-            }
-            if self.steps & DEADLINE_POLL_MASK == 0 {
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        return Err(ExecError::Timeout {
-                            budget_ms: self.budget.max_wall_ms.unwrap_or(0),
-                            steps: self.steps,
-                        });
-                    }
-                }
-            }
-            let operand = |o: Operand, values: &[Dd]| -> Dd {
-                match o {
-                    Operand::Const(c) => self.lift(c),
-                    Operand::Inst(i) => values[i],
-                }
-            };
-            let v = match inst {
-                Inst::Const(c) => self.lift(*c),
-                Inst::ReadVar(slot) => self.frame.scalars[*slot]
-                    .ok_or_else(|| ExecError::UnknownVar(vars.floats[*slot].clone()))?,
-                Inst::ReadIntAsFloat(slot) => {
-                    let i = self.frame.ints[*slot]
-                        .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
-                    self.lift(i as f64)
-                }
-                Inst::ReadArr(arr, idx) => {
-                    let i = self.frame.index(*idx)?;
-                    *self.frame.arrays[*arr]
-                        .get(i)
-                        .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[*arr].clone()))?
-                }
-                // truth runs one thread, tid 0 — same as the campaign
-                Inst::ReadThreadIdx => Dd::ZERO,
-                Inst::Neg(a) => -operand(*a, &values),
-                Inst::Bin(op, a, b) => {
-                    let x = operand(*a, &values);
-                    let y = operand(*b, &values);
-                    match op {
-                        progen::ast::BinOp::Add => x + y,
-                        progen::ast::BinOp::Sub => x - y,
-                        progen::ast::BinOp::Mul => x * y,
-                        progen::ast::BinOp::Div => x / y,
-                    }
-                }
-                Inst::Fma(a, b, c) => {
-                    operand(*a, &values) * operand(*b, &values) + operand(*c, &values)
-                }
-                Inst::Fms(a, b, c) => {
-                    operand(*a, &values) * operand(*b, &values) - operand(*c, &values)
-                }
-                Inst::Fnma(a, b, c) => {
-                    operand(*c, &values) - operand(*a, &values) * operand(*b, &values)
-                }
-                Inst::Rcp(a) => operand(*a, &values).recip(),
-                Inst::Call(f, args) => {
-                    let a = args.first().map(|o| operand(*o, &values)).unwrap_or(Dd::ZERO);
-                    let b = args.get(1).map(|o| operand(*o, &values)).unwrap_or(Dd::ZERO);
-                    dd_math_call(*f, a, b)
-                }
-            };
-            values.push(v);
-        }
-        Ok(match seq.result {
-            Operand::Const(c) => self.lift(c),
-            Operand::Inst(i) => values[i],
-        })
     }
 }
 

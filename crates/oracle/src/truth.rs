@@ -11,7 +11,9 @@
 //!
 //! * **availability** — whenever the strict quirkless `O0`
 //!   interpretation of a program executes, the reference executor must
-//!   too (same fuel accounting, no extra failure modes);
+//!   too. Both are domains of one tree walk, so they share its fuel
+//!   accounting and failure modes by construction; the check guards the
+//!   truth's entry point;
 //! * **toolchain invariance** — the truth evaluates real-valued
 //!   semantics, so the `O0` lowerings of the same program by *both*
 //!   toolchains must produce bit-identical truth. A difference means a

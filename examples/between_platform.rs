@@ -9,9 +9,11 @@
 //! Run with: `cargo run --release --example between_platform`
 
 use gpu_numerics::difftest::campaign::{analyze, CampaignConfig, TestMode};
+use gpu_numerics::difftest::checkpoint::{run_sides_ft, FtSession};
 use gpu_numerics::difftest::metadata::CampaignMeta;
 use gpu_numerics::difftest::report::render_digest;
-use gpu_numerics::gpucc::pipeline::Toolchain;
+use gpu_numerics::difftest::Side;
+use gpu_numerics::gpucc::ExecTier;
 use gpu_numerics::progen::Precision;
 
 fn main() {
@@ -25,7 +27,7 @@ fn main() {
     // ---- cluster C1 (the NVIDIA system) ----
     println!("[C1/Lassen-sim] generating tests and running the nvcc side…");
     let mut c1 = CampaignMeta::generate(&config);
-    c1.run_side(Toolchain::Nvcc);
+    run_sides_ft(&mut c1, &[Side::Nvcc], &FtSession::plain(), ExecTier::Interp);
     c1.save(&c1_path).expect("save C1 metadata");
     println!("[C1/Lassen-sim] saved {} tests to {}", c1.tests.len(), c1_path.display());
 
@@ -39,7 +41,7 @@ fn main() {
         let p = c2.program_for(test);
         assert_eq!(p.id, test.program_id);
     }
-    c2.run_side(Toolchain::Hipcc);
+    run_sides_ft(&mut c2, &[Side::Hipcc], &FtSession::plain(), ExecTier::Interp);
     c2.save(&c2_path).expect("save C2 metadata");
 
     // ---- merge + analyze ----
