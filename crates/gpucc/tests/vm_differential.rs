@@ -239,3 +239,88 @@ fn regression_seed_14694207246130447361_index_3_shape_2_fp32() {
 fn regression_seed_9705314128433047_index_17_max_steps_1() {
     budget_parity_case(9705314128433047, 17, 1).unwrap();
 }
+
+/// Both tiers record the same per-run telemetry over one corpus: every
+/// `interp.X` counter equals `vm.X` and the reverse (`execs`, `ops`, each
+/// `mathcall.*` and each `fpexc.*`), and the `execns`/`nsperop`
+/// histograms hold one sample per run in each. The corpus spans both
+/// precisions, both toolchains and all five levels on quirky devices,
+/// with special-value inputs, so DAZ/FTZ, `Rcp`, math calls on both
+/// vendors and every IEEE exception fire.
+#[test]
+fn both_tiers_record_the_same_telemetry() {
+    use gpucc::ir::Inst;
+    use std::collections::BTreeMap;
+
+    let mut corpus = Vec::new();
+    for precision in [Precision::F64, Precision::F32] {
+        let cfg = GenConfig::varity_default(precision);
+        for index in 0..12 {
+            let program = generate_program(&cfg, 2024, index);
+            let pool = input_pool(&program, 2024);
+            for tc in Toolchain::ALL {
+                for level in OptLevel::ALL {
+                    corpus.push((
+                        compile(&program, tc, level, false),
+                        device_for(tc),
+                        pool.clone(),
+                    ));
+                }
+            }
+        }
+    }
+    let mut rcps = 0;
+    for (ir, ..) in &corpus {
+        ir.for_each_seq(&mut |seq| {
+            rcps += seq.insts.iter().filter(|i| matches!(i, Inst::Rcp(_))).count()
+        });
+    }
+    assert!(rcps > 0, "the corpus holds no Rcp");
+
+    let budget = ExecBudget::default();
+    let ((), walk) = obs::with_capture(|| {
+        for (ir, device, pool) in &corpus {
+            let kernel = interp::prepare(ir).expect("interp prepare");
+            for inputs in pool {
+                interp::execute_prepared_budgeted(&kernel, device, inputs, budget).expect("interp");
+            }
+        }
+    });
+    let ((), bytecode) = obs::with_capture(|| {
+        for (ir, device, pool) in &corpus {
+            let kernel = vm::compile_kernel(ir).expect("vm compile");
+            for r in vm::execute_batch(&kernel, device, pool, budget) {
+                r.expect("vm");
+            }
+        }
+    });
+
+    let under = |snap: &obs::MetricsSnapshot, tier: &str| -> BTreeMap<String, u64> {
+        let prefix = format!("{tier}.");
+        snap.counters
+            .iter()
+            .filter_map(|(k, v)| Some((k.strip_prefix(&prefix)?.to_string(), *v)))
+            .collect()
+    };
+    let counters = under(&walk, "interp");
+    assert_eq!(counters, under(&bytecode, "vm"), "interp.* and vm.* counters differ");
+    assert!(under(&walk, "vm").is_empty() && under(&bytecode, "interp").is_empty());
+
+    let runs: u64 = corpus.iter().map(|(.., pool)| pool.len() as u64).sum();
+    assert_eq!(counters["execs"], runs);
+    assert!(counters["ops"] > runs);
+    for e in fpcore::exceptions::FpException::ALL {
+        assert!(counters.get(&format!("fpexc.{e}")).is_some_and(|&n| n > 0), "{e} never fired");
+    }
+    for d in DeviceKind::ALL {
+        let calls = format!("mathcall.{}.", d.short());
+        assert!(counters.keys().any(|k| k.starts_with(&calls)), "no math call on {d:?}");
+    }
+    for hist in ["execns", "nsperop"] {
+        let samples = |snap: &obs::MetricsSnapshot, tier: &str| {
+            snap.hists.get(&format!("{tier}.{hist}")).map_or(0, |h| h.count)
+        };
+        assert_eq!(samples(&walk, "interp"), runs, "interp.{hist}");
+        assert_eq!(samples(&bytecode, "vm"), runs, "vm.{hist}");
+    }
+}
