@@ -1,8 +1,8 @@
 //! The tree-walking executor: runs compiled IR in an arithmetic domain.
 //!
-//! One walk (structured control flow, variable slots, the step budget
-//! and wall-clock deadline, store traces) serves two arithmetic
-//! `Domain`s, and a caller picks one by the entry point it calls:
+//! One walk (structured control flow, variable slots, store traces)
+//! serves two arithmetic `Domain`s, and a caller picks one by the entry
+//! point it calls:
 //!
 //! * The vendor domain, behind this module's `execute*` functions, is the
 //!   "run on the GPU" step of the pipeline. All basic arithmetic uses
@@ -16,12 +16,19 @@
 //! * The strict double-double truth domain, behind
 //!   [`crate::refexec::execute_reference_budgeted`], evaluates the same
 //!   walk over `fpcore::dd` values and keeps none of those books.
+//!
+//! The bytecode vm ([`crate::vm`]) dispatches differently but executes
+//! through this module too: the vendor domain's operations and telemetry
+//! flush, the step meter (budget and wall-clock deadline) and the frame's
+//! reads and writes, with their error texts, exist once, here.
 
 use crate::bytecode::FmaKind;
 use crate::cost;
 use crate::ir::{
-    FloatSlot, Inst, InstSeq, IntSlot, KernelIr, Node, Operand, ParamSlot, StoreTarget, Vars,
+    ArraySlot, CompileFlags, FloatSlot, Inst, InstSeq, IntSlot, KernelIr, Node, Operand, ParamSlot,
+    StoreTarget, Vars,
 };
+use crate::names::ExecNames;
 use fpcore::classify::Outcome;
 use fpcore::exceptions::{ArithOp, ExceptionFlags, FpException};
 use fpcore::ftz::FtzMode;
@@ -42,10 +49,10 @@ use std::time::Instant;
 /// it per run via [`ExecBudget`].
 pub const STEP_LIMIT: u64 = 10_000_000;
 
-/// How often (in executed instructions) the interpreter polls the
+/// How often (in executed instructions) the step meter polls the
 /// wall-clock deadline. Chosen so the `Instant::now` cost disappears
 /// into the per-instruction work.
-pub(crate) const DEADLINE_POLL_MASK: u64 = 0xFF;
+const DEADLINE_POLL_MASK: u64 = 0xFF;
 
 /// Per-execution fuel budget: a hard instruction cap plus an optional
 /// wall-clock deadline. The default reproduces the historical
@@ -428,10 +435,94 @@ impl<V: Copy> Frame<V> {
         Ok(())
     }
 
+    /// The value of float slot `slot`; reading it unset names it.
+    #[inline]
+    pub(crate) fn float(&self, vars: &Vars, slot: FloatSlot) -> Result<V, ExecError> {
+        self.scalars[slot].ok_or_else(|| ExecError::UnknownVar(vars.floats[slot].clone()))
+    }
+
+    /// The value of int slot `slot`.
+    #[inline]
+    pub(crate) fn int(&self, slot: IntSlot) -> Result<i64, ExecError> {
+        self.ints[slot].ok_or_else(|| ExecError::UnknownVar("int".into()))
+    }
+
+    /// `arr[idx]`.
+    #[inline]
+    pub(crate) fn load(&self, vars: &Vars, arr: ArraySlot, idx: IntSlot) -> Result<V, ExecError> {
+        let i = self.index(idx)?;
+        self.arrays[arr]
+            .get(i)
+            .copied()
+            .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[arr].clone()))
+    }
+
+    /// `arr[idx] = v`; returns the index written.
+    #[inline]
+    pub(crate) fn store(
+        &mut self,
+        vars: &Vars,
+        arr: ArraySlot,
+        idx: IntSlot,
+        v: V,
+    ) -> Result<usize, ExecError> {
+        let i = self.index(idx)?;
+        *self.arrays[arr]
+            .get_mut(i)
+            .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[arr].clone()))? = v;
+        Ok(i)
+    }
+
+    /// How many times a loop bounded by int slot `bound` runs: its value,
+    /// clamped to `0..=ARRAY_LEN`.
+    #[inline]
+    pub(crate) fn trips(&self, bound: IntSlot) -> Result<i64, ExecError> {
+        let n = self.ints[bound].ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
+        Ok(n.clamp(0, ARRAY_LEN as i64))
+    }
+
     /// The current value of the int slot an array access indexes with.
-    pub(crate) fn index(&self, idx: IntSlot) -> Result<usize, ExecError> {
+    fn index(&self, idx: IntSlot) -> Result<usize, ExecError> {
         let i = self.ints[idx].ok_or_else(|| ExecError::UnknownVar("index".into()))?;
         usize::try_from(i).map_err(|_| ExecError::OutOfBounds("index".into()))
+    }
+}
+
+/// The instructions one run has retired, against its budget. Every value
+/// instruction of the walk, in either domain, and of the vm retires
+/// through [`Meter::step`], so `StepLimit` and `Timeout` trip on the same
+/// instruction whichever tier runs.
+pub(crate) struct Meter {
+    pub(crate) steps: u64,
+    budget: ExecBudget,
+    deadline: Option<Instant>,
+}
+
+impl Meter {
+    /// A meter for one run, its wall-clock deadline counted from now.
+    pub(crate) fn new(budget: ExecBudget) -> Meter {
+        let deadline =
+            budget.max_wall_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
+        Meter { steps: 0, budget, deadline }
+    }
+
+    /// Retire one instruction, checked before it executes; poll the
+    /// deadline every 256 instructions.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Result<(), ExecError> {
+        self.steps += 1;
+        if self.steps > self.budget.max_steps {
+            return Err(ExecError::StepLimit { budget: self.budget.max_steps, steps: self.steps });
+        }
+        if self.steps & DEADLINE_POLL_MASK == 0 {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() >= deadline {
+                    let budget_ms = self.budget.max_wall_ms.unwrap_or(0);
+                    return Err(ExecError::Timeout { budget_ms, steps: self.steps });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -446,24 +537,29 @@ fn run(
 ) -> Result<(ExecResult, Vec<TraceEvent>), ExecError> {
     match ir.precision {
         Precision::F64 => {
-            walk(ir, comp, Vendor::<f64>::new(device, ir), inputs, traced, thread_idx, budget)
+            let vendor = Vendor::<f64>::new(device, ir.precision, ir.flags);
+            walk(ir, comp, vendor, inputs, traced, thread_idx, budget)
         }
         Precision::F32 => {
-            walk(ir, comp, Vendor::<f32>::new(device, ir), inputs, traced, thread_idx, budget)
+            let vendor = Vendor::<f32>::new(device, ir.precision, ir.flags);
+            walk(ir, comp, vendor, inputs, traced, thread_idx, budget)
         }
     }
 }
 
 /// An arithmetic the walk evaluates IR in: what a value is, how each
 /// operation rounds, and what the domain tallies on the way. The
-/// bookkeeping hooks default to nothing, so a domain that keeps no books
-/// pays nothing for them in the walk.
+/// bookkeeping hooks default to nothing (and the flush to the per-run
+/// metrics alone), so a domain that keeps no books pays nothing for them
+/// in the walk.
 pub(crate) trait Domain {
     /// A value in this arithmetic.
     type Val: Copy + PartialOrd + Neg<Output = Self::Val>;
     /// Zero: what a math call's missing second argument reads.
     const ZERO: Self::Val;
 
+    /// The metric namespace the walk records this domain's runs under.
+    fn walk_names() -> &'static ExecNames;
     /// A host value (an input, a constant, an int read) as a value.
     fn lift(&self, x: f64) -> Self::Val;
     /// `x op y`.
@@ -476,22 +572,28 @@ pub(crate) trait Domain {
     fn call(&mut self, f: MathFunc, a: Self::Val, b: Self::Val) -> Self::Val;
     /// A value as the kernel prints it, rounded to the kernel's precision.
     fn round(&self, v: Self::Val) -> ExecValue;
-    /// Record one finished execution of `steps` instructions, timed from
-    /// `t`, in the telemetry (called only while it is enabled).
-    fn flush(&self, steps: u64, t: Option<Instant>);
 
+    /// The result of a run that retired `steps` instructions and left
+    /// `comp` at `value`, with the domain's books.
+    fn result(&self, value: Self::Val, steps: u64) -> ExecResult {
+        ExecResult {
+            value: self.round(value),
+            exceptions: ExceptionFlags::new(),
+            cost_slots: 0,
+            steps,
+        }
+    }
+    /// Record one finished run of `program` that retired `steps`
+    /// instructions, timed from `t`, under `names` (called only while
+    /// telemetry is enabled).
+    fn flush(&self, names: &ExecNames, _program: &str, steps: u64, t: Option<Instant>) {
+        names.record_run(steps, t);
+    }
     /// Charge the issue slots of one instruction.
     fn charge_inst(&mut self, _inst: &Inst) {}
-    /// Charge `slots` issue slots of a store, branch or loop iteration.
+    /// Charge `slots` issue slots: an instruction's precomputed cost, or
+    /// a store, branch or loop iteration.
     fn charge(&mut self, _slots: u64) {}
-    /// The IEEE exception events raised so far.
-    fn exceptions(&self) -> ExceptionFlags {
-        ExceptionFlags::new()
-    }
-    /// The issue slots charged so far.
-    fn cost(&self) -> u64 {
-        0
-    }
 }
 
 /// Run `ir` once in the domain `dom`: bind `inputs`, walk the body
@@ -510,46 +612,26 @@ pub(crate) fn walk<D: Domain>(
     crate::chaos::maybe_panic(&ir.program_id);
     let mut frame = Frame::new(&ir.vars);
     frame.bind(&ir.params, &ir.vars, inputs, |x| dom.lift(x))?;
-    let mut m = Machine {
-        ir,
-        dom,
-        frame,
-        steps: 0,
-        trace: if traced { Some(Vec::new()) } else { None },
-        thread_idx,
-        budget,
-        deadline: budget
-            .max_wall_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
-    };
+    let trace = if traced { Some(Vec::new()) } else { None };
+    let mut m = Machine { ir, dom, frame, meter: Meter::new(budget), trace, thread_idx };
     let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
     m.run_nodes(&ir.body)?;
     // Flush the locally tallied telemetry once per execution — the hot
     // loop itself touches only the stack-local Machine fields.
     if obs::enabled() {
-        m.dom.flush(m.steps, exec_t);
+        m.dom.flush(D::walk_names(), &ir.program_id, m.meter.steps, exec_t);
     }
-    let value = m.frame.scalars[comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
-    Ok((
-        ExecResult {
-            value: m.dom.round(value),
-            exceptions: m.dom.exceptions(),
-            cost_slots: m.dom.cost(),
-            steps: m.steps,
-        },
-        m.trace.unwrap_or_default(),
-    ))
+    let value = m.frame.float(&ir.vars, comp)?;
+    Ok((m.dom.result(value, m.meter.steps), m.trace.unwrap_or_default()))
 }
 
 struct Machine<'a, D: Domain> {
     ir: &'a KernelIr,
     dom: D,
     frame: Frame<D::Val>,
-    steps: u64,
+    meter: Meter,
     trace: Option<Vec<TraceEvent>>,
     thread_idx: u32,
-    budget: ExecBudget,
-    deadline: Option<Instant>,
 }
 
 impl<'a, D: Domain> Machine<'a, D> {
@@ -570,16 +652,13 @@ impl<'a, D: Domain> Machine<'a, D> {
                             self.frame.scalars[slot] = Some(v);
                         }
                         StoreTarget::Arr(arr, idx) => {
-                            let i = self.frame.index(idx)?;
+                            let i = self.frame.store(vars, arr, idx, v)?;
                             if let Some(trace) = &mut self.trace {
                                 trace.push(TraceEvent {
                                     target: format!("{}[{i}]", vars.arrays[arr]),
                                     bits: self.dom.round(v).bits(),
                                 });
                             }
-                            *self.frame.arrays[arr].get_mut(i).ok_or_else(|| {
-                                ExecError::OutOfBounds(vars.arrays[arr].clone())
-                            })? = v;
                             self.dom.charge(4); // store
                         }
                     }
@@ -593,10 +672,7 @@ impl<'a, D: Domain> Machine<'a, D> {
                     }
                 }
                 Node::For { var, bound, body } => {
-                    let n = self.frame.ints[*bound]
-                        .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
-                    let n = n.clamp(0, ARRAY_LEN as i64);
-                    for i in 0..n {
+                    for i in 0..self.frame.trips(*bound)? {
                         self.frame.ints[*var] = Some(i);
                         self.dom.charge(cost::LOOP_OVERHEAD);
                         self.run_nodes(body)?;
@@ -611,23 +687,7 @@ impl<'a, D: Domain> Machine<'a, D> {
         let vars = &self.ir.vars;
         let mut values: Vec<D::Val> = Vec::with_capacity(seq.insts.len());
         for inst in &seq.insts {
-            self.steps += 1;
-            if self.steps > self.budget.max_steps {
-                return Err(ExecError::StepLimit {
-                    budget: self.budget.max_steps,
-                    steps: self.steps,
-                });
-            }
-            if self.steps & DEADLINE_POLL_MASK == 0 {
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        return Err(ExecError::Timeout {
-                            budget_ms: self.budget.max_wall_ms.unwrap_or(0),
-                            steps: self.steps,
-                        });
-                    }
-                }
-            }
+            self.meter.step()?;
             self.dom.charge_inst(inst);
             let operand = |o: Operand, values: &[D::Val]| match o {
                 Operand::Const(c) => self.dom.lift(c),
@@ -635,19 +695,9 @@ impl<'a, D: Domain> Machine<'a, D> {
             };
             let v = match inst {
                 Inst::Const(c) => self.dom.lift(*c),
-                Inst::ReadVar(slot) => self.frame.scalars[*slot]
-                    .ok_or_else(|| ExecError::UnknownVar(vars.floats[*slot].clone()))?,
-                Inst::ReadIntAsFloat(slot) => {
-                    let i = self.frame.ints[*slot]
-                        .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
-                    self.dom.lift(i as f64)
-                }
-                Inst::ReadArr(arr, idx) => {
-                    let i = self.frame.index(*idx)?;
-                    *self.frame.arrays[*arr]
-                        .get(i)
-                        .ok_or_else(|| ExecError::OutOfBounds(vars.arrays[*arr].clone()))?
-                }
+                Inst::ReadVar(slot) => self.frame.float(vars, *slot)?,
+                Inst::ReadIntAsFloat(slot) => self.dom.lift(self.frame.int(*slot)? as f64),
+                Inst::ReadArr(arr, idx) => self.frame.load(vars, *arr, *idx)?,
                 Inst::ReadThreadIdx => self.dom.lift(f64::from(self.thread_idx)),
                 Inst::Neg(a) => -operand(*a, &values),
                 Inst::Bin(op, a, b) => {
@@ -680,26 +730,37 @@ impl<'a, D: Domain> Machine<'a, D> {
 
 /// The vendor arithmetic: `T` on a device, under the device's FTZ/DAZ
 /// mode and math library, reconstructing IEEE exception events, charging
-/// the cost model and tallying math calls.
-struct Vendor<'a, T> {
+/// the cost model and tallying math calls. The walk and the vm build one
+/// per run and execute every operation through it, so each vendor rule
+/// exists once, whichever tier runs.
+pub(crate) struct Vendor<'a, T> {
     device: &'a Device,
-    ir: &'a KernelIr,
+    precision: Precision,
+    flags: CompileFlags,
     ftz: FtzMode,
     exceptions: ExceptionFlags,
     cost: u64,
     math_calls: [u32; MathFunc::COUNT],
+    /// `vm-inject`'s `DropFtzFlush`: `bin` keeps the subnormal results
+    /// the device would flush. Only the vm sets it, once per run.
+    #[cfg(feature = "vm-inject")]
+    pub(crate) drop_ftz_flush: bool,
     value: PhantomData<T>,
 }
 
 impl<'a, T: DeviceFloat> Vendor<'a, T> {
-    fn new(device: &'a Device, ir: &'a KernelIr) -> Vendor<'a, T> {
+    /// A fresh vendor run of a kernel of `precision` compiled with `flags`.
+    pub(crate) fn new(device: &'a Device, precision: Precision, flags: CompileFlags) -> Self {
         Vendor {
             device,
-            ir,
-            ftz: T::ftz_mode(&device.fp_env(ir.flags.fast_math)),
+            precision,
+            flags,
+            ftz: T::ftz_mode(&device.fp_env(flags.fast_math)),
             exceptions: ExceptionFlags::new(),
             cost: 0,
             math_calls: [0; MathFunc::COUNT],
+            #[cfg(feature = "vm-inject")]
+            drop_ftz_flush: false,
             value: PhantomData,
         }
     }
@@ -709,10 +770,16 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
     type Val = T;
     const ZERO: T = T::ZERO;
 
+    fn walk_names() -> &'static ExecNames {
+        ExecNames::interp()
+    }
+
+    #[inline]
     fn lift(&self, x: f64) -> T {
         T::from_f64(x)
     }
 
+    #[inline]
     fn bin(&mut self, op: BinOp, x: T, y: T) -> T {
         let (x, y) = (x.apply_daz(self.ftz), y.apply_daz(self.ftz));
         let (r, aop) = match op {
@@ -722,9 +789,14 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
             BinOp::Div => (x / y, ArithOp::Div),
         };
         self.exceptions.merge(T::detect_exceptions(aop, x, y, r));
+        #[cfg(feature = "vm-inject")]
+        if self.drop_ftz_flush {
+            return r;
+        }
         r.apply_ftz(self.ftz)
     }
 
+    #[inline]
     fn fused(&mut self, kind: FmaKind, x: T, y: T, z: T) -> T {
         let (x, y, z) = (x.apply_daz(self.ftz), y.apply_daz(self.ftz), z.apply_daz(self.ftz));
         let r = match kind {
@@ -736,16 +808,18 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
         r.apply_ftz(self.ftz)
     }
 
+    #[inline]
     fn rcp(&mut self, x: T) -> T {
         let r = T::rcp(x);
         nonbin_exceptions(&[x], r, &mut self.exceptions);
         r
     }
 
+    #[inline]
     fn call(&mut self, f: MathFunc, a: T, b: T) -> T {
         self.math_calls[f.index()] += 1;
         let (a, b) = (a.apply_daz(self.ftz), b.apply_daz(self.ftz));
-        let r = T::math_call(self.device, self.ir.flags.fast_math, f, a, b);
+        let r = T::math_call(self.device, self.flags.fast_math, f, a, b);
         nonbin_exceptions(&[a, b], r, &mut self.exceptions);
         r.apply_ftz(self.ftz)
     }
@@ -754,27 +828,20 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
         v.exec_value()
     }
 
-    fn flush(&self, steps: u64, t: Option<Instant>) {
-        static EXECS: obs::Name = obs::Name::new("interp.execs");
-        static OPS: obs::Name = obs::Name::new("interp.ops");
-        static EXEC_NS: obs::Name = obs::Name::new("interp.execns");
-        static NS_PER_OP: obs::Name = obs::Name::new("interp.nsperop");
-        EXECS.add(1);
-        OPS.add(steps);
-        if let Some(t) = t {
-            let ns = t.elapsed().as_nanos() as u64;
-            EXEC_NS.record(ns);
-            NS_PER_OP.record(ns / steps.max(1));
+    fn result(&self, value: T, steps: u64) -> ExecResult {
+        let (exceptions, cost_slots) = (self.exceptions, self.cost);
+        ExecResult { value: value.exec_value(), exceptions, cost_slots, steps }
+    }
+
+    /// The per-run metrics, then the `{tier}.exec` trace event and the
+    /// run's math-call and exception tallies.
+    fn flush(&self, names: &ExecNames, program: &str, steps: u64, t: Option<Instant>) {
+        if let (Some(ns), Some(t)) = (names.record_run(steps, t), t) {
             if obs::trace::active() {
-                obs::trace::emit(
-                    "interp.exec",
-                    t,
-                    ns,
-                    vec![("program", self.ir.program_id.as_str().into()), ("steps", steps.into())],
-                );
+                let args = vec![("program", program.into()), ("steps", steps.into())];
+                obs::trace::emit(names.event, t, ns, args);
             }
         }
-        let names = crate::names::ExecNames::interp();
         for (i, &n) in self.math_calls.iter().enumerate() {
             if n > 0 {
                 obs::add_id(names.mathcall(self.device.kind, MathFunc::ALL[i]), n as u64);
@@ -786,25 +853,18 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
     }
 
     fn charge_inst(&mut self, inst: &Inst) {
-        self.cost += cost::inst_cost(inst, self.ir.precision, self.ir.flags);
+        self.cost += cost::inst_cost(inst, self.precision, self.flags);
     }
 
+    #[inline]
     fn charge(&mut self, slots: u64) {
         self.cost += slots;
     }
-
-    fn exceptions(&self) -> ExceptionFlags {
-        self.exceptions
-    }
-
-    fn cost(&self) -> u64 {
-        self.cost
-    }
 }
 
-/// Exception reconstruction for non-binary operations, shared by the
-/// interpreter and the bytecode vm so both tiers classify identically.
-pub(crate) fn nonbin_exceptions<T: GpuFloat>(args: &[T], r: T, exceptions: &mut ExceptionFlags) {
+/// Exception reconstruction for the fused, reciprocal and math-call
+/// operations (binary arithmetic uses `detect_exceptions`).
+fn nonbin_exceptions<T: GpuFloat>(args: &[T], r: T, exceptions: &mut ExceptionFlags) {
     let any_nan = args.iter().any(|a| a.is_nan());
     let all_finite = args.iter().all(|a| a.is_finite());
     if r.is_nan() && !any_nan {

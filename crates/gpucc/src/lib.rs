@@ -25,9 +25,11 @@
 //!   flags and an operation-cost estimate; it is the vendor-faithful
 //!   executor both campaign sides run on.
 //! * [`vm`] — the compiled execution tier: IR lowered once to a flat,
-//!   register-allocated bytecode and run by a dispatch loop, proved
-//!   bit-identical to [`interp`] by a differential test battery and an
-//!   [`vm::ExecTier::Differential`] runtime mode.
+//!   register-allocated bytecode and run by a dispatch loop. Only the
+//!   dispatch is its own: it executes through [`interp`]'s vendor
+//!   arithmetic, step meter, frame and telemetry flush, and a
+//!   differential test battery and an [`vm::ExecTier::Differential`]
+//!   runtime mode check it bit for bit against the walk.
 //! * [`refexec`] — the extended-precision ground truth: the walk's
 //!   second domain, evaluating the same IR over `fpcore::dd`
 //!   double-double values with a single final rounding, providing the

@@ -1,7 +1,8 @@
 //! Interned telemetry names.
 //!
-//! The executors tally math calls and IEEE exceptions per execution, and
-//! the compile pipeline records rewrites and time per pass per compile.
+//! The executors record their runs, steps and time and tally math calls
+//! and IEEE exceptions per execution, and the compile pipeline records
+//! rewrites and time per pass per compile.
 //! Their metric names are built and interned here once, on first use,
 //! so the hot paths hand `obs` a metric [`Id`] — an array index — instead
 //! of `format!`ting a fresh `String` or looking a name up per record.
@@ -12,41 +13,72 @@ use gpusim::mathlib::MathFunc;
 use gpusim::DeviceKind;
 use obs::Id;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Every stage name [`crate::pipeline`] records a `PassStat` under, in
 /// pipeline order: the front-end reassociation, then the IR passes.
 pub(crate) const PASS_NAMES: [&str; 7] =
     ["reassoc", "const-fold", "finite-math", "recip", "fma-contract", "cse", "dce"];
 
-/// One executor's per-run counter ids (`{tier}.mathcall.{vendor}.{fn}`
-/// and `{tier}.fpexc.{flag}`).
+/// One executor's per-run metric ids (`{tier}.execs`, `{tier}.ops`,
+/// `{tier}.execns`, `{tier}.nsperop`, `{tier}.mathcall.{vendor}.{fn}` and
+/// `{tier}.fpexc.{flag}`) and the trace event a timed vendor run emits.
 pub(crate) struct ExecNames {
+    /// The `{tier}.exec` trace event (the truth emits none).
+    pub(crate) event: &'static str,
+    execs: Id,
+    ops: Id,
+    execns: Id,
+    nsperop: Id,
     mathcall: [[Id; MathFunc::COUNT]; 2],
     fpexc: [Id; 5],
 }
 
 impl ExecNames {
-    fn build(tier: &str) -> ExecNames {
+    fn build(tier: &str, event: &'static str) -> ExecNames {
+        let id = |name: &str| obs::id::intern(&format!("{tier}.{name}"));
         ExecNames {
+            event,
+            execs: id("execs"),
+            ops: id("ops"),
+            execns: id("execns"),
+            nsperop: id("nsperop"),
             mathcall: DeviceKind::ALL.map(|d| {
-                MathFunc::ALL.map(|f| {
-                    obs::id::intern(&format!("{tier}.mathcall.{}.{}", d.short(), f.c_name()))
-                })
+                MathFunc::ALL.map(|f| id(&format!("mathcall.{}.{}", d.short(), f.c_name())))
             }),
-            fpexc: FpException::ALL.map(|e| obs::id::intern(&format!("{tier}.fpexc.{e}"))),
+            fpexc: FpException::ALL.map(|e| id(&format!("fpexc.{e}"))),
         }
     }
 
-    /// The tree-walking interpreter's names (`interp.*`).
+    /// The tree walk's vendor-domain names (`interp.*`).
     pub(crate) fn interp() -> &'static ExecNames {
         static NAMES: OnceLock<ExecNames> = OnceLock::new();
-        NAMES.get_or_init(|| ExecNames::build("interp"))
+        NAMES.get_or_init(|| ExecNames::build("interp", "interp.exec"))
     }
 
     /// The bytecode vm's names (`vm.*`).
     pub(crate) fn vm() -> &'static ExecNames {
         static NAMES: OnceLock<ExecNames> = OnceLock::new();
-        NAMES.get_or_init(|| ExecNames::build("vm"))
+        NAMES.get_or_init(|| ExecNames::build("vm", "vm.exec"))
+    }
+
+    /// The double-double truth's names (`reference.*`): a truth run
+    /// records only the four per-run metrics.
+    pub(crate) fn reference() -> &'static ExecNames {
+        static NAMES: OnceLock<ExecNames> = OnceLock::new();
+        NAMES.get_or_init(|| ExecNames::build("reference", "reference.exec"))
+    }
+
+    /// Record one finished run of `steps` instructions: `execs` and
+    /// `ops`, and when it was timed from `t`, its nanoseconds in `execns`
+    /// and `nsperop`. Returns those nanoseconds.
+    pub(crate) fn record_run(&self, steps: u64, t: Option<Instant>) -> Option<u64> {
+        obs::add_id(self.execs, 1);
+        obs::add_id(self.ops, steps);
+        let ns = t?.elapsed().as_nanos() as u64;
+        obs::record_id(self.execns, ns);
+        obs::record_id(self.nsperop, ns / steps.max(1));
+        Some(ns)
     }
 
     /// Counter for calls of `f` on a `device` kind.
@@ -106,7 +138,17 @@ mod tests {
 
     #[test]
     fn exec_names_equal_the_formatted_names_byte_for_byte() {
-        for (names, tier) in [(ExecNames::interp(), "interp"), (ExecNames::vm(), "vm")] {
+        let tiers = [
+            (ExecNames::interp(), "interp"),
+            (ExecNames::vm(), "vm"),
+            (ExecNames::reference(), "reference"),
+        ];
+        for (names, tier) in tiers {
+            assert_eq!(names.event, format!("{tier}.exec"));
+            let per_run = [names.execs, names.ops, names.execns, names.nsperop];
+            for (id, metric) in per_run.into_iter().zip(["execs", "ops", "execns", "nsperop"]) {
+                assert_eq!(id.name(), format!("{tier}.{metric}"));
+            }
             for d in DeviceKind::ALL {
                 for f in MathFunc::ALL {
                     let vendor = d.short();

@@ -28,10 +28,11 @@
 //! lifted into double-double: the reference answers for the same
 //! bit-level inputs the vendor kernels actually received.
 //!
-//! The walk's budget, deadline and error texts are the vendor domain's;
-//! the truth keeps no vendor books (no cost model, no exception events,
-//! no math-call tally) and records `reference.*` telemetry instead of
-//! `interp.*`.
+//! The walk's step meter, deadline and error texts are the vendor
+//! domain's; the truth keeps no vendor books (no cost model, no exception
+//! events, no math-call tally, no trace event) and records only the
+//! per-run `reference.*` telemetry, through the same function as the
+//! vendor tiers' `interp.*` and `vm.*`.
 //!
 //! The executor is only meaningful on strict (non-fast-math) O0 IR —
 //! fast-math cells have no single true value to compare against, which
@@ -39,12 +40,12 @@
 
 use crate::bytecode::FmaKind;
 use crate::interp::{walk, Domain, ExecBudget, ExecError, ExecResult, ExecValue, ExecutableKernel};
+use crate::names::ExecNames;
 use fpcore::dd::Dd;
 use gpusim::mathlib::MathFunc;
 use progen::ast::BinOp;
 use progen::inputs::InputSet;
 use progen::Precision;
-use std::time::Instant;
 
 /// Evaluate one math-library entry point over double-double values.
 ///
@@ -117,6 +118,10 @@ impl Domain for Truth {
     type Val = Dd;
     const ZERO: Dd = Dd::ZERO;
 
+    fn walk_names() -> &'static ExecNames {
+        ExecNames::reference()
+    }
+
     /// Lift through the kernel's storage precision: FP32 kernels round
     /// to f32 first (exactly what the vendor domain's `T::from_f64`
     /// does), so the truth answers for the same bit-level inputs.
@@ -156,20 +161,6 @@ impl Domain for Truth {
         match self.0 {
             Precision::F64 => ExecValue::F64(v.to_f64()),
             Precision::F32 => ExecValue::F32(v.to_f32()),
-        }
-    }
-
-    fn flush(&self, steps: u64, t: Option<Instant>) {
-        static EXECS: obs::Name = obs::Name::new("reference.execs");
-        static OPS: obs::Name = obs::Name::new("reference.ops");
-        static EXEC_NS: obs::Name = obs::Name::new("reference.execns");
-        static NS_PER_OP: obs::Name = obs::Name::new("reference.nsperop");
-        EXECS.add(1);
-        OPS.add(steps);
-        if let Some(t) = t {
-            let ns = t.elapsed().as_nanos() as u64;
-            EXEC_NS.record(ns);
-            NS_PER_OP.record(ns / steps.max(1));
         }
     }
 }

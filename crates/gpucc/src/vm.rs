@@ -2,37 +2,41 @@
 //!
 //! [`compile_kernel`] lowers a [`KernelIr`] into the flat,
 //! register-allocated bytecode of [`crate::bytecode`];
-//! [`execute_compiled`] / [`execute_batch`] then run it with a dispatch
-//! loop over a contiguous register file. Compile once, run many: the
-//! campaign and the oracle both execute every compiled kernel against
+//! [`execute_compiled_budgeted`] / [`execute_batch`] then run it with a
+//! dispatch loop over a contiguous register file. Compile once, run many:
+//! the campaign and the oracle both execute every compiled kernel against
 //! several inputs, and the batch API reuses all execution scratch
 //! (registers, slot files, arrays) across those runs.
 //!
-//! **The interpreter remains the reference executor.** The vm is proved
-//! against it by construction (identical DAZ/FTZ placement, exception
-//! reconstruction, budget accounting and error strings), by the
-//! differential proptest battery (`tests/vm_differential.rs`), and at
-//! runtime by [`ExecTier::Differential`], which runs both tiers on every
-//! execution and panics on any bit difference — the repo's
-//! translation-validation pattern applied to its own executor.
+//! Only the dispatch is the vm's own: registers, pre-patched jumps and
+//! precomputed costs. Everything else it shares with the interpreter's
+//! tree walk, so each rule exists once in [`crate::interp`]: every
+//! arithmetic operation, its DAZ/FTZ, exception reconstruction and
+//! math-call tally runs through one `interp::Vendor` per run; every value
+//! op retires through the walk's step meter (budget, deadline and their
+//! errors); the frame's failing reads and writes carry the walk's error
+//! texts; and the vendor flush records `vm.execs`/`vm.ops`,
+//! `vm.execns`/`vm.nsperop`, the `vm.exec` trace event and the
+//! `vm.mathcall.*`/`vm.fpexc.*` tallies, so `analyze --profile` can show
+//! both tiers side by side.
 //!
-//! Telemetry mirrors the interpreter under a `vm.` namespace:
-//! `vm.execs`/`vm.ops` counters, `vm.execns`/`vm.nsperop` histograms, a
-//! `vm.exec` trace event, and `vm.mathcall.*`/`vm.fpexc.*` tallies, so
-//! `analyze --profile` can show both tiers side by side.
+//! **The interpreter remains the reference executor.** The differential
+//! proptest battery (`tests/vm_differential.rs`) checks the dispatch
+//! against it, and at runtime [`ExecTier::Differential`] runs both tiers
+//! on every execution and panics on any bit difference — the repo's
+//! translation-validation pattern applied to its own executor.
 
-use crate::bytecode::{self, Code, FmaKind, Op, Src};
+use crate::bytecode::{self, Code, Op, Src};
 use crate::cost;
 use crate::interp::{
-    comp_slot, DeviceFloat, ExecBudget, ExecError, ExecResult, ExecutableKernel, Frame,
+    comp_slot, compare, DeviceFloat, Domain, ExecBudget, ExecError, ExecResult, ExecutableKernel,
+    Frame, Meter, Vendor,
 };
 use crate::ir::{FloatSlot, KernelIr, Vars};
-use fpcore::exceptions::{ArithOp, ExceptionFlags};
-use fpcore::ftz::FtzMode;
-use gpusim::mathlib::MathFunc;
+use crate::names::ExecNames;
 use gpusim::Device;
-use progen::ast::{BinOp, Precision};
-use progen::inputs::{InputSet, ARRAY_LEN};
+use progen::ast::Precision;
+use progen::inputs::InputSet;
 use std::time::Instant;
 
 /// Which executor runs compiled kernels.
@@ -98,18 +102,6 @@ pub struct CompiledKernel {
     code: Code,
 }
 
-impl CompiledKernel {
-    /// Number of bytecode operations (static size of the lowered body).
-    pub fn op_count(&self) -> usize {
-        self.code.ops.len()
-    }
-
-    /// Register-file size the dispatch loop provisions.
-    pub fn register_count(&self) -> usize {
-        self.code.n_regs
-    }
-}
-
 /// Compile a kernel to bytecode (the vm analogue of
 /// [`crate::interp::prepare`]; fails on the same malformed kernels).
 pub fn compile_kernel(ir: &KernelIr) -> Result<CompiledKernel, ExecError> {
@@ -127,17 +119,7 @@ pub fn compile_kernel(ir: &KernelIr) -> Result<CompiledKernel, ExecError> {
 /// Compile and execute in one call under the default budget (the vm
 /// analogue of [`crate::interp::execute`]).
 pub fn execute(ir: &KernelIr, device: &Device, inputs: &InputSet) -> Result<ExecResult, ExecError> {
-    let kernel = compile_kernel(ir)?;
-    execute_compiled(&kernel, device, inputs)
-}
-
-/// Execute a compiled kernel under the default budget.
-pub fn execute_compiled(
-    kernel: &CompiledKernel,
-    device: &Device,
-    inputs: &InputSet,
-) -> Result<ExecResult, ExecError> {
-    execute_compiled_budgeted(kernel, device, inputs, ExecBudget::default())
+    execute_compiled_budgeted(&compile_kernel(ir)?, device, inputs, ExecBudget::default())
 }
 
 /// Execute a compiled kernel under an explicit fuel budget.
@@ -239,17 +221,6 @@ impl<T: DeviceFloat> VmState<T> {
     }
 }
 
-/// Result FTZ for binary arithmetic — the op the `vm-inject` feature's
-/// `DropFtzFlush` bug disables.
-#[inline]
-fn ftz_bin_result<T: DeviceFloat>(r: T, ftz: FtzMode) -> T {
-    #[cfg(feature = "vm-inject")]
-    if crate::vm_inject::armed() == crate::vm_inject::VmBug::DropFtzFlush {
-        return r;
-    }
-    r.apply_ftz(ftz)
-}
-
 fn run_vm<T: DeviceFloat>(
     kernel: &CompiledKernel,
     device: &Device,
@@ -260,39 +231,24 @@ fn run_vm<T: DeviceFloat>(
     #[cfg(feature = "chaos")]
     crate::chaos::maybe_panic(&kernel.program_id);
     let VmState { regs, frame, limits } = state;
-    frame.bind(&kernel.params, &kernel.vars, inputs, T::from_f64)?;
-    let env = device.fp_env(kernel.flags.fast_math);
-    let ftz = T::ftz_mode(&env);
-
-    let mut exceptions = ExceptionFlags::new();
-    let mut cost_slots: u64 = 0;
-    let mut steps: u64 = 0;
-    let mut math_calls = [0u32; MathFunc::COUNT];
-    let deadline =
-        budget.max_wall_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
+    let vars = &kernel.vars;
+    frame.bind(&kernel.params, vars, inputs, T::from_f64)?;
+    let mut vendor = Vendor::<T>::new(device, kernel.precision, kernel.flags);
+    #[cfg(feature = "vm-inject")]
+    {
+        use crate::vm_inject::{armed, VmBug};
+        vendor.drop_ftz_flush = armed() == VmBug::DropFtzFlush;
+    }
+    let mut meter = Meter::new(budget);
     let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
 
-    // One budget step per value op, checked *before* the op executes —
-    // the same retire/check/poll order as the interpreter, so StepLimit
-    // and (deterministic) Timeout trip at identical step counts.
-    macro_rules! bump {
-        ($c:expr) => {{
-            steps += 1;
-            if steps > budget.max_steps {
-                return Err(ExecError::StepLimit { budget: budget.max_steps, steps });
-            }
-            if steps & crate::interp::DEADLINE_POLL_MASK == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(ExecError::Timeout {
-                            budget_ms: budget.max_wall_ms.unwrap_or(0),
-                            steps,
-                        });
-                    }
-                }
-            }
-            cost_slots += $c as u64;
-        }};
+    // A value op retires one step, checked before it executes, and
+    // charges its precomputed cost.
+    macro_rules! retire {
+        ($cost:expr) => {
+            meter.step()?;
+            vendor.charge(u64::from($cost));
+        };
     }
     macro_rules! val {
         ($s:expr) => {
@@ -304,126 +260,80 @@ fn run_vm<T: DeviceFloat>(
     }
 
     let ops = &kernel.code.ops;
-    let n_ops = ops.len();
     let mut pc = 0usize;
-    while pc < n_ops {
+    while pc < ops.len() {
         match &ops[pc] {
             Op::Const { dst, v } => {
-                bump!(0u8);
+                retire!(0u8);
                 regs[*dst as usize] = T::from_f64(*v);
             }
             Op::ReadVar { dst, slot } => {
-                bump!(1u8);
-                regs[*dst as usize] = frame.scalars[*slot as usize].ok_or_else(|| {
-                    ExecError::UnknownVar(kernel.vars.floats[*slot as usize].clone())
-                })?;
+                retire!(1u8);
+                regs[*dst as usize] = frame.float(vars, *slot as usize)?;
             }
             Op::ReadIntAsFloat { dst, slot } => {
-                bump!(1u8);
-                let i = frame.ints[*slot as usize]
-                    .ok_or_else(|| ExecError::UnknownVar("int".into()))?;
-                regs[*dst as usize] = T::from_f64(i as f64);
+                retire!(1u8);
+                regs[*dst as usize] = T::from_f64(frame.int(*slot as usize)? as f64);
             }
             Op::ReadArr { dst, arr, idx } => {
-                bump!(4u8);
-                let i = frame.index(*idx as usize)?;
-                regs[*dst as usize] = *frame.arrays[*arr as usize].get(i).ok_or_else(|| {
-                    ExecError::OutOfBounds(kernel.vars.arrays[*arr as usize].clone())
-                })?;
+                retire!(4u8);
+                regs[*dst as usize] = frame.load(vars, *arr as usize, *idx as usize)?;
             }
             Op::ReadThreadIdx { dst } => {
-                bump!(1u8);
+                retire!(1u8);
                 regs[*dst as usize] = T::from_f64(0.0);
             }
             Op::Neg { dst, a } => {
-                bump!(1u8);
+                retire!(1u8);
                 regs[*dst as usize] = -val!(*a);
             }
-            Op::Bin { dst, op, a, b, cost: c } => {
-                bump!(*c);
-                let x = val!(*a).apply_daz(ftz);
-                let y = val!(*b).apply_daz(ftz);
-                let (r, aop) = match op {
-                    BinOp::Add => (x + y, ArithOp::Add),
-                    BinOp::Sub => (x - y, ArithOp::Sub),
-                    BinOp::Mul => (x * y, ArithOp::Mul),
-                    BinOp::Div => (x / y, ArithOp::Div),
-                };
-                exceptions.merge(T::detect_exceptions(aop, x, y, r));
-                regs[*dst as usize] = ftz_bin_result(r, ftz);
+            Op::Bin { dst, op, a, b, cost } => {
+                retire!(*cost);
+                regs[*dst as usize] = vendor.bin(*op, val!(*a), val!(*b));
             }
-            Op::Fma { dst, kind, a, b, c, cost: fc } => {
-                bump!(*fc);
-                let x = val!(*a).apply_daz(ftz);
-                let y = val!(*b).apply_daz(ftz);
-                let z = val!(*c).apply_daz(ftz);
-                let r = match kind {
-                    FmaKind::Fma => x.mul_add(y, z),
-                    FmaKind::Fms => x.mul_add(y, -z),
-                    FmaKind::Fnma => (-x).mul_add(y, z),
-                };
-                crate::interp::nonbin_exceptions(&[x, y, z], r, &mut exceptions);
-                regs[*dst as usize] = r.apply_ftz(ftz);
+            Op::Fma { dst, kind, a, b, c, cost } => {
+                retire!(*cost);
+                regs[*dst as usize] = vendor.fused(*kind, val!(*a), val!(*b), val!(*c));
             }
             Op::Rcp { dst, a } => {
-                bump!(2u8);
-                let x = val!(*a);
-                let r = T::rcp(x);
-                crate::interp::nonbin_exceptions(&[x], r, &mut exceptions);
-                regs[*dst as usize] = r;
+                retire!(2u8);
+                regs[*dst as usize] = vendor.rcp(val!(*a));
             }
-            Op::Call { dst, f, a, b, cost: cc } => {
-                bump!(*cc);
-                math_calls[f.index()] += 1;
-                let x = match a {
-                    Some(o) => val!(*o).apply_daz(ftz),
-                    None => T::ZERO,
-                };
-                let y = match b {
-                    Some(o) => val!(*o).apply_daz(ftz),
-                    None => T::ZERO,
-                };
-                let r = T::math_call(device, kernel.flags.fast_math, *f, x, y);
-                crate::interp::nonbin_exceptions(&[x, y], r, &mut exceptions);
-                regs[*dst as usize] = r.apply_ftz(ftz);
+            Op::Call { dst, f, a, b, cost } => {
+                retire!(*cost);
+                let x = a.map_or(T::ZERO, |o| val!(o));
+                let y = b.map_or(T::ZERO, |o| val!(o));
+                regs[*dst as usize] = vendor.call(*f, x, y);
             }
             Op::StoreVar { slot, src } => {
                 frame.scalars[*slot as usize] = Some(val!(*src));
             }
             Op::StoreArr { arr, idx, src } => {
-                let v = val!(*src);
-                let i = frame.index(*idx as usize)?;
-                *frame.arrays[*arr as usize].get_mut(i).ok_or_else(|| {
-                    ExecError::OutOfBounds(kernel.vars.arrays[*arr as usize].clone())
-                })? = v;
-                cost_slots += 4;
+                frame.store(vars, *arr as usize, *idx as usize, val!(*src))?;
+                vendor.charge(4);
             }
             Op::Branch { op, a, b, skip_to } => {
-                let x = val!(*a);
-                let y = val!(*b);
-                cost_slots += 2;
-                if !crate::interp::compare(*op, x, y) {
+                vendor.charge(2);
+                if !compare(*op, val!(*a), val!(*b)) {
                     pc = *skip_to as usize;
                     continue;
                 }
             }
             Op::LoopInit { var, bound, limit, exit_to } => {
-                let n = frame.ints[*bound as usize]
-                    .ok_or_else(|| ExecError::UnknownVar("loop bound".into()))?;
-                let n = n.clamp(0, ARRAY_LEN as i64);
+                let n = frame.trips(*bound as usize)?;
                 if n <= 0 {
                     pc = *exit_to as usize;
                     continue;
                 }
                 limits[*limit as usize] = n;
                 frame.ints[*var as usize] = Some(0);
-                cost_slots += cost::LOOP_OVERHEAD;
+                vendor.charge(cost::LOOP_OVERHEAD);
             }
             Op::LoopBack { var, limit, back_to } => {
                 let i = frame.ints[*var as usize].unwrap_or(0) + 1;
                 if i < limits[*limit as usize] {
                     frame.ints[*var as usize] = Some(i);
-                    cost_slots += cost::LOOP_OVERHEAD;
+                    vendor.charge(cost::LOOP_OVERHEAD);
                     pc = *back_to as usize;
                     continue;
                 }
@@ -433,38 +343,9 @@ fn run_vm<T: DeviceFloat>(
     }
 
     if obs::enabled() {
-        static EXECS: obs::Name = obs::Name::new("vm.execs");
-        static OPS: obs::Name = obs::Name::new("vm.ops");
-        static EXEC_NS: obs::Name = obs::Name::new("vm.execns");
-        static NS_PER_OP: obs::Name = obs::Name::new("vm.nsperop");
-        EXECS.add(1);
-        OPS.add(steps);
-        if let Some(t) = exec_t {
-            let ns = t.elapsed().as_nanos() as u64;
-            EXEC_NS.record(ns);
-            NS_PER_OP.record(ns / steps.max(1));
-            if obs::trace::active() {
-                obs::trace::emit(
-                    "vm.exec",
-                    t,
-                    ns,
-                    vec![("program", kernel.program_id.as_str().into()), ("steps", steps.into())],
-                );
-            }
-        }
-        let names = crate::names::ExecNames::vm();
-        for (i, &n) in math_calls.iter().enumerate() {
-            if n > 0 {
-                obs::add_id(names.mathcall(device.kind, MathFunc::ALL[i]), n as u64);
-            }
-        }
-        for e in exceptions.iter() {
-            obs::add_id(names.fpexc(e), 1);
-        }
+        vendor.flush(ExecNames::vm(), &kernel.program_id, meter.steps, exec_t);
     }
-
-    let value = frame.scalars[kernel.comp].ok_or_else(|| ExecError::UnknownVar("comp".into()))?;
-    Ok(ExecResult { value: value.exec_value(), exceptions, cost_slots, steps })
+    Ok(vendor.result(frame.float(vars, kernel.comp)?, meter.steps))
 }
 
 #[cfg(test)]
@@ -507,7 +388,8 @@ mod tests {
                     let vk = compile_kernel(&ir).unwrap();
                     for input in &inputs {
                         let want = interp::execute(&ir, &device, input);
-                        let got = execute_compiled(&vk, &device, input);
+                        let got =
+                            execute_compiled_budgeted(&vk, &device, input, ExecBudget::default());
                         assert_eq!(want, got, "program {i} {tc:?} {opt:?}");
                     }
                 }
@@ -580,7 +462,7 @@ mod tests {
         let batch = execute_batch(&vk, &amd(), &inputs, ExecBudget::default());
         assert_eq!(batch.len(), 4);
         for (input, got) in inputs.iter().zip(batch) {
-            let single = execute_compiled(&vk, &amd(), input);
+            let single = execute_compiled_budgeted(&vk, &amd(), input, ExecBudget::default());
             assert_eq!(single, got);
             assert_eq!(interp::execute(&ir, &amd(), input), got);
         }
@@ -608,7 +490,7 @@ mod tests {
         let vk = compile_kernel(&ir).unwrap();
         let bad = InputSet { values: vec![InputValue::Float(0.0)] };
         let want = interp::execute(&ir, &nv(), &bad).unwrap_err();
-        let got = execute_compiled(&vk, &nv(), &bad).unwrap_err();
+        let got = execute_compiled_budgeted(&vk, &nv(), &bad, ExecBudget::default()).unwrap_err();
         assert_eq!(want.to_string(), got.to_string());
     }
 }
