@@ -835,6 +835,7 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
 
     /// The per-run metrics, then the `{tier}.exec` trace event and the
     /// run's math-call and exception tallies.
+    #[inline]
     fn flush(&self, names: &ExecNames, program: &str, steps: u64, t: Option<Instant>) {
         if let (Some(ns), Some(t)) = (names.record_run(steps, t), t) {
             if obs::trace::active() {
