@@ -742,16 +742,21 @@ impl FtSession {
 /// campaigns are deterministic in their config, the final metadata is
 /// identical to an uninterrupted run's.
 ///
-/// Each test's program is generated once, and every requested
-/// `(side, level)` unit runs from one [`crate::metadata::TestBuild`]:
-/// one CUDA emission, one parse per toolchain, one compile per pass
-/// schedule, executables derived only as `tier` needs them, one
+/// Each test's program is generated here, once (set-up drew its inputs
+/// from the program's header), and every requested `(side, level)` unit
+/// runs from one [`crate::metadata::TestBuild`]: the generated program
+/// compiled as it is wherever no translator rewrites its source, one
+/// CUDA emission, HIPIFY and parse for a hipified campaign's hipcc
+/// side (and, on the differential tier, one round-trip check per
+/// toolchain that compiles the generated program), one compile per
+/// pass schedule, executables derived only as `tier` needs them, one
 /// execution per class of levels whose kernels run alike (a later
 /// level copies an error-free run's records, and is still journaled as
 /// its own unit), and the ground truth ([`Side::Reference`], one
-/// `"reference:O0"` unit per test) evaluated on nvcc's O0 build. Sides run in the canonical
-/// nvcc–hipcc–reference order within a test, whatever order `sides`
-/// lists them in; units are still journaled one per `(test, SideKey)`.
+/// `"reference:O0"` unit per test) evaluated on nvcc's O0 build. Sides
+/// run in the canonical nvcc–hipcc–reference order within a test,
+/// whatever order `sides` lists them in; units are still journaled one
+/// per `(test, SideKey)`.
 ///
 /// The tier is a *runtime* selection, deliberately not part of
 /// [`CampaignConfig`]: configs are identity (merges compare them,

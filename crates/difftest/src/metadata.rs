@@ -26,10 +26,11 @@ use gpusim::{Device, DeviceKind};
 use hipify::hipify;
 use progen::ast::Program;
 use progen::emit::{emit, Dialect};
-use progen::gen::generate_program;
+use progen::gen::{generate_program, program_header};
 use progen::inputs::{generate_inputs, InputSet};
 use progen::parser::parse_kernel;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -147,10 +148,12 @@ impl CampaignMeta {
     fn generate_indices(config: &CampaignConfig, indices: Vec<u64>) -> Self {
         static GENERATE: obs::SpanName = obs::SpanName::new("campaign.generate");
         let _span = GENERATE.start();
+        // inputs read only a program's header, so no body is generated
+        // here: the runner generates each program once, when it builds it
         let tests = crate::par::map(indices, |index| {
-            let program = generate_program(&config.gen, config.seed, index);
-            let inputs = generate_inputs(&program, config.seed, config.inputs_per_program);
-            TestMeta { index, program_id: program.id.clone(), inputs, results: BTreeMap::new() }
+            let header = program_header(&config.gen, index);
+            let inputs = generate_inputs(&header, config.seed, config.inputs_per_program);
+            TestMeta { index, program_id: header.id, inputs, results: BTreeMap::new() }
         });
         CampaignMeta {
             config: config.clone(),
@@ -353,9 +356,14 @@ fn merge_metrics(
     }
 }
 
-/// Build the kernel a given side runs: emit source in the right dialect,
-/// push it through HIPIFY if the campaign tests converted code, re-parse,
-/// and compile with the side's toolchain.
+/// Build the kernel a given side runs for any program: emit source in
+/// the right dialect, push it through HIPIFY if the campaign tests
+/// converted code, re-parse, and compile with the side's toolchain.
+/// Unlike a generated program, which the campaign compiles as it is
+/// wherever no translator rewrites its source ([`TestBuild`]), a shrunk
+/// or hand-written program need not parse back to itself: the parser
+/// folds `Neg(Lit)` into a signed literal, and the emitter rounds
+/// literals to five significant digits.
 pub fn build_side(
     program: &Program,
     toolchain: Toolchain,
@@ -376,35 +384,57 @@ pub fn build_side_with_stats(
     level: OptLevel,
     mode: TestMode,
 ) -> (KernelIr, CompileStats) {
-    let (parsed, hipified) = parse_side(program, toolchain, mode, &mut None);
+    let (parsed, hipified) = parse_side(program, toolchain, mode);
     compile_with_stats(&parsed, toolchain, level, hipified)
 }
 
-/// The front half of [`build_side`]: emit source in the side's dialect
-/// (through HIPIFY when the campaign tests converted code) and re-parse.
-/// `cuda` holds the program's CUDA emission, made on first need, so one
-/// emission feeds both nvcc's parse and HIPIFY. Returns the parsed
-/// kernel and whether it went through the translator.
-fn parse_side(
-    program: &Program,
-    toolchain: Toolchain,
-    mode: TestMode,
-    cuda: &mut Option<String>,
-) -> (Program, bool) {
+/// The text path of [`build_side`]: emit source in the side's dialect
+/// (CUDA through HIPIFY when the campaign tests converted code) and
+/// parse it back. Returns the parsed kernel and whether it went through
+/// the translator. A campaign's [`TestBuild`] takes it for a hipified
+/// campaign's hipcc side, and on the differential tier for the other
+/// sides too, to check that their parse is the generated program.
+fn parse_side(program: &Program, toolchain: Toolchain, mode: TestMode) -> (Program, bool) {
     match (toolchain, mode) {
         (Toolchain::Nvcc, _) => {
-            let src = cuda.get_or_insert_with(|| emit(program, Dialect::Cuda));
-            (parse_kernel(src, &program.id).expect("emitted CUDA parses"), false)
+            let src = emit(program, Dialect::Cuda);
+            (parse_kernel(&src, &program.id).expect("emitted CUDA parses"), false)
         }
         (Toolchain::Hipcc, TestMode::Direct) => {
             let src = emit(program, Dialect::Hip);
             (parse_kernel(&src, &program.id).expect("emitted HIP parses"), false)
         }
         (Toolchain::Hipcc, TestMode::Hipified) => {
-            let converted = hipify(cuda.get_or_insert_with(|| emit(program, Dialect::Cuda)));
+            let converted = hipify(&emit(program, Dialect::Cuda));
             (parse_kernel(&converted.source, &program.id).expect("hipified source parses"), true)
         }
     }
+}
+
+/// What `toolchain` compiles for `program` in a campaign of `mode` on
+/// `tier`, and whether HIPIFY produced it: the parse of HIPIFY's output
+/// on a hipified campaign's hipcc side, and the generated program
+/// itself everywhere else. On the differential tier, a side that
+/// compiles the generated program first checks that its text path
+/// gives that program back, and panics if not.
+fn front_end(
+    program: &Program,
+    toolchain: Toolchain,
+    mode: TestMode,
+    tier: ExecTier,
+) -> (Cow<'_, Program>, bool) {
+    if toolchain == Toolchain::Hipcc && mode == TestMode::Hipified {
+        return (Cow::Owned(parse_side(program, toolchain, mode).0), true);
+    }
+    if tier == ExecTier::Differential {
+        let (parsed, _) = parse_side(program, toolchain, mode);
+        assert!(
+            parsed == *program,
+            "{}'s {toolchain} source does not parse back to the generated program",
+            program.id
+        );
+    }
+    (Cow::Borrowed(program), false)
 }
 
 /// Convert an execution outcome into the stored record form. Every tier
@@ -444,9 +474,16 @@ fn error_record(error: String) -> RunRecord {
 /// executes for it (every requested side, every level, and the ground
 /// truth), on one execution tier.
 ///
-/// The CUDA source is emitted once and feeds nvcc's parse, HIPIFY's
-/// input and, through nvcc's O0 build, the ground truth. Each toolchain
-/// parses once and compiles once per pass schedule
+/// nvcc, and hipcc in a direct campaign, compile the generated program
+/// itself: no translator rewrites their source, and a generated
+/// program's emission parses back to it (`tests/source_identity.rs`
+/// pins that over the compile corpus). Only a hipified campaign's hipcc
+/// side emits CUDA, converts it with HIPIFY and parses the result, once
+/// per test. On the differential tier every other side also emits and
+/// parses once and panics if the parse differs from the generated
+/// program, so the round trip stays checked where CI runs the known
+/// answers. nvcc's O0 build also serves the ground truth. Each
+/// toolchain compiles once per pass schedule
 /// ([`gpucc::pipeline::schedule_level`]): nvcc's O0, O1 and O3_FM,
 /// hipcc's O0 and O1, so 5 compilations stand in for 10. The levels
 /// whose kernels execute alike ([`gpucc::pipeline::kernel_level`]) share
@@ -462,14 +499,15 @@ pub(crate) struct TestBuild<'p> {
     program: &'p Program,
     mode: TestMode,
     tier: ExecTier,
-    cuda: Option<String>,
-    toolchains: [ToolchainBuild; 2],
+    toolchains: [ToolchainBuild<'p>; 2],
 }
 
 /// One toolchain's share of a [`TestBuild`], indexed by `Toolchain`.
 #[derive(Default)]
-struct ToolchainBuild {
-    parsed: Option<(Program, bool)>,
+struct ToolchainBuild<'p> {
+    /// The program the toolchain compiles and whether HIPIFY produced
+    /// it ([`front_end`]), made when its first class is built.
+    source: Option<(Cow<'p, Program>, bool)>,
     /// Indexed by the [`OptLevel::index`] of each class's
     /// [`gpucc::pipeline::kernel_level`].
     classes: [Option<ClassBuild>; 5],
@@ -509,23 +547,22 @@ impl<'p> TestBuild<'p> {
     /// An empty cache for `program` under the campaign's `mode`, whose
     /// vendor units run on `tier`.
     pub(crate) fn new(program: &'p Program, mode: TestMode, tier: ExecTier) -> TestBuild<'p> {
-        TestBuild { program, mode, tier, cuda: None, toolchains: Default::default() }
+        TestBuild { program, mode, tier, toolchains: Default::default() }
     }
 
     /// `toolchain`'s execution class for `level`, compiling its pass
-    /// schedule (and parsing) first if no unit of this test has yet.
+    /// schedule (after the toolchain's front end) first if no unit of
+    /// this test has yet.
     fn class(&mut self, toolchain: Toolchain, level: OptLevel) -> &mut ClassBuild {
         let t = toolchain as usize;
         let owner = kernel_level(toolchain, level);
         if self.toolchains[t].classes[owner.index()].is_none() {
             let schedule = schedule_level(toolchain, owner);
             let ir = if schedule == owner {
-                if self.toolchains[t].parsed.is_none() {
-                    let parsed = parse_side(self.program, toolchain, self.mode, &mut self.cuda);
-                    self.toolchains[t].parsed = Some(parsed);
-                }
-                let (parsed, hipified) = self.toolchains[t].parsed.as_ref().expect("parsed above");
-                compile_with_stats(parsed, toolchain, owner, *hipified).0
+                let (source, hipified) = self.toolchains[t].source.get_or_insert_with(|| {
+                    front_end(self.program, toolchain, self.mode, self.tier)
+                });
+                compile_with_stats(source, toolchain, owner, *hipified).0
             } else {
                 let shared = self.class(toolchain, schedule).kernel.ir();
                 KernelIr { flags: CompileFlags::for_level(owner), ..shared.clone() }
@@ -729,7 +766,7 @@ mod tests {
     use super::*;
     use crate::campaign::{analyze, run_campaign, CampaignConfig};
     use crate::checkpoint::{run_sides_ft, FtSession};
-    use progen::ast::Precision;
+    use progen::ast::{AssignOp, Expr, LValue, Precision, Stmt};
 
     fn cfg() -> CampaignConfig {
         CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(12)
@@ -1122,6 +1159,35 @@ mod tests {
         let back: CampaignMeta = serde_json::from_value(v).unwrap();
         assert_eq!(back, meta);
         assert!(back.metrics.is_none());
+    }
+
+    #[test]
+    fn differential_tier_quarantines_a_source_that_does_not_parse_back() {
+        // the parser folds `Neg(Lit)` into a signed literal, so this
+        // program's emitted source parses to another program
+        let config = cfg().with_programs(1);
+        let mut program = generate_program(&config.gen, config.seed, 0);
+        program.body.push(Stmt::Assign {
+            target: LValue::Var("comp".into()),
+            op: AssignOp::AddAssign,
+            value: Expr::Neg(Box::new(Expr::Lit(1.5))),
+        });
+        let test = &CampaignMeta::generate(&config).tests[0];
+        let devices = campaign_devices(&config);
+        for toolchain in Toolchain::ALL {
+            let key = SideKey::new(toolchain, OptLevel::O0);
+            for tier in [ExecTier::Vm, ExecTier::Interp] {
+                let mut build = TestBuild::new(&program, config.mode, tier);
+                let (_, fault) = run_unit(&config, &devices, test, &mut build, key);
+                assert_eq!(fault, None, "{key} {tier:?}");
+            }
+            let mut build = TestBuild::new(&program, config.mode, ExecTier::Differential);
+            let (records, fault) = run_unit(&config, &devices, test, &mut build, key);
+            let fault = fault.expect("the differential tier checks the round trip");
+            assert_eq!(fault.kind, FaultKind::Panic, "{key}");
+            assert!(fault.detail.contains("does not parse back"), "{key}: {}", fault.detail);
+            assert!(records.iter().all(|r| r.error.is_some()), "{key}");
+        }
     }
 
     #[test]

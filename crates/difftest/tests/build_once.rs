@@ -1,9 +1,11 @@
 //! Each test is built once and each distinct kernel runs once: the
-//! test-major runner generates every program once, shares one CUDA
-//! emission, one parse per toolchain and one compile per pass schedule
-//! across every side, tier and the ground truth, and executes each
-//! class of levels whose kernels run alike once, copying an error-free
-//! run's records to the class's other levels.
+//! test-major runner generates every program once (set-up draws the
+//! inputs from the program's header alone), parses only what HIPIFY
+//! converted (plus, on the differential tier, one round-trip check per
+//! toolchain that compiles the generated program), compiles once per
+//! pass schedule across every side, tier and the ground truth, and
+//! executes each class of levels whose kernels run alike once, copying
+//! an error-free run's records to the class's other levels.
 //!
 //! The counts come from the campaign's own telemetry, so this test owns
 //! its binary: it asserts on the process-global obs registry, which
@@ -35,6 +37,10 @@ fn hipify_fp32() -> CampaignConfig {
     CampaignConfig::default_for(Precision::F32, TestMode::Hipified).with_programs(N as usize)
 }
 
+fn direct_fp64() -> CampaignConfig {
+    CampaignConfig::default_for(Precision::F64, TestMode::Direct).with_programs(N as usize)
+}
+
 /// Generate `config`'s campaign and run `sides` on `tier` in one call,
 /// returning the telemetry of both steps.
 fn counted_run(config: &CampaignConfig, sides: &[Side], tier: ExecTier) -> MetricsSnapshot {
@@ -55,8 +61,10 @@ fn three_sides_generate_emit_and_compile_each_test_once() {
     let _g = lock();
     let config = hipify_fp32();
     let snap = counted_run(&config, &[Side::Nvcc, Side::Hipcc, Side::Reference], ExecTier::Vm);
-    // one generation in set-up, one in the runner for all three sides
-    assert_eq!(snap.counter("progen.programs"), 2 * N);
+    // one generation, in the runner, for all three sides
+    assert_eq!(snap.counter("progen.programs"), N);
+    // nvcc compiles the generated program; only HIPIFY's output is parsed
+    assert_eq!(snap.counter("progen.parses"), N);
     // one compile per pass schedule: nvcc O0, O1, O3_FM and hipcc O0,
     // O1; the truth reuses nvcc's O0 build
     assert_eq!(snap.counter("gpucc.compiles"), 5 * N);
@@ -77,12 +85,31 @@ fn interp_tier_compiles_once_per_schedule_and_runs_once_per_kernel() {
     let _g = lock();
     let config = hipify_fp32();
     let snap = counted_run(&config, &[Side::Nvcc, Side::Hipcc], ExecTier::Interp);
-    assert_eq!(snap.counter("progen.programs"), 2 * N);
+    assert_eq!(snap.counter("progen.programs"), N);
+    assert_eq!(snap.counter("progen.parses"), N);
     assert_eq!(snap.counter("gpucc.compiles"), 5 * N);
     assert_eq!(snap.counter("hipify.conversions"), N);
     let inputs = config.inputs_per_program as u64;
     assert_eq!(snap.counter("interp.execs"), RUNS_PER_INPUT * N * inputs);
     assert_eq!(snap.counter("vm.execs"), 0);
+}
+
+#[test]
+fn a_direct_campaign_parses_only_to_check_the_round_trip_on_the_differential_tier() {
+    let _g = lock();
+    let config = direct_fp64();
+    let sides = [Side::Nvcc, Side::Hipcc, Side::Reference];
+    for (tier, parses) in
+        [(ExecTier::Vm, 0), (ExecTier::Interp, 0), (ExecTier::Differential, 2 * N)]
+    {
+        let snap = counted_run(&config, &sides, tier);
+        assert_eq!(snap.counter("progen.programs"), N, "{tier:?}");
+        // nvcc and hipcc compile the generated program; the differential
+        // tier parses each one's emission once to check the round trip
+        assert_eq!(snap.counter("progen.parses"), parses, "{tier:?}");
+        assert_eq!(snap.counter("gpucc.compiles"), 5 * N, "{tier:?}");
+        assert_eq!(snap.counter("hipify.conversions"), 0, "{tier:?}");
+    }
 }
 
 /// The stored form of one execution, as the campaign records it.

@@ -36,6 +36,49 @@ pub fn generate_program(cfg: &GenConfig, seed: u64, index: u64) -> Program {
     p
 }
 
+/// The `index`-th program's header: its id, precision and parameters,
+/// with an empty body. The config fixes all three before the generator
+/// draws anything, and they are all that [`crate::inputs::generate_inputs`]
+/// reads, so a campaign draws a test's inputs from its header without
+/// generating the body. [`generate_program`] builds its programs on this
+/// same header.
+///
+/// ```
+/// use progen::gen::{generate_program, program_header};
+/// use progen::grammar::GenConfig;
+/// use progen::Precision;
+///
+/// let cfg = GenConfig::varity_default(Precision::F32);
+/// let header = program_header(&cfg, 7);
+/// let program = generate_program(&cfg, 42, 7);
+/// assert_eq!((&header.id, header.precision), (&program.id, program.precision));
+/// assert_eq!(header.params, program.params);
+/// assert!(header.body.is_empty());
+/// ```
+pub fn program_header(cfg: &GenConfig, index: u64) -> Program {
+    let mut params = vec![Param { name: "comp".into(), ty: ParamType::Float }];
+    params.push(Param { name: "var_1".into(), ty: ParamType::Int });
+    let mut next_var = 2usize;
+    for _ in 0..cfg.num_float_params {
+        params.push(Param { name: format!("var_{next_var}"), ty: ParamType::Float });
+        next_var += 1;
+    }
+    for _ in 0..cfg.num_array_params {
+        params.push(Param { name: format!("var_{next_var}"), ty: ParamType::FloatArray });
+        next_var += 1;
+    }
+    let prefix = match cfg.precision {
+        Precision::F32 => "fp32",
+        Precision::F64 => "fp64",
+    };
+    Program {
+        id: format!("varity_{prefix}_{index:06}"),
+        precision: cfg.precision,
+        params,
+        body: Vec::new(),
+    }
+}
+
 /// Generate a batch of programs with consecutive indices.
 pub fn generate_batch(cfg: &GenConfig, seed: u64, count: usize) -> Vec<Program> {
     (0..count as u64).map(|i| generate_program(cfg, seed, i)).collect()
@@ -64,18 +107,8 @@ impl<'a> Generator<'a> {
     }
 
     fn program(&mut self, index: u64) -> Program {
-        let mut params = vec![Param { name: "comp".into(), ty: ParamType::Float }];
-        params.push(Param { name: "var_1".into(), ty: ParamType::Int });
-        let mut next_var = 2usize;
-        for _ in 0..self.cfg.num_float_params {
-            params.push(Param { name: format!("var_{next_var}"), ty: ParamType::Float });
-            next_var += 1;
-        }
-        for _ in 0..self.cfg.num_array_params {
-            params.push(Param { name: format!("var_{next_var}"), ty: ParamType::FloatArray });
-            next_var += 1;
-        }
-
+        let mut program = program_header(self.cfg, index);
+        let params = &program.params;
         self.floats =
             params.iter().filter(|p| p.ty == ParamType::Float).map(|p| p.name.clone()).collect();
         self.arrays = params
@@ -100,17 +133,8 @@ impl<'a> Generator<'a> {
         if !body.iter().any(writes_comp) {
             body.push(self.comp_assign());
         }
-
-        let prefix = match self.cfg.precision {
-            Precision::F32 => "fp32",
-            Precision::F64 => "fp64",
-        };
-        Program {
-            id: format!("varity_{prefix}_{index:06}"),
-            precision: self.cfg.precision,
-            params,
-            body,
-        }
+        program.body = body;
+        program
     }
 
     /// `nest_budget` bounds *block* nesting (if + for combined): without
@@ -314,6 +338,22 @@ mod tests {
         let a = generate_program(&cfg, 42, 7);
         let b = generate_program(&cfg, 42, 7);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn inputs_drawn_from_the_header_equal_inputs_drawn_from_the_program() {
+        for precision in [Precision::F32, Precision::F64] {
+            let cfg = GenConfig::varity_default(precision);
+            for index in 0..40 {
+                let program = generate_program(&cfg, 2024, index);
+                let header = program_header(&cfg, index);
+                assert_eq!(header, Program { body: Vec::new(), ..program.clone() });
+                for n in [1, 7] {
+                    let drawn = crate::inputs::generate_inputs(&header, 2024, n);
+                    assert_eq!(drawn, crate::inputs::generate_inputs(&program, 2024, n));
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,12 @@ impl From<LexError> for ParseError {
 /// Parse the `compute` kernel out of CUDA/HIP source text.
 ///
 /// `id` becomes the parsed program's identifier (source text carries none).
+/// While telemetry is on, every call counts in `progen.parses`.
 pub fn parse_kernel(src: &str, id: &str) -> Result<Program, ParseError> {
+    if obs::enabled() {
+        static PARSES: obs::Name = obs::Name::new("progen.parses");
+        PARSES.add(1);
+    }
     let tokens = tokenize(src)?;
     // find `__global__ ... void compute (`
     let mut start = None;
