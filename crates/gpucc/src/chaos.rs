@@ -62,7 +62,7 @@ pub fn would_panic(program_id: &str) -> bool {
         return false;
     }
     let mut rng = ChaCha8Rng::seed_from_u64(SEED.load(Ordering::SeqCst) ^ fnv1a(program_id));
-    rng.next_u64() % one_in == 0
+    rng.next_u64().is_multiple_of(one_in)
 }
 
 /// Interpreter hook: panic if this program is one of the armed victims.
