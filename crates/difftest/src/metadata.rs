@@ -477,12 +477,10 @@ fn error_record(error: String) -> RunRecord {
 /// nvcc, and hipcc in a direct campaign, compile the generated program
 /// itself: no translator rewrites their source, and a generated
 /// program's emission parses back to it (`tests/source_identity.rs`
-/// pins that over the compile corpus). Only a hipified campaign's hipcc
-/// side emits CUDA, converts it with HIPIFY and parses the result, once
-/// per test. On the differential tier every other side also emits and
-/// parses once and panics if the parse differs from the generated
-/// program, so the round trip stays checked where CI runs the known
-/// answers. nvcc's O0 build also serves the ground truth. Each
+/// pins that over the compile corpus, and the differential tier checks
+/// it on every test, see [`front_end`]). Only a hipified campaign's
+/// hipcc side emits CUDA, converts it with HIPIFY and parses the
+/// result. nvcc's O0 build also serves the ground truth. Each
 /// toolchain compiles once per pass schedule
 /// ([`gpucc::pipeline::schedule_level`]): nvcc's O0, O1 and O3_FM,
 /// hipcc's O0 and O1, so 5 compilations stand in for 10. The levels

@@ -42,19 +42,6 @@ pub fn generate_program(cfg: &GenConfig, seed: u64, index: u64) -> Program {
 /// reads, so a campaign draws a test's inputs from its header without
 /// generating the body. [`generate_program`] builds its programs on this
 /// same header.
-///
-/// ```
-/// use progen::gen::{generate_program, program_header};
-/// use progen::grammar::GenConfig;
-/// use progen::Precision;
-///
-/// let cfg = GenConfig::varity_default(Precision::F32);
-/// let header = program_header(&cfg, 7);
-/// let program = generate_program(&cfg, 42, 7);
-/// assert_eq!((&header.id, header.precision), (&program.id, program.precision));
-/// assert_eq!(header.params, program.params);
-/// assert!(header.body.is_empty());
-/// ```
 pub fn program_header(cfg: &GenConfig, index: u64) -> Program {
     let mut params = vec![Param { name: "comp".into(), ty: ParamType::Float }];
     params.push(Param { name: "var_1".into(), ty: ParamType::Int });
