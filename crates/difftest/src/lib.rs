@@ -16,9 +16,8 @@
 //! 5. aggregate per-level class counts and adjacency matrices and render
 //!    the paper's tables ([`report`]);
 //! 6. persist / merge campaign metadata as JSON for the between-platform
-//!    protocol of Fig. 3 ([`metadata`]), through a one-pass codec that
-//!    writes serde_json's bytes without an intermediate tree
-//!    ([`metajson`]);
+//!    protocol of Fig. 3 ([`metadata`]), written and read in one pass
+//!    with no intermediate tree by the workspace's JSON codec;
 //! 7. shrink failure-inducing tests to minimal reproducers ([`reduce`]);
 //! 8. isolate the first diverging statement via trace alignment
 //!    ([`isolate`]) — pLiner-style root-cause localization;
@@ -53,7 +52,6 @@ pub mod cross;
 pub mod fault;
 pub mod isolate;
 pub mod metadata;
-pub mod metajson;
 pub mod outcome;
 pub mod par;
 pub mod reduce;

@@ -304,18 +304,18 @@ impl CampaignMeta {
         Ok(merged)
     }
 
-    /// Save as JSON ([`crate::metajson`]), atomically (temp file +
-    /// fsync + rename in the destination directory): a crash mid-save
-    /// leaves the previous file intact, never a torn one.
+    /// Save as compact JSON, atomically (temp file + fsync + rename in
+    /// the destination directory): a crash mid-save leaves the previous
+    /// file intact, never a torn one.
     pub fn save(&self, path: &Path) -> Result<(), MetaError> {
-        let json = crate::metajson::to_vec(self)?;
+        let json = serde_json::to_vec(self).map_err(io)?;
         crate::checkpoint::atomic_write(path, &json).map_err(io)
     }
 
-    /// Load from JSON ([`crate::metajson`]).
+    /// Load from JSON.
     pub fn load(path: &Path) -> Result<CampaignMeta, MetaError> {
         let json = std::fs::read(path).map_err(io)?;
-        crate::metajson::from_slice(&json)
+        serde_json::from_slice(&json).map_err(io)
     }
 }
 

@@ -131,15 +131,14 @@ impl std::str::FromStr for SideKey {
 }
 
 impl Serialize for SideKey {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_str(self)
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(&self.to_string());
     }
 }
 
-impl<'de> Deserialize<'de> for SideKey {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<SideKey, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(serde::de::Error::custom)
+impl Deserialize for SideKey {
+    fn deserialize(r: &mut serde::Reader<'_>) -> serde::Result<SideKey> {
+        r.string()?.parse().map_err(|e: String| r.error(e))
     }
 }
 

@@ -1,15 +1,15 @@
-//! The campaign-metadata JSON codec ([`difftest::metajson`]) against
-//! serde_json, the reference it must match: on every campaign shape the
-//! writer's bytes equal `serde_json::to_vec` and the reader's value equals
-//! `serde_json::from_slice`; the reader takes any layout of the same
-//! document and rejects what is not one; and damaged bytes (every
-//! truncation, every single-bit flip) come back as `Err` or as the value
-//! serde reads, never as a panic. Plain loops, so this runs offline.
+//! Campaign metadata through the workspace's JSON codec: every campaign
+//! shape saves, loads and reads back to the value it was written from,
+//! and stored results rewrite byte-identical; the reader takes any
+//! layout of the same document and rejects what is not one; and damaged
+//! bytes (every truncation, every single-bit flip) come back as `Err` or
+//! as a valid value, never as a panic. Plain loops, so this runs
+//! offline.
 
 use difftest::campaign::{CampaignConfig, TestMode};
 use difftest::checkpoint::{run_sides_ft, FtSession};
 use difftest::metadata::CampaignMeta;
-use difftest::{metajson, FaultKind, Side, TestFault};
+use difftest::{FaultKind, Side, TestFault};
 use gpucc::interp::ExecBudget;
 use gpucc::pipeline::OptLevel;
 use gpucc::ExecTier;
@@ -104,56 +104,52 @@ fn shapes() -> &'static [(&'static str, CampaignMeta)] {
     })
 }
 
-fn serde_bytes(meta: &CampaignMeta) -> Vec<u8> {
+fn to_bytes(meta: &CampaignMeta) -> Vec<u8> {
     serde_json::to_vec(meta).expect("campaign metadata serializes")
+}
+
+fn read(bytes: &[u8], what: &str) -> CampaignMeta {
+    serde_json::from_slice(bytes).unwrap_or_else(|e| panic!("{what}: {e}"))
+}
+
+fn rejects(bytes: &[u8]) -> bool {
+    serde_json::from_slice::<CampaignMeta>(bytes).is_err()
+}
+
+#[test]
+fn every_shape_saves_loads_and_reads_back() {
+    let dir = std::env::temp_dir().join(format!("meta_json_shapes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, meta) in shapes() {
+        let bytes = to_bytes(meta);
+        assert!(read(&bytes, name) == *meta, "{name}: the value survives the round trip");
+        let path = dir.join(format!("{name}.json"));
+        meta.save(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == bytes, "{name}: save writes the compact bytes");
+        assert!(CampaignMeta::load(&path).unwrap() == *meta, "{name}: load reads it back");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stored_results_rewrite_byte_identical() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../farm/tests/fixtures/json");
+    for name in ["result_fp32_hipify_reference.json", "result_fuel200.json"] {
+        let stored = std::fs::read(format!("{dir}/{name}")).unwrap();
+        let meta = read(&stored, name);
+        let written = to_bytes(&meta);
+        assert!(
+            written == stored,
+            "{name}: bytes differ at offset {} ({} vs {} bytes)",
+            first_difference(&written, &stored),
+            written.len(),
+            stored.len()
+        );
+    }
 }
 
 fn first_difference(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()))
-}
-
-/// Parse with both readers and require the same value.
-fn both_read(bytes: &[u8], what: &str) -> CampaignMeta {
-    let ours = metajson::from_slice(bytes).unwrap_or_else(|e| panic!("{what}: codec: {e}"));
-    let theirs: CampaignMeta =
-        serde_json::from_slice(bytes).unwrap_or_else(|e| panic!("{what}: serde: {e}"));
-    assert!(ours == theirs, "{what}: the codec and serde read different values");
-    ours
-}
-
-#[test]
-fn writer_emits_serde_json_bytes_for_every_shape() {
-    let dir = std::env::temp_dir().join(format!("meta_json_writer_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for (name, meta) in shapes() {
-        let expected = serde_bytes(meta);
-        let ours = metajson::to_vec(meta).unwrap();
-        assert!(
-            ours == expected,
-            "{name}: bytes differ at offset {} ({} vs {} bytes)",
-            first_difference(&ours, &expected),
-            ours.len(),
-            expected.len()
-        );
-        let path = dir.join(format!("{name}.json"));
-        meta.save(&path).unwrap();
-        assert!(std::fs::read(&path).unwrap() == expected, "{name}: save writes serde's bytes");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn reader_returns_the_serde_value_for_every_shape() {
-    let dir = std::env::temp_dir().join(format!("meta_json_reader_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for (name, meta) in shapes() {
-        let bytes = serde_bytes(meta);
-        assert!(both_read(&bytes, name) == *meta, "{name}: the value survives the round trip");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(CampaignMeta::load(&path).unwrap() == *meta, "{name}: load reads it back");
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `v` as compact JSON with every object's members in reverse key order.
@@ -200,16 +196,16 @@ fn reader_accepts_whitespace_any_member_order_and_unknown_members() {
             }
         }
         spaced.extend_from_slice(b"\n\n ");
-        assert!(both_read(&spaced, name) == *meta, "{name}: whitespace");
+        assert!(read(&spaced, name) == *meta, "{name}: whitespace");
 
         // member order: sorted by key, and reverse-sorted
         let value = serde_json::to_value(meta).unwrap();
         let sorted = serde_json::to_vec(&value).unwrap();
-        assert!(sorted != serde_bytes(meta) || meta.tests.is_empty());
-        assert!(both_read(&sorted, name) == *meta, "{name}: sorted members");
+        assert!(sorted != to_bytes(meta) || meta.tests.is_empty());
+        assert!(read(&sorted, name) == *meta, "{name}: sorted members");
         let mut backwards = String::new();
         reversed(&value, &mut backwards);
-        assert!(both_read(backwards.as_bytes(), name) == *meta, "{name}: reversed members");
+        assert!(read(backwards.as_bytes(), name) == *meta, "{name}: reversed members");
 
         // unknown members at every level the codec reads by hand
         let junk = serde_json::json!({"a": [1, 2.5, -3, true, null, {"b": "\u{1}x"}], "c": {}});
@@ -224,7 +220,7 @@ fn reader_accepts_whitespace_any_member_order_and_unknown_members() {
             }
         }
         let bytes = serde_json::to_vec(&v).unwrap();
-        assert!(both_read(&bytes, name) == *meta, "{name}: unknown members");
+        assert!(read(&bytes, name) == *meta, "{name}: unknown members");
     }
 }
 
@@ -234,10 +230,10 @@ fn reader_accepts_absent_and_null_optional_members() {
     assert!(meta.metrics.is_some());
     let mut v = serde_json::to_value(meta).unwrap();
     v["metrics"] = Value::Null;
-    let back = both_read(&serde_json::to_vec(&v).unwrap(), "null metrics");
+    let back = read(&serde_json::to_vec(&v).unwrap(), "null metrics");
     assert!(back.metrics.is_none() && back.tests == meta.tests);
     v.as_object_mut().unwrap().remove("metrics");
-    let back = both_read(&serde_json::to_vec(&v).unwrap(), "absent metrics");
+    let back = read(&serde_json::to_vec(&v).unwrap(), "absent metrics");
     assert!(back.metrics.is_none());
 
     let (_, meta) = &shapes()[2];
@@ -253,7 +249,7 @@ fn reader_accepts_absent_and_null_optional_members() {
             }
         }
     }
-    let back = both_read(&serde_json::to_vec(&v).unwrap(), "absent quarantine and exceptions");
+    let back = read(&serde_json::to_vec(&v).unwrap(), "absent quarantine and exceptions");
     assert!(back.quarantine.is_empty());
     let records = back.tests.iter().flat_map(|t| t.results.values().flatten());
     assert!(records.clone().all(|r| r.exceptions.is_empty()));
@@ -266,7 +262,7 @@ fn reader_accepts_absent_and_null_optional_members() {
 #[test]
 fn reader_decodes_every_string_escape() {
     let (_, meta) = &shapes()[6];
-    let bytes = serde_bytes(meta);
+    let bytes = to_bytes(meta);
     let id = &meta.tests[1].program_id;
     let plain = format!("\"program_id\":{}", serde_json::to_string(id).unwrap());
     let text = String::from_utf8(bytes).unwrap();
@@ -282,19 +278,19 @@ fn reader_decodes_every_string_escape() {
     escaped.push('"');
     let mut expected = meta.clone();
     let respelled = text.replacen(&plain, &escaped, 1);
-    assert!(both_read(respelled.as_bytes(), "\\u escapes") == expected);
+    assert!(read(respelled.as_bytes(), "\\u escapes") == expected);
     let slashed = text.replacen(&plain, &plain.replacen("varity_", "varity\\/", 1), 1);
     expected.tests[1].program_id = id.replacen("varity_", "varity/", 1);
-    assert!(both_read(slashed.as_bytes(), "\\/ escape") == expected);
+    assert!(read(slashed.as_bytes(), "\\/ escape") == expected);
     // the odd strings hold every short escape and \u00XX form
-    assert!(both_read(text.as_bytes(), "short escapes") == *meta);
+    assert!(read(text.as_bytes(), "short escapes") == *meta);
     let emoji = "\"\\ud83d\\ude00\"";
     let with_emoji = text.replacen(&plain, &format!("\"program_id\":{emoji}"), 1);
     expected.tests[1].program_id = "😀".to_string();
-    assert!(both_read(with_emoji.as_bytes(), "surrogate pair") == expected);
+    assert!(read(with_emoji.as_bytes(), "surrogate pair") == expected);
     for lone in ["\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\""] {
         let bad = text.replacen(&plain, &format!("\"program_id\":{lone}"), 1);
-        assert!(metajson::from_slice(bad.as_bytes()).is_err(), "{lone} is a lone surrogate");
+        assert!(rejects(bad.as_bytes()), "{lone} is a lone surrogate");
     }
 }
 
@@ -304,7 +300,7 @@ fn reader_rejects_missing_mistyped_and_trailing_members() {
     let value = serde_json::to_value(meta).unwrap();
     let rejected = |v: &Value, what: &str| {
         let bytes = serde_json::to_vec(v).unwrap();
-        assert!(metajson::from_slice(&bytes).is_err(), "{what} must not load");
+        assert!(rejects(&bytes), "{what} must not load");
     };
     for key in ["config", "sides_run", "tests"] {
         let mut v = value.clone();
@@ -366,16 +362,16 @@ fn reader_rejects_missing_mistyped_and_trailing_members() {
         rejected(&v, &format!("record {key} = {bad}"));
     }
 
-    let bytes = serde_bytes(meta);
+    let bytes = to_bytes(meta);
     for tail in [&b"x"[..], b"{}", b",", b"]", b" 1", b"\0"] {
         let mut bad = bytes.clone();
         bad.extend_from_slice(tail);
-        assert!(metajson::from_slice(&bad).is_err(), "trailing {tail:?} must not load");
+        assert!(rejects(&bad), "trailing {tail:?} must not load");
     }
     // a repeated struct member is an error, not a silent pick
     let text = String::from_utf8(bytes).unwrap();
     let dup = text.replacen("{\"index\":", "{\"index\":0,\"index\":", 1);
-    assert!(metajson::from_slice(dup.as_bytes()).is_err(), "repeated member");
+    assert!(rejects(dup.as_bytes()), "repeated member");
 }
 
 #[test]
@@ -392,7 +388,7 @@ fn empty_wrong_shape_and_truncated_files_are_errors() {
         assert!(load(bad).is_err(), "{:?} must not load", String::from_utf8_lossy(bad));
     }
     assert!(CampaignMeta::load(&dir.join("absent.json")).is_err());
-    let full = serde_bytes(&shapes()[0].1);
+    let full = to_bytes(&shapes()[0].1);
     for cut in (0..full.len()).step_by(97).chain([full.len() - 1]) {
         assert!(load(&full[..cut]).is_err(), "truncation at {cut} bytes must not load");
     }
@@ -411,7 +407,7 @@ fn damage_fixture() -> Vec<u8> {
     let mut meta = run(config, &[Side::Nvcc, Side::Hipcc, Side::Reference]);
     let column = meta.tests[1].results.values_mut().next().expect("a result column");
     column[0].error = Some("step limit exceeded".to_string());
-    serde_bytes(&meta)
+    to_bytes(&meta)
 }
 
 /// Run `check` on every position of `0..len`, split over a few threads.
@@ -426,25 +422,24 @@ fn each_position(len: usize, check: impl Fn(usize) + Sync) {
 }
 
 #[test]
-fn every_truncation_and_bit_flip_is_an_error_or_the_serde_value() {
+fn every_truncation_and_bit_flip_is_an_error_or_a_valid_value() {
     let full = damage_fixture();
     each_position(full.len(), |cut| {
-        assert!(metajson::from_slice(&full[..cut]).is_err(), "truncation at {cut} bytes loaded");
+        assert!(rejects(&full[..cut]), "truncation at {cut} bytes loaded");
     });
-    let agreed = std::sync::atomic::AtomicUsize::new(0);
+    let valid = std::sync::atomic::AtomicUsize::new(0);
     each_position(full.len(), |pos| {
         let mut damaged = full.clone();
         for bit in 0..8 {
             damaged[pos] ^= 1 << bit;
-            if let Ok(ours) = metajson::from_slice(&damaged) {
-                if let Ok(theirs) = serde_json::from_slice::<CampaignMeta>(&damaged) {
-                    assert!(ours == theirs, "flip of bit {bit} at byte {pos}: values differ");
-                    agreed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
+            if let Ok(meta) = serde_json::from_slice::<CampaignMeta>(&damaged) {
+                let back = read(&to_bytes(&meta), "rewritten");
+                assert!(back == meta, "flip of bit {bit} at byte {pos}: no round trip");
+                valid.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
             damaged[pos] ^= 1 << bit;
         }
     });
     // flips inside strings and digits leave valid documents
-    assert!(agreed.into_inner() > 0);
+    assert!(valid.into_inner() > 0);
 }

@@ -157,7 +157,8 @@ fn chaos_killed_vm_campaign_recovers_byte_identical_across_tiers() {
     assert_eq!(recovered, interp, "…and match the interp tier byte for byte");
 
     // Test-major: all three sides of an FP32 HIPIFY campaign in one
-    // call, where one CUDA emission feeds nvcc, HIPIFY and the truth.
+    // call, where only the hipified hipcc side emits and parses; nvcc
+    // and the truth compile the generated program itself.
     // Each test journals 11 units (5 levels × 2 vendors + the truth),
     // so a crash at append 16 lands mid-test.
     let config = CampaignConfig::default_for(Precision::F32, TestMode::Hipified).with_programs(4);

@@ -17,11 +17,10 @@
 //! opposite — a journaled grant whose reply was lost — is harmless: the
 //! lease expires unheartbeaten and is re-granted.
 //!
-//! Each frame's payload is serde_json's bytes for the event. A `Done`
-//! event carries a whole shard result, so it is written and read by the
-//! streaming [`difftest::metajson`] codec (`encode_done`,
-//! `decode_event`): same bytes, no intermediate tree, and the
-//! coordinator encodes it from the shipped result by reference.
+//! Each frame's payload is the event's compact JSON, written and read by
+//! the workspace's one streaming codec (`serde_json::to_vec`/
+//! `from_slice`). A `Done` event carries a whole shard result, which
+//! that codec writes and reads without an intermediate tree.
 
 use std::io;
 use std::path::Path;
@@ -29,8 +28,6 @@ use std::path::Path;
 use difftest::checkpoint::FramedLog;
 use difftest::metadata::CampaignMeta;
 use serde::{Deserialize, Serialize};
-
-use crate::proto::{decode_shipped, encode_shipped, invalid_data};
 
 /// Magic tag opening a coordinator journal.
 pub const COORD_MAGIC: &[u8; 8] = b"VGCOORD1";
@@ -122,36 +119,6 @@ impl CoordEvent {
     }
 }
 
-/// The payload of a [`CoordEvent::Done`] for a shard result held by
-/// reference: `serde_json::to_vec` of the event, without building it.
-pub(crate) fn encode_done(
-    shard: usize,
-    epoch: u64,
-    fence: u64,
-    meta: &CampaignMeta,
-) -> io::Result<Vec<u8>> {
-    encode_shipped(("ev", "Done"), None, (shard, epoch, fence), meta).map_err(invalid_data)
-}
-
-/// An event's payload: `serde_json::to_vec(ev)`.
-pub(crate) fn encode_event(ev: &CoordEvent) -> io::Result<Vec<u8>> {
-    match ev {
-        CoordEvent::Done { shard, epoch, fence, meta } => encode_done(*shard, *epoch, *fence, meta),
-        other => serde_json::to_vec(other).map_err(invalid_data),
-    }
-}
-
-/// Decode an event's payload: a `Done` by the streaming codec, any
-/// other event (a few bytes) by serde.
-pub(crate) fn decode_event(payload: &[u8]) -> io::Result<CoordEvent> {
-    match decode_shipped(payload, ("ev", "Done")).map_err(invalid_data)? {
-        Some(s) => {
-            Ok(CoordEvent::Done { shard: s.shard, epoch: s.epoch, fence: s.fence, meta: s.meta })
-        }
-        None => serde_json::from_slice(payload).map_err(invalid_data),
-    }
-}
-
 /// Append-only, CRC-framed coordinator journal.
 pub struct CoordJournal {
     log: FramedLog,
@@ -168,8 +135,9 @@ impl CoordJournal {
     /// it together with every intact event in append order. A file that
     /// is not a coordinator journal is a hard error.
     pub fn open_for_resume(path: &Path) -> io::Result<(CoordJournal, Vec<CoordEvent>)> {
-        let (log, _, events) =
-            FramedLog::open_for_resume(path, &[COORD_MAGIC], |_, p| decode_event(p).ok())?;
+        let (log, _, events) = FramedLog::open_for_resume(path, &[COORD_MAGIC], |_, p| {
+            serde_json::from_slice(p).ok()
+        })?;
         let frames = events.len() as u64;
         Ok((CoordJournal { log, frames }, events))
     }
@@ -180,11 +148,12 @@ impl CoordJournal {
     /// so the restart path replays a journal that matches what agents
     /// were told.
     pub fn append(&mut self, ev: &CoordEvent) -> io::Result<()> {
-        self.append_payload(&encode_event(ev)?)
+        self.append_payload(&serde_json::to_vec(ev)?)
     }
 
-    /// [`CoordJournal::append`] for an event already encoded (a `Done`
-    /// from `encode_done`), under the same contract.
+    /// [`CoordJournal::append`] for an event already encoded (a `Done`,
+    /// encoded before its result moves into the merge), under the same
+    /// contract.
     pub(crate) fn append_payload(&mut self, payload: &[u8]) -> io::Result<()> {
         self.log.append(payload)?;
         self.frames += 1;
@@ -287,18 +256,20 @@ mod tests {
     }
 
     #[test]
-    fn done_events_equal_serde_bytes_and_read_back() {
-        let meta = shard(0);
-        let done = CoordEvent::Done { shard: 0, epoch: 2, fence: 9, meta: Box::new(meta.clone()) };
-        let payload = encode_done(0, 2, 9, &meta).unwrap();
-        assert!(payload == serde_json::to_vec(&done).unwrap(), "Done payload differs from serde");
-        assert!(encode_event(&done).unwrap() == payload);
-        assert_eq!(decode_event(&payload).unwrap(), done);
-        for ev in sample_events() {
-            let payload = encode_event(&ev).unwrap();
-            assert!(payload == serde_json::to_vec(&ev).unwrap(), "{} differs", ev.kind());
-            assert_eq!(decode_event(&payload).unwrap(), ev);
+    fn done_events_read_back_and_keep_the_stored_bytes() {
+        let done = CoordEvent::Done { shard: 0, epoch: 2, fence: 9, meta: Box::new(shard(0)) };
+        let mut events = sample_events();
+        events.push(done);
+        for ev in events {
+            let payload = serde_json::to_vec(&ev).unwrap();
+            assert_eq!(serde_json::from_slice::<CoordEvent>(&payload).unwrap(), ev);
         }
+        // a Done payload an earlier build journaled
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/json/event_done.json");
+        let stored = std::fs::read(path).unwrap();
+        let done: CoordEvent = serde_json::from_slice(&stored).unwrap();
+        assert_eq!(done.kind(), "done");
+        assert!(serde_json::to_vec(&done).unwrap() == stored, "Done payload bytes changed");
     }
 
     #[test]
@@ -314,7 +285,7 @@ mod tests {
             CoordEvent::Heartbeat { shard: 0, epoch: 1, fence: 2 },
             CoordEvent::Done { shard: 0, epoch: 1, fence: 2, meta: Box::new(meta0.clone()) },
         ];
-        // the earlier writer: every payload through serde_json
+        // every payload written straight into the framed log
         let path = temp_path("serde-written");
         let log = FramedLog::create(&path, COORD_MAGIC).unwrap();
         for ev in &events {
@@ -327,7 +298,7 @@ mod tests {
         let expected = CampaignMeta::merge_shards(vec![meta0, meta1]).unwrap();
         let merged = state.merged().expect("both shards folded");
         assert!(*merged == expected, "replay reproduces the merge");
-        // and the codec-written journal holds the same bytes
+        // and the journal's own appends hold the same bytes
         let written = std::fs::read(&path).unwrap();
         let mut j = CoordJournal::create(&path).unwrap();
         for ev in &events {

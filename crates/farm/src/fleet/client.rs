@@ -10,7 +10,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::fleet::netchaos::{NetChaos, NetChaosConfig, NetFault};
-use crate::proto::{read_message, write_request, Reply, Request};
+use crate::proto::{read_message, write_message, Reply, Request};
 
 /// A connect-per-exchange client for the coordinator at `addr`.
 #[derive(Debug)]
@@ -67,7 +67,7 @@ impl FleetClient {
 
     fn exchange(&self, req: &Request) -> io::Result<Reply> {
         let mut stream = self.connect()?;
-        write_request(&mut stream, req)?;
+        write_message(&mut stream, req)?;
         read_message(&mut stream)
     }
 
@@ -75,7 +75,7 @@ impl FleetClient {
     /// the coordinator's CRC check rejects it without a state change.
     fn send_truncated(&self, req: &Request) -> io::Result<()> {
         let mut bytes = Vec::new();
-        write_request(&mut bytes, req)?;
+        write_message(&mut bytes, req)?;
         let mut stream = self.connect()?;
         stream.write_all(&bytes[..bytes.len() / 2])?;
         stream.flush()
@@ -148,7 +148,6 @@ impl FleetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_request, write_message};
     use std::net::TcpListener;
 
     fn serve_once(reply: Reply) -> (std::net::SocketAddr, std::thread::JoinHandle<Request>) {
@@ -156,7 +155,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap();
+            let req: Request = read_message(&mut stream).unwrap();
             write_message(&mut stream, &reply).unwrap();
             req
         });
@@ -203,7 +202,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             stream.set_read_timeout(Some(Duration::from_millis(2_000))).unwrap();
-            read_request(&mut stream).is_err()
+            read_message::<Request>(&mut stream).is_err()
         });
         let client = calm_client(addr);
         client.send_truncated(&Request::Lease { agent: "t".into() }).unwrap();

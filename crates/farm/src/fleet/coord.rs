@@ -53,9 +53,9 @@ use difftest::fault::shutdown_requested;
 use difftest::metadata::CampaignMeta;
 use difftest::CampaignConfig;
 
-use crate::coordjournal::{encode_done, CoordEvent, CoordJournal};
+use crate::coordjournal::{CoordEvent, CoordJournal};
 use crate::lease::{LeaseState, ShardId, WorkQueue};
-use crate::proto::{read_request, write_message, Reply, Request};
+use crate::proto::{read_message, write_message, Reply, Request};
 use crate::status::StatusServer;
 use crate::supervisor::{farm_stop_path, io_err, merged_path, FarmError};
 
@@ -472,10 +472,10 @@ impl CoordState {
     /// Serve one request, for the coordinator (which passes its
     /// `journal`) and the local farm (which keeps none). Every journal
     /// event is appended before this returns, so the caller may send the
-    /// reply once it has it. A completion is never copied: its `Done`
-    /// event is encoded from the shipped result by reference, the result
-    /// then moves into the merge, and the event is appended once the
-    /// merge has taken it. A completion the merge refuses (its result
+    /// reply once it has it. A completion is never copied: the shipped
+    /// result moves into its `Done` event to be encoded, moves back out
+    /// into the merge, and the event is appended once the merge has
+    /// taken it. A completion the merge refuses (its result
     /// holds a different test under an index already folded) is answered
     /// `Reply::Error` and journals nothing: the merge keeps every shard
     /// folded so far, and the shard stays leased until its lease expires
@@ -502,12 +502,14 @@ impl CoordState {
             Ok(false) => return Ok(Reply::Ok),
             Err(reply) => return Ok(reply),
         }
-        let done = journal.as_ref().map(|_| encode_done(shard, epoch, fence, &meta)).transpose()?;
+        let done = CoordEvent::Done { shard, epoch, fence, meta };
+        let payload = journal.as_ref().map(|_| serde_json::to_vec(&done)).transpose()?;
+        let CoordEvent::Done { meta, .. } = done else { unreachable!("built as a Done") };
         if let Err(reply) = self.settle(shard, epoch, fence, *meta) {
             return Ok(reply);
         }
-        if let (Some(journal), Some(done)) = (journal, done) {
-            journal.append_payload(&done)?;
+        if let (Some(journal), Some(payload)) = (journal, payload) {
+            journal.append_payload(&payload)?;
         }
         Ok(Reply::Ok)
     }
@@ -731,7 +733,7 @@ fn serve_conn(
 ) -> Result<(), FarmError> {
     stream.set_read_timeout(Some(Duration::from_millis(2_000))).ok();
     stream.set_write_timeout(Some(Duration::from_millis(2_000))).ok();
-    let req = match read_request(stream) {
+    let req = match read_message::<Request>(stream) {
         Ok(r) => r,
         Err(_) => {
             // Torn frame, wrong version, or a stranger: no state

@@ -3,11 +3,11 @@
 //! One request/reply exchange per TCP connection, framed exactly like a
 //! checkpoint journal record — a protocol version byte, then
 //! `[payload_len: u32 LE][crc32(payload): u32 LE][payload JSON]` via
-//! [`difftest::checkpoint::encode_frame`]. A payload is serde_json's
-//! bytes for the message; a [`Request::Complete`] carries a whole shard
-//! result, so [`write_request`] and [`read_request`] write and read it
-//! with the streaming [`difftest::metajson`] codec (same bytes, no
-//! intermediate tree). The CRC rejects torn frames
+//! [`difftest::checkpoint::encode_frame`]. A payload is the message's
+//! compact JSON, written and read by the workspace's one streaming codec
+//! (`serde_json::to_vec`/`from_slice`): a [`Request::Complete`] carries
+//! a whole shard result, which that codec writes and reads without an
+//! intermediate tree. The CRC rejects torn frames
 //! (a truncated send, an injected chaos fault); the version byte
 //! rejects an old agent before it can misparse anything; the length
 //! prefix bounds allocation. Decoding arbitrary bytes never panics —
@@ -24,9 +24,7 @@
 
 use difftest::campaign::CampaignConfig;
 use difftest::checkpoint::{crc32, encode_frame};
-use difftest::metadata::{CampaignMeta, MetaError};
-use difftest::metajson::{self, once, required, Reader};
-use serde::de::DeserializeOwned;
+use difftest::metadata::CampaignMeta;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 
@@ -219,140 +217,24 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// An encode or decode failure as an `InvalidData` I/O error.
-pub(crate) fn invalid_data(e: impl std::fmt::Display) -> io::Error {
-    invalid(e.to_string())
-}
-
-/// A shard result with the lease identity it was shipped under: the body
-/// of a [`Request::Complete`] frame and of a
-/// [`crate::coordjournal::CoordEvent::Done`] journal event, which differ
-/// in their tag member and in `Complete`'s `agent`.
-pub(crate) struct Shipped {
-    pub agent: Option<String>,
-    pub shard: usize,
-    pub epoch: u64,
-    pub fence: u64,
-    pub meta: Box<CampaignMeta>,
-}
-
-/// The serde_json bytes of a shipped result under the internal tag
-/// `tag = (member, variant)`, its shard result written by the streaming
-/// codec.
-pub(crate) fn encode_shipped(
-    tag: (&str, &str),
-    agent: Option<&str>,
-    (shard, epoch, fence): (usize, u64, u64),
-    meta: &CampaignMeta,
-) -> Result<Vec<u8>, MetaError> {
-    let mut out = Vec::new();
-    out.push(b'{');
-    metajson::write_str(&mut out, tag.0);
-    out.push(b':');
-    metajson::write_str(&mut out, tag.1);
-    if let Some(agent) = agent {
-        out.extend_from_slice(b",\"agent\":");
-        metajson::write_str(&mut out, agent);
-    }
-    for (key, n) in [("shard", shard as u64), ("epoch", epoch), ("fence", fence)] {
-        out.push(b',');
-        metajson::write_str(&mut out, key);
-        out.push(b':');
-        metajson::write_u64(&mut out, n);
-    }
-    out.extend_from_slice(b",\"meta\":");
-    metajson::write_meta(&mut out, meta)?;
-    out.push(b'}');
-    Ok(out)
-}
-
-/// Decode a payload whose tag member `tag.0` names `tag.1` as a shipped
-/// result, with the streaming codec. `Ok(None)`: the payload is another
-/// message, which the caller decodes with serde.
-pub(crate) fn decode_shipped(
-    payload: &[u8],
-    tag: (&str, &str),
-) -> Result<Option<Shipped>, MetaError> {
-    let (mut tagged, mut agent, mut shard, mut epoch, mut fence, mut meta) =
-        (None, None, None, None, None, None);
-    let mut r = Reader::new(payload);
-    r.begin_object()?;
-    let mut first = true;
-    while let Some(key) = r.next_key(&mut first)? {
-        match &*key {
-            k if k == tag.0 => {
-                if r.string()? != tag.1 {
-                    return Ok(None);
-                }
-                once(&mut tagged, k, ())?;
-            }
-            "agent" => once(&mut agent, &key, r.string()?.into_owned())?,
-            "shard" => once(&mut shard, &key, r.u64()?)?,
-            "epoch" => once(&mut epoch, &key, r.u64()?)?,
-            "fence" => once(&mut fence, &key, r.u64()?)?,
-            "meta" => once(&mut meta, &key, r.meta()?)?,
-            _ => r.skip()?,
-        }
-    }
-    r.finish()?;
-    if tagged.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(Shipped {
-        agent,
-        shard: usize::try_from(required(shard, "shard")?)
-            .map_err(|e| MetaError::Io(e.to_string()))?,
-        epoch: required(epoch, "epoch")?,
-        fence: required(fence, "fence")?,
-        meta: Box::new(required(meta, "meta")?),
-    }))
-}
-
-impl Request {
-    /// The frame payload: `serde_json::to_vec(self)`, a `Complete`'s
-    /// shard result written by the streaming codec.
-    pub(crate) fn encode(&self) -> io::Result<Vec<u8>> {
-        match self {
-            Request::Complete { agent, shard, epoch, fence, meta } => {
-                encode_shipped(("type", "Complete"), Some(agent), (*shard, *epoch, *fence), meta)
-                    .map_err(invalid_data)
-            }
-            other => serde_json::to_vec(other).map_err(invalid_data),
-        }
-    }
-
-    /// Decode a frame payload. A `Complete` is read by the streaming
-    /// codec, any other request (a few bytes) by serde.
-    pub(crate) fn decode(payload: &[u8]) -> io::Result<Request> {
-        match decode_shipped(payload, ("type", "Complete")).map_err(invalid_data)? {
-            Some(s) => Ok(Request::Complete {
-                agent: required(s.agent, "agent").map_err(invalid_data)?,
-                shard: s.shard,
-                epoch: s.epoch,
-                fence: s.fence,
-                meta: s.meta,
-            }),
-            None => serde_json::from_slice(payload).map_err(invalid_data),
-        }
-    }
-}
-
-/// Write `payload` as one versioned CRC frame.
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// Serialize `msg` and write it as one versioned CRC frame.
+pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
+    let payload = serde_json::to_vec(msg)?;
     if payload.len() > MAX_FRAME_BYTES as usize {
         return Err(invalid(format!("frame too large: {} bytes", payload.len())));
     }
     let mut buf = Vec::with_capacity(payload.len() + 9);
     buf.push(PROTO_VERSION);
-    buf.extend_from_slice(&encode_frame(payload));
+    buf.extend_from_slice(&encode_frame(&payload));
     w.write_all(&buf)?;
     w.flush()
 }
 
-/// Read one versioned CRC frame's payload. Every malformed frame —
-/// wrong version, oversized or short, CRC mismatch — is an `io::Error`;
-/// this function never panics on arbitrary bytes.
-fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+/// Read one versioned CRC frame and deserialize it. Every malformed
+/// input — wrong version, oversized or short frame, CRC mismatch,
+/// unparsable JSON — is an `io::Error`; this function never panics on
+/// arbitrary bytes.
+pub fn read_message<T: Deserialize>(r: &mut impl Read) -> io::Result<T> {
     let mut version = [0u8; 1];
     r.read_exact(&mut version)?;
     if version[0] != PROTO_VERSION {
@@ -373,32 +255,7 @@ fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     if crc32(&payload) != crc {
         return Err(invalid("frame CRC mismatch"));
     }
-    Ok(payload)
-}
-
-/// Serialize `msg` and write it as one versioned CRC frame.
-pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
-    write_frame(w, &serde_json::to_vec(msg).map_err(invalid_data)?)
-}
-
-/// Read one versioned CRC frame and deserialize it. Every malformed
-/// input — wrong version, oversized or short frame, CRC mismatch,
-/// unparsable JSON — is an `io::Error`; this function never panics on
-/// arbitrary bytes.
-pub fn read_message<T: DeserializeOwned>(r: &mut impl Read) -> io::Result<T> {
-    serde_json::from_slice(&read_frame(r)?).map_err(invalid_data)
-}
-
-/// [`write_message`] for a request: the same bytes, a `Complete`'s shard
-/// result written without an intermediate tree.
-pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    write_frame(w, &req.encode()?)
-}
-
-/// [`read_message`] for a request, a `Complete` read by the streaming
-/// codec.
-pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
-    Request::decode(&read_frame(r)?)
+    Ok(serde_json::from_slice(&payload)?)
 }
 
 #[cfg(test)]
@@ -406,7 +263,7 @@ pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(msg: &T) -> T {
+    fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) -> T {
         let mut buf = Vec::new();
         write_message(&mut buf, msg).unwrap();
         read_message(&mut Cursor::new(buf)).unwrap()
@@ -513,8 +370,15 @@ pub(crate) mod tests {
         }
     }
 
+    /// The payload of a `Complete` frame written by an earlier build.
+    fn stored_complete() -> Vec<u8> {
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/json/request_complete.json");
+        std::fs::read(path).expect("the Complete fixture")
+    }
+
     #[test]
-    fn request_frames_equal_serde_framing_and_read_back() {
+    fn request_frames_read_back_and_keep_the_stored_bytes() {
         let mut reqs = vec![complete()];
         reqs.extend([
             Request::Lease { agent: "a1".into() },
@@ -522,33 +386,41 @@ pub(crate) mod tests {
             Request::Leave { agent: "a2".into() },
         ]);
         for req in &reqs {
-            let (mut ours, mut theirs) = (Vec::new(), Vec::new());
-            write_request(&mut ours, req).unwrap();
-            write_message(&mut theirs, req).unwrap();
-            assert!(ours == theirs, "{}: frame bytes differ", req.kind());
-            assert_eq!(&read_request(&mut Cursor::new(&ours)).unwrap(), req, "{}", req.kind());
-            assert_eq!(&read_message::<Request>(&mut Cursor::new(&ours)).unwrap(), req);
+            assert_eq!(&roundtrip(req), req, "{}", req.kind());
         }
+        let stored = stored_complete();
+        let mut frame = vec![PROTO_VERSION];
+        frame.extend_from_slice(&encode_frame(&stored));
+        let req: Request = read_message(&mut Cursor::new(&frame)).unwrap();
+        assert_eq!(req.kind(), "complete");
+        let mut written = Vec::new();
+        write_message(&mut written, &req).unwrap();
+        assert!(written == frame, "a stored Complete frame is rewritten byte-identical");
     }
 
     #[test]
-    fn the_complete_decoder_rejects_or_matches_serde_on_any_damage() {
-        let payload = complete().encode().unwrap();
+    fn a_damaged_complete_is_an_error_or_a_valid_request() {
+        let payload = stored_complete();
         for cut in 0..payload.len() {
-            assert!(Request::decode(&payload[..cut]).is_err(), "truncation at {cut} decoded");
+            let torn = serde_json::from_slice::<Request>(&payload[..cut]);
+            assert!(torn.is_err(), "truncation at {cut} decoded");
         }
         let mut damaged = payload.clone();
+        let mut valid = 0;
         for pos in 0..payload.len() {
             for bit in 0..8 {
                 damaged[pos] ^= 1 << bit;
-                if let (Ok(ours), Ok(theirs)) =
-                    (Request::decode(&damaged), serde_json::from_slice::<Request>(&damaged))
-                {
-                    assert!(ours == theirs, "flip of bit {bit} at byte {pos}: values differ");
+                if let Ok(req) = serde_json::from_slice::<Request>(&damaged) {
+                    let again = serde_json::to_vec(&req).unwrap();
+                    let back: Request = serde_json::from_slice(&again).unwrap();
+                    assert!(back == req, "flip of bit {bit} at byte {pos}: no round trip");
+                    valid += 1;
                 }
                 damaged[pos] ^= 1 << bit;
             }
         }
+        // flips inside strings and digits leave valid requests
+        assert!(valid > 0);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use difftest::metadata::CampaignMeta;
 use difftest::TestFault;
 use farm::proto::{read_message, write_message, Reply, Request};
 use farm::CoordEvent;
-use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -49,7 +48,7 @@ fn same(name: &str, written: &[u8], stored: &[u8]) {
 }
 
 /// Read `name` as a `T` and write it back compact.
-fn compact<T: Serialize + DeserializeOwned>(name: &str) -> T {
+fn compact<T: Serialize + Deserialize>(name: &str) -> T {
     let stored = fixture(name);
     let value: T = serde_json::from_slice(&stored).unwrap_or_else(|e| panic!("{name}: {e}"));
     same(name, &serde_json::to_vec(&value).unwrap(), &stored);
@@ -57,7 +56,7 @@ fn compact<T: Serialize + DeserializeOwned>(name: &str) -> T {
 }
 
 /// Read `name` as a `T` and write it back two-space pretty.
-fn pretty<T: Serialize + DeserializeOwned>(name: &str) {
+fn pretty<T: Serialize + Deserialize>(name: &str) {
     let stored = fixture(name);
     let value: T = serde_json::from_slice(&stored).unwrap_or_else(|e| panic!("{name}: {e}"));
     same(name, &serde_json::to_vec_pretty(&value).unwrap(), &stored);
@@ -173,4 +172,26 @@ fn an_internal_tag_is_read_at_any_position() {
     let first: CoordEvent = serde_json::from_slice(&stored).unwrap();
     let last: CoordEvent = serde_json::from_slice(&moved).unwrap();
     assert!(first == last, "Done: the tag's position changed the value");
+}
+
+#[test]
+fn malformed_documents_are_errors() {
+    let lease = |agent: &str| format!("{{\"type\":\"Lease\",\"agent\":\"{agent}\"}}");
+    assert!(serde_json::from_str::<Request>(&lease("a1")).is_ok());
+    for agent in ["\\ud83d\\u0041", "a\u{1}b"] {
+        let doc = lease(agent);
+        assert!(serde_json::from_str::<Request>(&doc).is_err(), "{doc:?} read as a Lease");
+    }
+    let config: CampaignConfig = serde_json::from_slice(&fixture("config.json")).unwrap();
+    let text = serde_json::to_string(&config).unwrap();
+    assert!(serde_json::from_str::<CampaignConfig>(&text).is_ok());
+    for (member, bad) in [
+        ("\"n_programs\":6", "\"n_programs\":01"),
+        ("\"if_prob\":0.3", "\"if_prob\":1e400"),
+        ("\"seed\":2024", "\"seed\":5,\"seed\":2024"),
+    ] {
+        assert!(text.contains(member), "{member}");
+        let doc = text.replacen(member, bad, 1);
+        assert!(serde_json::from_str::<CampaignConfig>(&doc).is_err(), "{bad} read as a config");
+    }
 }

@@ -1,10 +1,11 @@
-//! `#[derive(Serialize, Deserialize)]` for the std-only serde stand-in.
+//! `#[derive(Serialize, Deserialize)]` for the in-tree serde codec.
 //!
-//! Parses the item by hand (no `syn`) and emits code against
-//! `serde::__private`. Supports what the workspace uses: structs (named,
-//! tuple, unit), externally and internally (`tag = "..."`) tagged enums,
-//! `rename_all = "lowercase"`, and the field attributes `default`,
-//! `default = "path"`, `skip_serializing_if = "path"` and `rename`.
+//! Parses the item by hand (no `syn`) and emits straight-line calls on
+//! `serde::Writer` and `serde::Reader`. Supports what the workspace uses:
+//! structs with named fields, tuple structs, externally and internally
+//! (`tag = "..."`) tagged enums, `rename_all = "lowercase"`, and the
+//! field attributes `default`, `default = "path"` and
+//! `skip_serializing_if = "path"`.
 
 extern crate proc_macro;
 
@@ -13,12 +14,12 @@ use std::str::FromStr;
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    emit(parse_item(input).map(|item| serialize_impl(&item)))
+    emit(parse_item(input).and_then(|item| serialize_impl(&item)))
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    emit(parse_item(input).map(|item| deserialize_impl(&item)))
+    emit(parse_item(input).and_then(|item| deserialize_impl(&item)))
 }
 
 fn emit(code: Result<String, String>) -> TokenStream {
@@ -29,22 +30,29 @@ fn emit(code: Result<String, String>) -> TokenStream {
 #[derive(Default)]
 struct Attrs {
     tag: Option<String>,
-    rename_all: Option<String>,
-    rename: Option<String>,
+    lowercase: bool,
     /// `Some("")` for a bare `default`, `Some(path)` for `default = "path"`.
     default: Option<String>,
     skip_if: Option<String>,
 }
 
+struct Field {
+    /// The identifier as written (`r#type`).
+    ident: String,
+    /// The member name in JSON (`type`).
+    name: String,
+    ty: String,
+    attrs: Attrs,
+}
+
 enum Fields {
-    Named(Vec<(String, Attrs)>),
+    Named(Vec<Field>),
     Tuple(usize),
     Unit,
 }
 
 struct Variant {
     name: String,
-    attrs: Attrs,
     fields: Fields,
 }
 
@@ -77,7 +85,6 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
             Body::Struct(Fields::Tuple(split_commas(g.stream()).len()))
         }
-        ("struct", _) => Body::Struct(Fields::Unit),
         ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             Body::Enum(parse_variants(g.stream())?)
         }
@@ -124,13 +131,14 @@ fn parse_attrs(tokens: &[TokenTree], i: &mut usize) -> Result<Attrs, String> {
                 _ => return Err("malformed #[serde] argument".into()),
             };
             let value = match arg.get(2) {
-                Some(TokenTree::Literal(lit)) => Some(unquote(&lit.to_string())),
+                Some(TokenTree::Literal(lit)) => {
+                    Some(lit.to_string().trim_matches('"').to_string())
+                }
                 _ => None,
             };
             match (key.as_str(), value) {
                 ("tag", Some(v)) => attrs.tag = Some(v),
-                ("rename_all", Some(v)) => attrs.rename_all = Some(v),
-                ("rename", Some(v)) => attrs.rename = Some(v),
+                ("rename_all", Some(v)) if v == "lowercase" => attrs.lowercase = true,
                 ("default", v) => attrs.default = Some(v.unwrap_or_default()),
                 ("skip_serializing_if", Some(v)) => attrs.skip_if = Some(v),
                 (other, _) => return Err(format!("serde stand-in: unsupported `{other}`")),
@@ -138,10 +146,6 @@ fn parse_attrs(tokens: &[TokenTree], i: &mut usize) -> Result<Attrs, String> {
         }
     }
     Ok(attrs)
-}
-
-fn unquote(lit: &str) -> String {
-    lit.trim_matches('"').to_string()
 }
 
 /// Split a token stream on commas outside `<...>`.
@@ -171,15 +175,17 @@ fn split_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     out
 }
 
-fn parse_named(stream: TokenStream) -> Result<Vec<(String, Attrs)>, String> {
+fn parse_named(stream: TokenStream) -> Result<Vec<Field>, String> {
     split_commas(stream)
         .into_iter()
         .map(|field| {
             let mut i = 0;
             let attrs = parse_attrs(&field, &mut i)?;
             skip_visibility(&field, &mut i);
-            let name = ident_at(&field, i).ok_or("expected a field name")?;
-            Ok((name.trim_start_matches("r#").to_string(), attrs))
+            let ident = ident_at(&field, i).ok_or("expected a field name")?;
+            let ty = TokenStream::from_iter(field[i + 2..].iter().cloned()).to_string();
+            let name = ident.trim_start_matches("r#").to_string();
+            Ok(Field { ident, name, ty, attrs })
         })
         .collect()
 }
@@ -189,7 +195,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
         .into_iter()
         .map(|v| {
             let mut i = 0;
-            let attrs = parse_attrs(&v, &mut i)?;
+            parse_attrs(&v, &mut i)?;
             let name = ident_at(&v, i).ok_or("expected a variant name")?;
             let fields = match v.get(i + 1) {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -200,214 +206,225 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
                 }
                 _ => Fields::Unit,
             };
-            Ok(Variant { name, attrs, fields })
+            Ok(Variant { name, fields })
         })
         .collect()
 }
 
-fn wire_name(name: &str, own: &Attrs, rename_all: Option<&str>) -> String {
-    if let Some(r) = &own.rename {
-        return r.clone();
-    }
-    match rename_all {
-        Some("lowercase") => name.to_lowercase(),
-        Some("UPPERCASE") => name.to_uppercase(),
-        Some("snake_case") => {
-            let mut out = String::new();
-            for (i, c) in name.chars().enumerate() {
-                if c.is_uppercase() && i > 0 {
-                    out.push('_');
-                }
-                out.extend(c.to_lowercase());
-            }
-            out
-        }
-        _ => name.to_string(),
+/// A variant's name in JSON.
+fn wire(item: &Item, v: &Variant) -> String {
+    if item.attrs.lowercase {
+        v.name.to_lowercase()
+    } else {
+        v.name.clone()
     }
 }
 
-const P: &str = "::serde::__private";
+/// A Rust literal of `name` as a JSON string, quotes included: the
+/// argument of `Writer::ident`.
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
+
+/// A Rust literal of `name` as a JSON key, colon included: the argument
+/// of `Writer::field`.
+fn quoted_key(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\":"))
+}
+
+const S: &str = "::serde::Serialize::serialize";
 
 // ---- Serialize ---------------------------------------------------------
 
-/// Statements pushing named fields (bound to `binding(name)`) onto `__m`.
-fn push_named(fields: &[(String, Attrs)], binding: impl Fn(&str) -> String) -> String {
+/// Statements writing named fields, each bound to `binding(ident)`, as
+/// members of the open object.
+fn write_named(fields: &[Field], binding: impl Fn(&str) -> String) -> String {
     let mut out = String::new();
-    for (name, attrs) in fields {
-        let b = binding(name);
-        let push = format!(
-            "__m.push(({:?}.to_string(), {P}::to_content::<_, __S::Error>({b})?));",
-            wire_name(name, attrs, None)
-        );
-        match &attrs.skip_if {
-            Some(path) => out.push_str(&format!("if !{path}({b}) {{ {push} }}")),
-            None => out.push_str(&push),
+    for f in fields {
+        let b = binding(&f.ident);
+        let put = format!("__w.field({}); {S}({b}, __w);", quoted_key(&f.name));
+        match &f.attrs.skip_if {
+            Some(path) => out.push_str(&format!("if !{path}({b}) {{ {put} }}")),
+            None => out.push_str(&put),
         }
     }
     out
 }
 
-fn tuple_content(n: usize, binding: impl Fn(usize) -> String) -> String {
+/// Statements writing `n` positional values, `binding(k)` each: the
+/// value itself for one, an array for more.
+fn write_tuple(n: usize, binding: impl Fn(usize) -> String) -> String {
     if n == 1 {
-        return format!("{P}::to_content::<_, __S::Error>({})?", binding(0));
+        return format!("{S}({}, __w);", binding(0));
     }
-    let items: Vec<String> =
-        (0..n).map(|k| format!("{P}::to_content::<_, __S::Error>({})?", binding(k))).collect();
-    format!("::serde::Content::Seq(vec![{}])", items.join(", "))
+    let items: String =
+        (0..n).map(|k| format!("__w.element(); {S}({}, __w);", binding(k))).collect();
+    format!("__w.begin_array(); {items} __w.end_array();")
 }
 
-fn serialize_impl(item: &Item) -> String {
+fn serialize_impl(item: &Item) -> Result<String, String> {
     let body = match &item.body {
         Body::Struct(Fields::Named(fields)) => format!(
-            "let mut __m = Vec::new(); {} ::serde::Content::Map(__m)",
-            push_named(fields, |n| format!("&self.{n}"))
+            "__w.begin_object(); {} __w.end_object();",
+            write_named(fields, |n| format!("&self.{n}"))
         ),
-        Body::Struct(Fields::Tuple(n)) => tuple_content(*n, |k| format!("&self.{k}")),
-        Body::Struct(Fields::Unit) => "::serde::Content::Null".to_string(),
+        Body::Struct(Fields::Tuple(n)) => write_tuple(*n, |k| format!("&self.{k}")),
+        Body::Struct(Fields::Unit) => unreachable!("unit structs are not parsed"),
         Body::Enum(variants) => {
-            let arms: Vec<String> = variants.iter().map(|v| serialize_arm(item, v)).collect();
-            format!("match self {{ {} }}", arms.join(" "))
+            let arms =
+                variants.iter().map(|v| serialize_arm(item, v)).collect::<Result<String, _>>()?;
+            format!("match self {{ {arms} }}")
         }
     };
-    format!(
+    Ok(format!(
         "impl ::serde::Serialize for {name} {{
-            fn serialize<__S: ::serde::Serializer>(&self, __s: __S)
-                -> ::core::result::Result<__S::Ok, __S::Error> {{
-                let __c = {{ {body} }};
-                __s.serialize_content(__c)
-            }}
+            fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}
         }}",
         name = item.name
-    )
+    ))
 }
 
-fn serialize_arm(item: &Item, v: &Variant) -> String {
-    let wire = wire_name(&v.name, &v.attrs, item.attrs.rename_all.as_deref());
+fn serialize_arm(item: &Item, v: &Variant) -> Result<String, String> {
+    let (wire, wire_key) = (quoted(&wire(item, v)), quoted_key(&wire(item, v)));
     let path = format!("{}::{}", item.name, v.name);
     let (pattern, payload) = match &v.fields {
-        Fields::Unit => (path.clone(), None),
+        Fields::Unit => (path, String::new()),
         Fields::Tuple(n) => {
             let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-            (
-                format!("{path}({})", binds.join(", ")),
-                Some(tuple_content(*n, |k| format!("__f{k}"))),
-            )
+            (format!("{path}({})", binds.join(", ")), write_tuple(*n, |k| format!("__f{k}")))
         }
         Fields::Named(fields) => {
-            let binds: Vec<String> = fields.iter().map(|(n, _)| format!("{n}: __f_{n}")).collect();
-            let pushes = push_named(fields, |n| format!("__f_{n}"));
-            (
-                format!("{path} {{ {} }}", binds.join(", ")),
-                Some(format!(
-                    "{{ let mut __m = Vec::new(); {pushes} ::serde::Content::Map(__m) }}"
-                )),
-            )
+            let binds: Vec<String> =
+                fields.iter().map(|f| format!("{}: __f_{}", f.ident, f.name)).collect();
+            let members = write_named(fields, |n| format!("__f_{}", n.trim_start_matches("r#")));
+            (format!("{path} {{ {} }}", binds.join(", ")), members)
         }
     };
-    let content = match (&item.attrs.tag, payload) {
-        (None, None) => format!("::serde::Content::Str({wire:?}.to_string())"),
-        (None, Some(p)) => format!("::serde::Content::Map(vec![({wire:?}.to_string(), {p})])"),
-        (Some(tag), None) => format!(
-            "::serde::Content::Map(vec![({tag:?}.to_string(), ::serde::Content::Str({wire:?}.to_string()))])"
+    let body = match (&item.attrs.tag, &v.fields) {
+        (None, Fields::Unit) => format!("__w.ident({wire});"),
+        (None, Fields::Tuple(_)) => {
+            format!("__w.begin_object(); __w.field({wire_key}); {payload} __w.end_object();")
+        }
+        (None, Fields::Named(_)) => format!(
+            "__w.begin_object(); __w.field({wire_key});
+             __w.begin_object(); {payload} __w.end_object(); __w.end_object();"
         ),
-        (Some(tag), Some(p)) => format!(
-            "{{ let mut __m = vec![({tag:?}.to_string(), ::serde::Content::Str({wire:?}.to_string()))];
-                match {p} {{
-                    ::serde::Content::Map(rest) => __m.extend(rest),
-                    _ => return ::core::result::Result::Err(<__S::Error as ::serde::ser::Error>::custom(
-                        \"internally tagged variant must hold a map\")),
-                }}
-                ::serde::Content::Map(__m) }}"
+        (Some(tag), Fields::Unit | Fields::Named(_)) => format!(
+            "__w.begin_object(); __w.field({}); __w.ident({wire}); {payload} __w.end_object();",
+            quoted_key(tag)
         ),
+        (Some(_), Fields::Tuple(_)) => {
+            return Err(format!("serde stand-in: tagged tuple variant `{}`", v.name))
+        }
     };
-    format!("{pattern} => {content},")
+    Ok(format!("{pattern} => {{ {body} }}"))
 }
 
 // ---- Deserialize -------------------------------------------------------
 
-/// A struct-literal body reading named fields out of map `__m`.
-fn take_named(fields: &[(String, Attrs)]) -> String {
-    let mut out = String::new();
-    for (name, attrs) in fields {
-        let wire = wire_name(name, attrs, None);
-        let absent = match attrs.default.as_deref() {
-            Some("") => "::core::default::Default::default()".to_string(),
-            Some(path) => format!("{path}()"),
-            None => format!("{P}::missing::<_, __D::Error>({wire:?})?"),
+/// An expression reading the object at the cursor into `path { fields }`.
+/// Unknown members are skipped; `tag`, the member an internally tagged
+/// enum names its variant with, is skipped too, once.
+fn read_named(path: &str, fields: &[Field], tag: Option<&str>) -> String {
+    let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+    for (k, f) in fields.iter().enumerate() {
+        let (name, ty) = (&f.name, &f.ty);
+        slots.push_str(&format!("let mut __f{k}: ::core::option::Option<{ty}> = None;"));
+        arms.push_str(&format!("{name:?} => __r.field(&mut __f{k}, {name:?})?,"));
+        let value = match f.attrs.default.as_deref() {
+            Some("") => format!("__f{k}.unwrap_or_default()"),
+            Some(default) => format!("__f{k}.unwrap_or_else({default})"),
+            None => format!("__r.required(__f{k}, {name:?})?"),
         };
-        out.push_str(&format!(
-            "{name}: match {P}::take(&mut __m, {wire:?}) {{
-                ::core::option::Option::Some(__v) => {P}::from_content::<_, __D::Error>(__v)?,
-                ::core::option::Option::None => {absent},
-            }},"
-        ));
+        inits.push_str(&format!("{}: {value},", f.ident));
     }
-    out
+    if let Some(tag) = tag {
+        slots.push_str("let mut __tag: ::core::option::Option<::std::string::String> = None;");
+        arms.push_str(&format!("{tag:?} => __r.field(&mut __tag, {tag:?})?,"));
+    }
+    format!(
+        "{{ {slots}
+            __r.begin_object()?;
+            let mut __first = true;
+            while let ::core::option::Option::Some(__k) = __r.next_key(&mut __first)? {{
+                match &*__k {{ {arms} _ => __r.skip()?, }}
+            }}
+            {path} {{ {inits} }} }}"
+    )
 }
 
-/// Construct `path` with `fields` from content expression `src`.
-fn build(path: &str, fields: &Fields, src: &str, expected: &str) -> String {
-    match fields {
-        Fields::Unit => format!("{{ let _ = {src}; {path} }}"),
-        Fields::Tuple(1) => format!("{path}({P}::from_content::<_, __D::Error>({src})?)"),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|_| format!("{P}::from_content::<_, __D::Error>(__it.next().expect(\"length checked\"))?"))
-                .collect();
-            format!(
-                "{{ let mut __it = {P}::expect_seq::<__D::Error>({src}, {n}, {expected:?})?; {path}({}) }}",
-                items.join(", ")
-            )
-        }
-        Fields::Named(named) => format!(
-            "{{ let mut __m = {P}::expect_map::<__D::Error>({src}, {expected:?})?; {path} {{ {} }} }}",
-            take_named(named)
-        ),
+/// An expression reading `n` positional values into `path(..)`: the
+/// value itself for one, an array for more.
+fn read_tuple(path: &str, n: usize) -> String {
+    if n == 1 {
+        return format!("{path}(::serde::Deserialize::deserialize(__r)?)");
     }
+    let items = vec!["__r.item(&mut __first)?"; n].join(", ");
+    format!(
+        "{{ __r.begin_array()?; let mut __first = true;
+            let __v = {path}({items}); __r.end_items(&mut __first)?; __v }}"
+    )
 }
 
-fn deserialize_impl(item: &Item) -> String {
+fn deserialize_impl(item: &Item) -> Result<String, String> {
     let name = &item.name;
-    let expected =
-        format!("{} {name}", if matches!(item.body, Body::Enum(_)) { "enum" } else { "struct" });
     let body = match &item.body {
-        Body::Struct(fields) => build(name, fields, "__c", &expected),
+        Body::Struct(Fields::Named(fields)) => read_named(name, fields, None),
+        Body::Struct(Fields::Tuple(n)) => read_tuple(name, *n),
+        Body::Struct(Fields::Unit) => unreachable!("unit structs are not parsed"),
         Body::Enum(variants) => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let wire = wire_name(&v.name, &v.attrs, item.attrs.rename_all.as_deref());
-                    let path = format!("{name}::{}", v.name);
-                    let src = if item.attrs.tag.is_some() {
-                        "::serde::Content::Map(__rest)"
-                    } else {
-                        "__payload"
-                    };
-                    format!("{wire:?} => {},", build(&path, &v.fields, src, &expected))
-                })
-                .collect();
-            let split = match &item.attrs.tag {
-                Some(tag) => format!(
-                    "let (__name, __rest) = {P}::tagged::<__D::Error>(__c, {tag:?}, {expected:?})?;"
-                ),
-                None => format!(
-                    "let (__name, __payload) = {P}::variant::<__D::Error>(__c, {expected:?})?;"
-                ),
-            };
-            format!(
-                "{split} match __name.as_str() {{ {} __other => return ::core::result::Result::Err({P}::unknown_variant::<__D::Error>(__other, {expected:?})), }}",
-                arms.join(" ")
-            )
+            let unknown = format!(
+                "__other => return ::core::result::Result::Err(__r.error(::core::format_args!(
+                    \"unknown variant `{{}}` of {name}\", __other))),"
+            );
+            match &item.attrs.tag {
+                Some(tag) => {
+                    let arms: String = variants
+                        .iter()
+                        .map(|v| {
+                            let fields = match &v.fields {
+                                Fields::Named(fields) => &fields[..],
+                                _ => &[],
+                            };
+                            let path = format!("{name}::{}", v.name);
+                            format!(
+                                "{:?} => {},",
+                                wire(item, v),
+                                read_named(&path, fields, Some(tag))
+                            )
+                        })
+                        .collect();
+                    format!("match &*__r.tag({tag:?})? {{ {arms} {unknown} }}")
+                }
+                None => {
+                    let arms: String = variants
+                        .iter()
+                        .map(|v| {
+                            let path = format!("{name}::{}", v.name);
+                            let (payload, value) = match &v.fields {
+                                Fields::Unit => (false, path),
+                                Fields::Tuple(n) => (true, read_tuple(&path, *n)),
+                                Fields::Named(fields) => (true, read_named(&path, fields, None)),
+                            };
+                            format!("({:?}, {payload}) => {value},", wire(item, v))
+                        })
+                        .collect();
+                    let unknown = unknown.replacen("__other", "(__other, _)", 1);
+                    format!(
+                        "{{ let (__name, __payload) = __r.variant()?;
+                            let __v = match (&*__name, __payload) {{ {arms} {unknown} }};
+                            if __payload {{ __r.end_variant()?; }}
+                            __v }}"
+                    )
+                }
+            }
         }
     };
-    format!(
-        "impl<'de> ::serde::Deserialize<'de> for {name} {{
-            #[allow(unused_mut, unused_variables, clippy::let_unit_value)]
-            fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D)
-                -> ::core::result::Result<Self, __D::Error> {{
-                let __c = __d.into_content()?;
-                ::core::result::Result::Ok({{ {body} }})
+    Ok(format!(
+        "impl ::serde::Deserialize for {name} {{
+            fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::serde::Result<Self> {{
+                ::core::result::Result::Ok({body})
             }}
         }}"
-    )
+    ))
 }

@@ -1,46 +1,19 @@
-//! Minimal, std-only stand-in for the `serde_json` API subset the
-//! workspace uses.
+//! Std-only stand-in for the `serde_json` API subset the workspace
+//! uses: [`Value`], [`Map`], [`Number`], [`json!`] and the `to_*` and
+//! `from_*` functions, each a thin layer over the one codec in `serde`
+//! ([`serde::Writer`] and [`serde::Reader`]).
 //!
 //! Output follows serde_json's byte format: compact or two-space pretty
 //! printing, struct fields in declaration order, `Value` objects in key
 //! order, floats in shortest round-trip form (ryu layout), non-finite
 //! floats as `null`. Parsing is exact (`float_roundtrip`).
 
-use serde::__private::{from_content, ContentDeserializer};
-use serde::{de, ser, Content, Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
 use std::io;
-use std::marker::PhantomData;
 
-// ---- errors ------------------------------------------------------------
-
-#[derive(Debug)]
-pub struct Error(String);
-
-impl Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-impl std::error::Error for Error {}
-impl ser::Error for Error {
-    fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-impl de::Error for Error {
-    fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-impl From<Error> for io::Error {
-    fn from(e: Error) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
-
-pub type Result<T, E = Error> = std::result::Result<T, E>;
+pub use serde::{Error, Result};
 
 // ---- Value -------------------------------------------------------------
 
@@ -139,19 +112,35 @@ impl Number {
     pub fn is_f64(&self) -> bool {
         matches!(self.0, N::Float(_))
     }
-    fn content(&self) -> Content {
+}
+
+impl Serialize for Number {
+    fn serialize(&self, w: &mut Writer) {
         match self.0 {
-            N::PosInt(v) => Content::U64(v),
-            N::NegInt(v) => Content::I64(v),
-            N::Float(v) => Content::F64(v),
+            N::PosInt(v) => w.u64(v),
+            N::NegInt(v) => w.i64(v),
+            N::Float(v) => w.f64(v),
         }
     }
 }
-impl Display for Number {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        write_content(&mut s, &self.content(), None, 0);
-        f.write_str(&s)
+
+/// A number as JSON text: an integer when it has no fraction or
+/// exponent and fits 64 bits, a finite float otherwise.
+impl Deserialize for Number {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Number> {
+        let (text, float) = r.number()?;
+        if !float {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Number(N::PosInt(v)));
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Number(N::NegInt(v)));
+            }
+        }
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Number(N::Float(v))),
+            _ => Err(r.error("number out of range")),
+        }
     }
 }
 
@@ -238,67 +227,51 @@ impl Value {
     pub fn take(&mut self) -> Value {
         std::mem::take(self)
     }
-
-    fn content(&self) -> Content {
-        match self {
-            Value::Null => Content::Null,
-            Value::Bool(b) => Content::Bool(*b),
-            Value::Number(n) => n.content(),
-            Value::String(s) => Content::Str(s.clone()),
-            Value::Array(a) => Content::Seq(a.iter().map(Value::content).collect()),
-            Value::Object(m) => {
-                Content::Map(m.iter().map(|(k, v)| (k.clone(), v.content())).collect())
-            }
-        }
-    }
-
-    fn from_content(c: Content) -> Value {
-        match c {
-            Content::Null => Value::Null,
-            Content::Bool(b) => Value::Bool(b),
-            Content::U64(v) => Value::Number(Number(N::PosInt(v))),
-            Content::I64(v) if v >= 0 => Value::Number(Number(N::PosInt(v as u64))),
-            Content::I64(v) => Value::Number(Number(N::NegInt(v))),
-            Content::F32(v) => Value::from(v as f64),
-            Content::F64(v) => Value::from(v),
-            Content::Str(s) => Value::String(s),
-            Content::Seq(a) => Value::Array(a.into_iter().map(Value::from_content).collect()),
-            Content::Map(m) => {
-                Value::Object(m.into_iter().map(|(k, v)| (k, Value::from_content(v))).collect())
-            }
-        }
-    }
 }
 
+/// Compact JSON, or two-space pretty with `{:#}`.
 impl Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        write_content(&mut s, &self.content(), if f.alternate() { Some(2) } else { None }, 0);
-        f.write_str(&s)
+        let bytes = serde::to_vec(self, f.alternate());
+        f.write_str(std::str::from_utf8(&bytes).expect("the writer emits UTF-8"))
     }
 }
 
 impl Serialize for Value {
-    fn serialize<S: Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        s.serialize_content(self.content())
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => n.serialize(w),
+            Value::String(s) => w.str(s),
+            Value::Array(a) => a.serialize(w),
+            Value::Object(m) => m.serialize(w),
+        }
     }
 }
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        Ok(Value::from_content(d.into_content()?))
+impl Deserialize for Value {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Value> {
+        Ok(match r.peek() {
+            Some(b'n') => {
+                r.null()?;
+                Value::Null
+            }
+            Some(b't' | b'f') => Value::Bool(r.bool()?),
+            Some(b'"') => Value::String(r.string()?.into_owned()),
+            Some(b'[') => Value::Array(Vec::deserialize(r)?),
+            Some(b'{') => Value::Object(Map::deserialize(r)?),
+            _ => Value::Number(Number::deserialize(r)?),
+        })
     }
 }
 impl Serialize for Map<String, Value> {
-    fn serialize<S: Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        s.serialize_content(Value::Object(self.clone()).content())
+    fn serialize(&self, w: &mut Writer) {
+        self.0.serialize(w);
     }
 }
-impl<'de> Deserialize<'de> for Map<String, Value> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        match Value::deserialize(d)? {
-            Value::Object(m) => Ok(m),
-            _ => Err(<D::Error as de::Error>::custom("invalid type, expected a map")),
-        }
+impl Deserialize for Map<String, Value> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self> {
+        BTreeMap::deserialize(r).map(MapImpl)
     }
 }
 
@@ -455,346 +428,40 @@ impl<T: Into<Value>> FromIterator<T> for Value {
 
 // ---- entry points ------------------------------------------------------
 
-struct ContentOut;
-impl Serializer for ContentOut {
-    type Ok = Content;
-    type Error = Error;
-    fn serialize_content(self, c: Content) -> Result<Content> {
-        Ok(c)
-    }
-}
-
-fn content_of<T: Serialize + ?Sized>(value: &T) -> Result<Content> {
-    value.serialize(ContentOut)
-}
-
 pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
-    Ok(Value::from_content(content_of(&value)?))
+    from_slice(&serde::to_vec(&value, false))
 }
 
-pub fn from_value<T: de::DeserializeOwned>(value: Value) -> Result<T> {
-    from_content::<T, Error>(value.content())
+pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
+    from_slice(&serde::to_vec(&value, false))
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut s = String::new();
-    write_content(&mut s, &content_of(value)?, None, 0);
-    Ok(s)
+    to_vec(value).map(|bytes| String::from_utf8(bytes).expect("the writer emits UTF-8"))
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut s = String::new();
-    write_content(&mut s, &content_of(value)?, Some(2), 0);
-    Ok(s)
+    to_vec_pretty(value).map(|bytes| String::from_utf8(bytes).expect("the writer emits UTF-8"))
 }
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
+    Ok(serde::to_vec(value, false))
 }
 
 pub fn to_vec_pretty<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string_pretty(value).map(String::into_bytes)
+    Ok(serde::to_vec(value, true))
 }
 
 pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    writer.write_all(to_string(value)?.as_bytes()).map_err(|e| Error(e.to_string()))
+    writer.write_all(&serde::to_vec(value, false)).map_err(Error::custom)
 }
 
-pub fn from_str<T: de::DeserializeOwned>(s: &str) -> Result<T> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
-    p.ws();
-    let c = p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing characters"));
-    }
-    T::deserialize(ContentDeserializer::<Error>(c, PhantomData))
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
+    from_slice(s.as_bytes())
 }
 
-pub fn from_slice<T: de::DeserializeOwned>(b: &[u8]) -> Result<T> {
-    let s = std::str::from_utf8(b).map_err(|e| Error(e.to_string()))?;
-    from_str(s)
-}
-
-// ---- writer ------------------------------------------------------------
-
-fn write_content(out: &mut String, c: &Content, indent: Option<usize>, depth: usize) {
-    let newline = |out: &mut String, depth: usize| {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * depth));
-        }
-    };
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::F32(v) if v.is_finite() => out.push_str(&ryu_layout(&format!("{v:e}"), 13, -6)),
-        Content::F64(v) if v.is_finite() => out.push_str(&ryu_layout(&format!("{v:e}"), 16, -5)),
-        Content::F32(_) | Content::F64(_) => out.push_str("null"),
-        Content::Str(s) => write_str(out, s),
-        Content::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, depth + 1);
-                write_content(out, item, indent, depth + 1);
-            }
-            newline(out, depth);
-            out.push(']');
-        }
-        Content::Map(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, v)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, depth + 1);
-                write_str(out, k);
-                out.push_str(if indent.is_some() { ": " } else { ":" });
-                write_content(out, v, indent, depth + 1);
-            }
-            newline(out, depth);
-            out.push('}');
-        }
-    }
-}
-
-/// Lay out Rust's shortest `{:e}` digits the way `ryu` does.
-fn ryu_layout(sci: &str, max_int: i32, min_exp: i32) -> String {
-    let (neg, sci) = match sci.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, sci),
-    };
-    let (mant, exp) = sci.split_once('e').expect("{:e} has an exponent");
-    let digits: String = mant.chars().filter(|c| *c != '.').collect();
-    let exp: i32 = exp.parse().expect("integer exponent");
-    let len = digits.len() as i32;
-    // value = 0.digits × 10^kk
-    let kk = exp + 1;
-    let k = kk - len;
-    let mut out = String::from(if neg { "-" } else { "" });
-    if 0 <= k && kk <= max_int {
-        out.push_str(&digits);
-        out.extend(std::iter::repeat_n('0', k as usize));
-        out.push_str(".0");
-    } else if 0 < kk && kk <= max_int {
-        out.push_str(&digits[..kk as usize]);
-        out.push('.');
-        out.push_str(&digits[kk as usize..]);
-    } else if min_exp < kk && kk <= 0 {
-        out.push_str("0.");
-        out.extend(std::iter::repeat_n('0', (-kk) as usize));
-        out.push_str(&digits);
-    } else {
-        out.push_str(&digits[..1]);
-        if len > 1 {
-            out.push('.');
-            out.push_str(&digits[1..]);
-        }
-        out.push('e');
-        out.push_str(&(kk - 1).to_string());
-    }
-    out
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---- parser ------------------------------------------------------------
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.i))
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\n' | b'\r' | b'\t')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> Result<()> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("expected value"))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Content> {
-        if depth > 128 {
-            return Err(self.err("recursion limit exceeded"));
-        }
-        match self.b.get(self.i) {
-            None => Err(self.err("EOF while parsing a value")),
-            Some(b'n') => self.eat("null").map(|_| Content::Null),
-            Some(b't') => self.eat("true").map(|_| Content::Bool(true)),
-            Some(b'f') => self.eat("false").map(|_| Content::Bool(false)),
-            Some(b'"') => self.string().map(Content::Str),
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Ok(Content::Seq(items));
-                }
-                loop {
-                    self.ws();
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Content::Seq(items));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.i += 1;
-                let mut members = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Ok(Content::Map(members));
-                }
-                loop {
-                    self.ws();
-                    if self.b.get(self.i) != Some(&b'"') {
-                        return Err(self.err("key must be a string"));
-                    }
-                    let k = self.string()?;
-                    self.ws();
-                    if self.b.get(self.i) != Some(&b':') {
-                        return Err(self.err("expected `:`"));
-                    }
-                    self.i += 1;
-                    self.ws();
-                    members.push((k, self.value(depth + 1)?));
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Content::Map(members));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("expected value")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Content> {
-        let start = self.i;
-        let mut float = false;
-        while let Some(&c) = self.b.get(self.i) {
-            match c {
-                b'0'..=b'9' | b'-' | b'+' => {}
-                b'.' | b'e' | b'E' => float = true,
-                _ => break,
-            }
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
-        if !float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Content::U64(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Content::I64(v));
-            }
-        }
-        text.parse::<f64>().map(Content::F64).map_err(|_| self.err("invalid number"))
-    }
-
-    fn hex4(&mut self) -> Result<u32> {
-        let h = self.b.get(self.i..self.i + 4).ok_or_else(|| self.err("EOF in escape"))?;
-        let v = u32::from_str_radix(std::str::from_utf8(h).unwrap_or("x"), 16)
-            .map_err(|_| self.err("invalid escape"))?;
-        self.i += 4;
-        Ok(v)
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.i += 1;
-        let mut out = Vec::new();
-        loop {
-            let c = *self.b.get(self.i).ok_or_else(|| self.err("EOF while parsing a string"))?;
-            self.i += 1;
-            match c {
-                b'"' => return String::from_utf8(out).map_err(|_| self.err("invalid utf-8")),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or_else(|| self.err("EOF in escape"))?;
-                    self.i += 1;
-                    let ch = match e {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                self.eat("\\u")?;
-                                let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF)
-                            } else {
-                                hi
-                            };
-                            char::from_u32(code)
-                                .ok_or_else(|| self.err("invalid unicode escape"))?
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    };
-                    let mut buf = [0u8; 4];
-                    out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                }
-                c => out.push(c),
-            }
-        }
-    }
+pub fn from_slice<T: Deserialize>(b: &[u8]) -> Result<T> {
+    serde::from_slice(b)
 }
 
 // ---- json! ---------------------------------------------------------------
