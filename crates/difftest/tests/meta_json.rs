@@ -148,6 +148,13 @@ fn stored_results_rewrite_byte_identical() {
     }
 }
 
+#[test]
+fn strings_escape_as_serde_json_escapes_them() {
+    let escaped = "\"q\\\"uote \\\\ back /slash \\n\\r\\t\\b\\f\\u0000\\u001f\u{7f} é 漢字 😀\"";
+    assert_eq!(serde_json::to_string(ODD).unwrap(), escaped);
+    assert_eq!(serde_json::from_str::<String>(escaped).unwrap(), ODD);
+}
+
 fn first_difference(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()))
 }

@@ -273,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_written_through_serde_replays_to_the_same_merge() {
+    fn a_replayed_journal_reproduces_the_merge() {
         use crate::fleet::coord::CoordState;
         let (meta0, meta1) = (shard(0), shard(1));
         let config = meta0.config.clone();
@@ -286,7 +286,7 @@ mod tests {
             CoordEvent::Done { shard: 0, epoch: 1, fence: 2, meta: Box::new(meta0.clone()) },
         ];
         // every payload written straight into the framed log
-        let path = temp_path("serde-written");
+        let path = temp_path("replayed");
         let log = FramedLog::create(&path, COORD_MAGIC).unwrap();
         for ev in &events {
             log.append(&serde_json::to_vec(ev).unwrap()).unwrap();

@@ -155,14 +155,6 @@ pub struct Writer {
 
 impl Writer {
     #[inline(always)]
-    fn next(&mut self) {
-        if !self.first {
-            self.out.push(b',');
-        }
-        self.first = false;
-    }
-
-    #[inline(always)]
     pub fn begin_object(&mut self) {
         self.out.push(b'{');
         self.first = true;
@@ -189,13 +181,16 @@ impl Writer {
     /// Start the next array element.
     #[inline(always)]
     pub fn element(&mut self) {
-        self.next();
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
     }
 
     /// Start an object member named `key`.
     #[inline(always)]
     pub fn key(&mut self, key: &str) {
-        self.next();
+        self.element();
         write_str(&mut self.out, key);
         self.out.push(b':');
     }
@@ -204,7 +199,7 @@ impl Writer {
     /// colon included (`"name":`): a field name, which needs no escape.
     #[inline(always)]
     pub fn field(&mut self, quoted: &str) {
-        self.next();
+        self.element();
         self.out.extend_from_slice(quoted.as_bytes());
     }
 

@@ -14,12 +14,12 @@ use std::str::FromStr;
 
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    emit(parse_item(input).and_then(|item| serialize_impl(&item)))
+    emit(parse_item(input).map(|item| serialize_impl(&item)))
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    emit(parse_item(input).and_then(|item| deserialize_impl(&item)))
+    emit(parse_item(input).map(|item| deserialize_impl(&item)))
 }
 
 fn emit(code: Result<String, String>) -> TokenStream {
@@ -57,7 +57,8 @@ struct Variant {
 }
 
 enum Body {
-    Struct(Fields),
+    Struct(Vec<Field>),
+    Tuple(usize),
     Enum(Vec<Variant>),
 }
 
@@ -80,13 +81,18 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
     let body = match (kind.as_str(), tokens.get(i)) {
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
-            Body::Struct(Fields::Named(parse_named(g.stream())?))
+            Body::Struct(parse_named(g.stream())?)
         }
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
-            Body::Struct(Fields::Tuple(split_commas(g.stream()).len()))
+            Body::Tuple(split_commas(g.stream()).len())
         }
         ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
-            Body::Enum(parse_variants(g.stream())?)
+            let variants = parse_variants(g.stream())?;
+            let tuple = variants.iter().find(|v| matches!(v.fields, Fields::Tuple(_)));
+            if let (Some(_), Some(v)) = (&attrs.tag, tuple) {
+                return Err(format!("serde stand-in: tagged tuple variant `{}`", v.name));
+            }
+            Body::Enum(variants)
         }
         _ => return Err(format!("serde stand-in: cannot derive for `{name}`")),
     };
@@ -262,29 +268,27 @@ fn write_tuple(n: usize, binding: impl Fn(usize) -> String) -> String {
     format!("__w.begin_array(); {items} __w.end_array();")
 }
 
-fn serialize_impl(item: &Item) -> Result<String, String> {
+fn serialize_impl(item: &Item) -> String {
     let body = match &item.body {
-        Body::Struct(Fields::Named(fields)) => format!(
+        Body::Struct(fields) => format!(
             "__w.begin_object(); {} __w.end_object();",
             write_named(fields, |n| format!("&self.{n}"))
         ),
-        Body::Struct(Fields::Tuple(n)) => write_tuple(*n, |k| format!("&self.{k}")),
-        Body::Struct(Fields::Unit) => unreachable!("unit structs are not parsed"),
+        Body::Tuple(n) => write_tuple(*n, |k| format!("&self.{k}")),
         Body::Enum(variants) => {
-            let arms =
-                variants.iter().map(|v| serialize_arm(item, v)).collect::<Result<String, _>>()?;
+            let arms: String = variants.iter().map(|v| serialize_arm(item, v)).collect();
             format!("match self {{ {arms} }}")
         }
     };
-    Ok(format!(
+    format!(
         "impl ::serde::Serialize for {name} {{
             fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}
         }}",
         name = item.name
-    ))
+    )
 }
 
-fn serialize_arm(item: &Item, v: &Variant) -> Result<String, String> {
+fn serialize_arm(item: &Item, v: &Variant) -> String {
     let (wire, wire_key) = (quoted(&wire(item, v)), quoted_key(&wire(item, v)));
     let path = format!("{}::{}", item.name, v.name);
     let (pattern, payload) = match &v.fields {
@@ -309,15 +313,13 @@ fn serialize_arm(item: &Item, v: &Variant) -> Result<String, String> {
             "__w.begin_object(); __w.field({wire_key});
              __w.begin_object(); {payload} __w.end_object(); __w.end_object();"
         ),
-        (Some(tag), Fields::Unit | Fields::Named(_)) => format!(
+        // a tagged enum has no tuple variant (`parse_item`)
+        (Some(tag), _) => format!(
             "__w.begin_object(); __w.field({}); __w.ident({wire}); {payload} __w.end_object();",
             quoted_key(tag)
         ),
-        (Some(_), Fields::Tuple(_)) => {
-            return Err(format!("serde stand-in: tagged tuple variant `{}`", v.name))
-        }
     };
-    Ok(format!("{pattern} => {{ {body} }}"))
+    format!("{pattern} => {{ {body} }}")
 }
 
 // ---- Deserialize -------------------------------------------------------
@@ -366,17 +368,18 @@ fn read_tuple(path: &str, n: usize) -> String {
     )
 }
 
-fn deserialize_impl(item: &Item) -> Result<String, String> {
+fn deserialize_impl(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::Struct(Fields::Named(fields)) => read_named(name, fields, None),
-        Body::Struct(Fields::Tuple(n)) => read_tuple(name, *n),
-        Body::Struct(Fields::Unit) => unreachable!("unit structs are not parsed"),
+        Body::Struct(fields) => read_named(name, fields, None),
+        Body::Tuple(n) => read_tuple(name, *n),
         Body::Enum(variants) => {
-            let unknown = format!(
-                "__other => return ::core::result::Result::Err(__r.error(::core::format_args!(
-                    \"unknown variant `{{}}` of {name}\", __other))),"
-            );
+            let unknown = |pattern: &str| {
+                format!(
+                    "{pattern} => return ::core::result::Result::Err(__r.error(
+                        ::core::format_args!(\"unknown variant `{{}}` of {name}\", __other))),"
+                )
+            };
             match &item.attrs.tag {
                 Some(tag) => {
                     let arms: String = variants
@@ -384,7 +387,7 @@ fn deserialize_impl(item: &Item) -> Result<String, String> {
                         .map(|v| {
                             let fields = match &v.fields {
                                 Fields::Named(fields) => &fields[..],
-                                _ => &[],
+                                _ => &[], // a unit variant (`parse_item`)
                             };
                             let path = format!("{name}::{}", v.name);
                             format!(
@@ -394,7 +397,7 @@ fn deserialize_impl(item: &Item) -> Result<String, String> {
                             )
                         })
                         .collect();
-                    format!("match &*__r.tag({tag:?})? {{ {arms} {unknown} }}")
+                    format!("match &*__r.tag({tag:?})? {{ {arms} {} }}", unknown("__other"))
                 }
                 None => {
                     let arms: String = variants
@@ -409,22 +412,22 @@ fn deserialize_impl(item: &Item) -> Result<String, String> {
                             format!("({:?}, {payload}) => {value},", wire(item, v))
                         })
                         .collect();
-                    let unknown = unknown.replacen("__other", "(__other, _)", 1);
                     format!(
                         "{{ let (__name, __payload) = __r.variant()?;
-                            let __v = match (&*__name, __payload) {{ {arms} {unknown} }};
+                            let __v = match (&*__name, __payload) {{ {arms} {} }};
                             if __payload {{ __r.end_variant()?; }}
-                            __v }}"
+                            __v }}",
+                        unknown("(__other, _)")
                     )
                 }
             }
         }
     };
-    Ok(format!(
+    format!(
         "impl ::serde::Deserialize for {name} {{
             fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::serde::Result<Self> {{
                 ::core::result::Result::Ok({body})
             }}
         }}"
-    ))
+    )
 }
