@@ -146,7 +146,8 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
 
 /// The compact JSON writer every [`Serialize`] impl writes into. A
 /// container's members and elements each start with [`Writer::key`],
-/// [`Writer::field`] or [`Writer::element`], which place the comma.
+/// [`Writer::field`] or [`Writer::element`], which place the comma, or
+/// with [`Writer::raw`] text that holds it.
 pub struct Writer {
     out: Vec<u8>,
     /// Nothing written yet inside the innermost open container.
@@ -203,11 +204,13 @@ impl Writer {
         self.out.extend_from_slice(quoted.as_bytes());
     }
 
-    /// A string value given as its JSON string, quotes included: a
-    /// variant name, which needs no escape.
+    /// Append JSON text that needs no escape and carries its own
+    /// separators: a quoted variant name, or a key with the `{` or `,`
+    /// before it and the `:` after it. The derive writes field and
+    /// variant names this way where it knows the separator.
     #[inline(always)]
-    pub fn ident(&mut self, quoted: &str) {
-        self.out.extend_from_slice(quoted.as_bytes());
+    pub fn raw(&mut self, json: &str) {
+        self.out.extend_from_slice(json.as_bytes());
     }
 
     #[inline(always)]

@@ -226,34 +226,46 @@ fn wire(item: &Item, v: &Variant) -> String {
     }
 }
 
-/// A Rust literal of `name` as a JSON string, quotes included: the
-/// argument of `Writer::ident`.
-fn quoted(name: &str) -> String {
-    format!("{:?}", format!("\"{name}\""))
-}
-
-/// A Rust literal of `name` as a JSON key, colon included: the argument
-/// of `Writer::field`.
-fn quoted_key(name: &str) -> String {
-    format!("{:?}", format!("\"{name}\":"))
-}
-
 const S: &str = "::serde::Serialize::serialize";
 
 // ---- Serialize ---------------------------------------------------------
 
 /// Statements writing named fields, each bound to `binding(ident)`, as
-/// members of the open object.
-fn write_named(fields: &[Field], binding: impl Fn(&str) -> String) -> String {
+/// an object that the JSON text `open` starts (`{"type":"Lease"`), or
+/// `{` when `open` is empty. A key and the separator before it are one
+/// literal wherever the separator is known: `{` before the first member
+/// and `,` after a member that is always written. Elsewhere (after
+/// members that `skip_serializing_if` may leave out) `Writer::field`
+/// places the separator at run time.
+fn write_object(open: &str, fields: &[Field], binding: impl Fn(&str) -> String) -> String {
     let mut out = String::new();
+    let mut sep = Some("{");
+    if !open.is_empty() {
+        out.push_str(&format!("__w.raw({open:?});"));
+        sep = Some(",");
+    }
     for f in fields {
+        if sep == Some("{") && f.attrs.skip_if.is_some() {
+            out.push_str("__w.begin_object();");
+            sep = None;
+        }
+        let key = match sep {
+            Some(sep) => format!("__w.raw({:?});", format!("{sep}\"{}\":", f.name)),
+            None => format!("__w.field({:?});", format!("\"{}\":", f.name)),
+        };
         let b = binding(&f.ident);
-        let put = format!("__w.field({}); {S}({b}, __w);", quoted_key(&f.name));
         match &f.attrs.skip_if {
-            Some(path) => out.push_str(&format!("if !{path}({b}) {{ {put} }}")),
-            None => out.push_str(&put),
+            Some(path) => out.push_str(&format!("if !{path}({b}) {{ {key} {S}({b}, __w); }}")),
+            None => {
+                out.push_str(&format!("{key} {S}({b}, __w);"));
+                sep = Some(",");
+            }
         }
     }
+    if sep == Some("{") {
+        out.push_str("__w.begin_object();");
+    }
+    out.push_str("__w.end_object();");
     out
 }
 
@@ -270,10 +282,7 @@ fn write_tuple(n: usize, binding: impl Fn(usize) -> String) -> String {
 
 fn serialize_impl(item: &Item) -> String {
     let body = match &item.body {
-        Body::Struct(fields) => format!(
-            "__w.begin_object(); {} __w.end_object();",
-            write_named(fields, |n| format!("&self.{n}"))
-        ),
+        Body::Struct(fields) => write_object("", fields, |n| format!("&self.{n}")),
         Body::Tuple(n) => write_tuple(*n, |k| format!("&self.{k}")),
         Body::Enum(variants) => {
             let arms: String = variants.iter().map(|v| serialize_arm(item, v)).collect();
@@ -289,35 +298,36 @@ fn serialize_impl(item: &Item) -> String {
 }
 
 fn serialize_arm(item: &Item, v: &Variant) -> String {
-    let (wire, wire_key) = (quoted(&wire(item, v)), quoted_key(&wire(item, v)));
+    let wire = wire(item, v);
     let path = format!("{}::{}", item.name, v.name);
-    let (pattern, payload) = match &v.fields {
-        Fields::Unit => (path, String::new()),
-        Fields::Tuple(n) => {
+    let bind = |n: &str| format!("__f_{}", n.trim_start_matches("r#"));
+    let (pattern, body) = match (&v.fields, &item.attrs.tag) {
+        (Fields::Unit, None) => (path, format!("__w.raw({:?});", format!("\"{wire}\""))),
+        (Fields::Tuple(n), _) => {
             let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-            (format!("{path}({})", binds.join(", ")), write_tuple(*n, |k| format!("__f{k}")))
+            let payload = write_tuple(*n, |k| format!("__f{k}"));
+            let open = format!("{{\"{wire}\":");
+            let body = format!("__w.raw({open:?}); {payload} __w.end_object();");
+            (format!("{path}({})", binds.join(", ")), body)
         }
-        Fields::Named(fields) => {
+        (Fields::Named(fields), None) => {
             let binds: Vec<String> =
-                fields.iter().map(|f| format!("{}: __f_{}", f.ident, f.name)).collect();
-            let members = write_named(fields, |n| format!("__f_{}", n.trim_start_matches("r#")));
-            (format!("{path} {{ {} }}", binds.join(", ")), members)
+                fields.iter().map(|f| format!("{}: {}", f.ident, bind(&f.name))).collect();
+            let open = format!("{{\"{wire}\":");
+            let payload = write_object("", fields, bind);
+            let body = format!("__w.raw({open:?}); {payload} __w.end_object();");
+            (format!("{path} {{ {} }}", binds.join(", ")), body)
         }
-    };
-    let body = match (&item.attrs.tag, &v.fields) {
-        (None, Fields::Unit) => format!("__w.ident({wire});"),
-        (None, Fields::Tuple(_)) => {
-            format!("__w.begin_object(); __w.field({wire_key}); {payload} __w.end_object();")
+        (fields, Some(tag)) => {
+            let fields = match fields {
+                Fields::Named(fields) => &fields[..],
+                _ => &[], // a unit variant: a tagged enum has no tuple variant (`parse_item`)
+            };
+            let binds: Vec<String> =
+                fields.iter().map(|f| format!("{}: {}", f.ident, bind(&f.name))).collect();
+            let open = format!("{{\"{tag}\":\"{wire}\"");
+            (format!("{path} {{ {} }}", binds.join(", ")), write_object(&open, fields, bind))
         }
-        (None, Fields::Named(_)) => format!(
-            "__w.begin_object(); __w.field({wire_key});
-             __w.begin_object(); {payload} __w.end_object(); __w.end_object();"
-        ),
-        // a tagged enum has no tuple variant (`parse_item`)
-        (Some(tag), _) => format!(
-            "__w.begin_object(); __w.field({}); __w.ident({wire}); {payload} __w.end_object();",
-            quoted_key(tag)
-        ),
     };
     format!("{pattern} => {{ {body} }}")
 }
