@@ -2,10 +2,11 @@
 //! `serde` API the workspace uses, so the workspace builds with no
 //! registry.
 //!
-//! [`Serialize`] writes a value into a [`Writer`], compact or two-space
-//! pretty; [`Deserialize`] reads one from a [`Reader`], a cursor over a
-//! byte slice. Neither builds a tree. The `derive` feature re-exports the
-//! derive macros, which emit the per-type calls on both.
+//! [`Serialize`] writes a value into a [`Writer`] as compact JSON, which
+//! [`to_vec`] lays out two-space pretty on request; [`Deserialize`]
+//! reads one from a [`Reader`], a cursor over a byte slice. Neither
+//! builds a tree. The `derive` feature re-exports the derive macros,
+//! which emit the per-type calls on both.
 //!
 //! The bytes are serde_json's: struct members in declaration order, map
 //! keys in order, floats in ryu's shortest round-trip layout, non-finite
