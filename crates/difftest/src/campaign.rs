@@ -109,7 +109,7 @@ impl CampaignConfig {
 /// [`LevelStats`] are exactly the `(nvcc, hipcc)` pair's projection;
 /// vendor-versus-reference pairs appear here when the ground-truth side
 /// ran.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PairStats {
     /// Row side of the adjacency matrix.
     pub a: Side,
@@ -148,7 +148,7 @@ impl PairStats {
 }
 
 /// Discrepancy statistics for one optimization level.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct LevelStats {
     /// Runs at this level (both compilers).
     pub runs: u64,
@@ -194,7 +194,7 @@ impl LevelStats {
 }
 
 /// Aggregated campaign results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampaignReport {
     /// The configuration that produced this report.
     pub config: CampaignConfig,

@@ -3,10 +3,10 @@
 use crate::outcome::DiscrepancyClass;
 use fpcore::classify::Outcome;
 use gpucc::interp::ExecValue;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A confirmed numerical discrepancy between the two platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Discrepancy {
     /// Discrepancy class.
     pub class: DiscrepancyClass,
@@ -94,7 +94,7 @@ fn within_rel_tol(nvcc: &ExecValue, hipcc: &ExecValue, rel_tol: f64) -> bool {
 }
 
 /// A per-thread discrepancy from a SIMT (multi-thread) comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ThreadDiscrepancy {
     /// `threadIdx.x` of the diverging thread.
     pub thread: u32,
@@ -105,7 +105,7 @@ pub struct ThreadDiscrepancy {
 /// The two sides of a SIMT comparison ran different block sizes — a
 /// harness or lowering bug, reported as data instead of a panic so a
 /// campaign worker survives it as a quarantinable fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct GridMismatch {
     /// Thread count on the nvcc/NVIDIA side.
     pub nvcc_threads: usize,

@@ -7,10 +7,10 @@
 //! *not* discrepancies.
 
 use fpcore::classify::Outcome;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's seven discrepancy classes, in table-column order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DiscrepancyClass {
     /// One platform NaN, the other ±Inf.
     NanInf,

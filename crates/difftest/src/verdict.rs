@@ -16,10 +16,10 @@
 
 use crate::side::Side;
 use gpucc::interp::ExecValue;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which side drifted from the reference result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Verdict {
     /// The NVIDIA-like result differs from the truth; the AMD-like one
     /// matches it (after rounding to the kernel precision).
@@ -88,7 +88,7 @@ pub fn ulp_between(a: &ExecValue, b: &ExecValue) -> Option<u64> {
 }
 
 /// The error-vs-truth score of one discrepancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TruthScore {
     /// ULP distance of the NVIDIA-like result from the truth (`None`
     /// when no lattice distance exists: NaN involved, or no truth).
@@ -162,7 +162,7 @@ pub fn judge(
 /// Aggregated verdict tallies for one optimization level, recomputed
 /// from raw records at `analyze` time (never merged numerically, so
 /// farm merges stay order-independent by construction).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct VerdictStats {
     /// Discrepancies that went through [`judge`].
     pub judged: u64,

@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Full IEEE-754 class of a floating-point value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FpClass {
     /// Not-a-number (quiet or signalling), either sign.
     Nan,

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 /// One of the five IEEE-754 exception events (paper Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FpException {
     /// Result was rounded (produced after rounding).
     Inexact,

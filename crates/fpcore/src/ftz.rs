@@ -6,10 +6,10 @@
 //! points. The simulated devices apply these helpers around every
 //! arithmetic operation according to their [`FtzMode`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which flush behaviours an FP pipeline applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct FtzMode {
     /// Flush subnormal *inputs* to zero before the operation (DAZ).
     pub daz: bool,

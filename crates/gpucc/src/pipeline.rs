@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// A simulated GPU toolchain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Toolchain {
     /// The nvcc-like compiler (CUDA sources, NVIDIA-like devices).
     Nvcc,

@@ -6,7 +6,7 @@ use fpcore::ftz::FtzMode;
 use serde::{Deserialize, Serialize};
 
 /// Which vendor a simulated device models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceKind {
     /// NVIDIA-like device (V100 analogue; the paper's Lassen system).
     NvidiaLike,

@@ -1,10 +1,10 @@
 //! The floating-point environment a kernel executes under.
 
 use fpcore::ftz::FtzMode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-precision flush behaviour for a kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FpEnv {
     /// FTZ/DAZ mode applied to FP32 operations.
     pub ftz32: FtzMode,

@@ -6,10 +6,10 @@
 //! `hipLaunchKernelGGL`) and the HIPIFY translator must rewrite between
 //! them.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Grid/block dimensions for a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LaunchConfig {
     /// Number of thread blocks.
     pub grid_dim: u32,

@@ -869,13 +869,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
         self.as_slice().serialize(w);
     }
 }
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self> {
-        let items = Vec::<T>::deserialize(r)?;
-        items.try_into().map_err(|_| r.error(format_args!("expected an array of {N}")))
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize(&self, w: &mut Writer) {
         w.begin_array();
@@ -886,16 +879,6 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
         w.end_array();
     }
 }
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self> {
-        r.begin_array()?;
-        let mut first = true;
-        let pair = (r.item(&mut first)?, r.item(&mut first)?);
-        r.end_items(&mut first)?;
-        Ok(pair)
-    }
-}
-
 /// An object; its keys are strings, written in the map's order.
 impl<K: AsRef<str>, V: Serialize> Serialize for BTreeMap<K, V> {
     fn serialize(&self, w: &mut Writer) {
