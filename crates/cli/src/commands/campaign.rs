@@ -39,7 +39,7 @@
 //!   `--checkpoint` the spec is persisted in the directory, so
 //!   `--resume` re-runs exactly the same slice with no flag needed;
 //! * a `stop` file dropped in the checkpoint directory drains the run
-//!   at the next unit boundary (flush + exit 130), signal-free.
+//!   at the next test boundary (flush + exit 130), signal-free.
 //!
 //! Execution tiers:
 //!
@@ -285,7 +285,7 @@ pub fn run(argv: &[String]) -> i32 {
     let mut session = FtSession::new(journal, max_faults);
     if let Some(dir) = &checkpoint_dir {
         // A `stop` file in the checkpoint directory drains this run at
-        // the next unit boundary — how the farm supervisor winds down
+        // the next test boundary — how the farm supervisor winds down
         // workers without signals.
         session = session.with_stop_file(Checkpoint::stop_path(dir));
     }

@@ -42,7 +42,7 @@ use progen::gen::generate_program;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -73,12 +73,14 @@ const MAX_APPEND_ATTEMPTS: u32 = 4;
 /// Base backoff between append retries (multiplied by the attempt number).
 const APPEND_BACKOFF_MS: u64 = 5;
 
-/// IEEE CRC-32 lookup table (polynomial 0xEDB88320), built at compile
-/// time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// IEEE CRC-32 lookup tables (polynomial 0xEDB88320) for slicing by 8,
+/// built at compile time. `CRC_TABLES[0]` is the byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is `CRC_TABLES[k - 1][b]` run through one more zero
+/// byte, so one step folds 8 input bytes with 8 lookups.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -87,19 +89,69 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// An IEEE CRC-32 taken over its input part by part: [`Crc32::update`]
+/// with each part in turn, then [`Crc32::finish`], gives
+/// [`crc32`] of the parts joined.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
+    }
+}
+
+impl Crc32 {
+    /// Fold `bytes` in, 8 at a time.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The checksum of everything folded in.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 /// IEEE CRC-32 of `bytes` (the checksum framing every journal record).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
 }
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -110,6 +162,16 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// reader — or a crash at any instant — sees either the old file or the
 /// complete new one, never a torn mix.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |file| file.write_all(bytes))
+}
+
+/// [`atomic_write`] of what `write` streams into the temp file. If
+/// `write` fails, the temp file is removed and `path` keeps its old
+/// contents.
+pub fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -125,7 +187,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     ));
     let result = (|| {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, path)
@@ -174,6 +236,63 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// A frame's payload, as the bytes it writes into the sink it is
+/// given. It runs twice per frame, to measure the payload and to write
+/// it, and must write the same bytes each time.
+pub type Payload<'p> = &'p dyn Fn(&mut dyn Write) -> io::Result<()>;
+
+/// The most a frame holds in a buffer of its own: a smaller frame leaves
+/// in one write, and a larger payload passes through in its parts.
+const FRAME_BUFFER: usize = 64 * 1024;
+
+/// A sink that only counts and checksums what it is given.
+#[derive(Default)]
+struct Measure {
+    len: usize,
+    crc: Crc32,
+}
+
+impl Write for Measure {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.len += bytes.len();
+        self.crc.update(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The `[payload_len][crc32(payload)]` header of the frame `payload`
+/// writes, and the payload's length: one run of `payload` into a sink
+/// that only counts and checksums, part by part.
+pub fn frame_header(payload: Payload<'_>) -> io::Result<([u8; 8], usize)> {
+    let mut m = Measure::default();
+    payload(&mut m)?;
+    let len = u32::try_from(m.len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&m.crc.finish().to_le_bytes());
+    Ok((header, m.len))
+}
+
+/// Write `header`, then the `len` bytes `payload` writes, to `out`
+/// through one buffer of at most 64 KiB: the frame is never copied
+/// whole.
+pub fn write_frame(
+    out: &mut dyn Write,
+    header: &[u8],
+    len: usize,
+    payload: Payload<'_>,
+) -> io::Result<()> {
+    let mut buf = BufWriter::with_capacity((header.len() + len).min(FRAME_BUFFER), out);
+    buf.write_all(header)?;
+    payload(&mut buf)?;
+    buf.flush()
+}
+
 /// Try to split one frame off the front of `bytes`. Returns the payload
 /// and the total frame length consumed, or `None` when the bytes are
 /// short, torn, or fail the CRC — callers treat that as "no (more)
@@ -197,8 +316,9 @@ struct LogInner {
 }
 
 /// A generic append-only, CRC-framed byte log: an 8-byte magic, then
-/// [`encode_frame`]d payloads. Appends go straight to the OS (no
-/// `BufWriter`), so they survive a process kill at any instant; a
+/// [`encode_frame`]d payloads. Each append reaches the OS before it
+/// returns (nothing stays buffered between appends), so appends survive
+/// a process kill at any instant; a
 /// machine-level crash can lose or tear only the final frame, which
 /// replay detects by CRC and drops. [`Journal`] layers campaign
 /// [`UnitRecord`]s on top; `farm`'s coordinator journal layers lease
@@ -280,15 +400,22 @@ impl FramedLog {
     /// start, so a partial write from a transient error (ENOSPC and
     /// friends) never corrupts the log.
     pub fn append(&self, payload: &[u8]) -> io::Result<()> {
+        self.append_with(&|out| out.write_all(payload))
+    }
+
+    /// [`FramedLog::append`] of the payload `payload` writes: its header
+    /// first, then its parts as `payload` writes them, so a large
+    /// payload is never held as one frame.
+    pub fn append_with(&self, payload: Payload<'_>) -> io::Result<()> {
         static APPENDS: obs::Name = obs::Name::new("checkpoint.appends");
-        let frame = encode_frame(payload);
+        let (header, len) = frame_header(payload)?;
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let start = inner.offset;
         let mut attempt = 0u32;
         loop {
-            match write_frame(&mut inner, &frame) {
+            match append_frame(&mut inner.file, &header, len, payload) {
                 Ok(()) => {
-                    inner.offset = start + frame.len() as u64;
+                    inner.offset = start + (header.len() + len) as u64;
                     APPENDS.add(1);
                     return Ok(());
                 }
@@ -410,27 +537,65 @@ impl Journal {
     }
 }
 
-fn write_frame(inner: &mut LogInner, frame: &[u8]) -> io::Result<()> {
+/// Write one frame at the end of a log's file, or, under the `chaos`
+/// feature, the armed fault instead.
+fn append_frame(
+    file: &mut File,
+    header: &[u8; 8],
+    len: usize,
+    payload: Payload<'_>,
+) -> io::Result<()> {
     #[cfg(feature = "chaos")]
-    match crate::chaos::next_journal_fault() {
-        Some(crate::chaos::JournalFault::IoError) => {
-            return Err(io::Error::other("chaos: injected ENOSPC"));
+    {
+        use crate::chaos::JournalFault;
+        // the first half of the frame, then the write fails
+        let half = |file: &mut File| {
+            let mut torn = Torn { file, left: (header.len() + len) / 2 };
+            let _ = write_frame(&mut torn, header, len, payload);
+        };
+        match crate::chaos::next_journal_fault() {
+            Some(JournalFault::IoError) => {
+                return Err(io::Error::other("chaos: injected ENOSPC"));
+            }
+            Some(JournalFault::PartialThenError) => {
+                half(file);
+                return Err(io::Error::other("chaos: injected torn write"));
+            }
+            Some(JournalFault::Crash) => {
+                write_frame(file, header, len, payload)?;
+                panic!("chaos: simulated crash after journal append");
+            }
+            Some(JournalFault::CrashTorn) => {
+                half(file);
+                panic!("chaos: simulated crash mid-append");
+            }
+            None => {}
         }
-        Some(crate::chaos::JournalFault::PartialThenError) => {
-            inner.file.write_all(&frame[..frame.len() / 2])?;
-            return Err(io::Error::other("chaos: injected torn write"));
-        }
-        Some(crate::chaos::JournalFault::Crash) => {
-            inner.file.write_all(frame)?;
-            panic!("chaos: simulated crash after journal append");
-        }
-        Some(crate::chaos::JournalFault::CrashTorn) => {
-            inner.file.write_all(&frame[..frame.len() / 2])?;
-            panic!("chaos: simulated crash mid-append");
-        }
-        None => {}
     }
-    inner.file.write_all(frame)
+    write_frame(file, header, len, payload)
+}
+
+/// A file that takes `left` more bytes and then fails every write.
+#[cfg(feature = "chaos")]
+struct Torn<'f> {
+    file: &'f mut File,
+    left: usize,
+}
+
+#[cfg(feature = "chaos")]
+impl Write for Torn<'_> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        if self.left == 0 {
+            return Err(io::Error::other("chaos: torn"));
+        }
+        let n = self.file.write(&bytes[..bytes.len().min(self.left)])?;
+        self.left -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
 }
 
 /// Which slice of a campaign a checkpoint covers: shard `index` of
@@ -477,7 +642,7 @@ impl std::str::FromStr for ShardSpec {
 /// spec naming the campaign slice this directory owns.
 /// `quarantine.jsonl` is derived data the CLI writes next to them when
 /// the campaign finishes or stops, and a `stop` file dropped in the
-/// directory asks the running worker to drain at the next unit boundary.
+/// directory asks the running worker to drain at the next test boundary.
 pub struct Checkpoint {
     dir: PathBuf,
     journal: Journal,
@@ -507,7 +672,7 @@ impl Checkpoint {
 
     /// Path of the cooperative stop file inside a checkpoint directory.
     /// Creating it asks the worker running this checkpoint to stop at
-    /// the next unit boundary, flush, and exit as interrupted — drain
+    /// the next test boundary, flush, and exit as interrupted — drain
     /// without signals.
     pub fn stop_path(dir: &Path) -> PathBuf {
         dir.join("stop")
@@ -630,9 +795,11 @@ impl FtSession {
     }
 
     /// Also watch a stop file: when `path` comes into existence the
-    /// session behaves exactly as if a graceful shutdown were requested
-    /// — workers stop at the next unit boundary, the checkpoint is
-    /// flushed, and the run reports [`FtStatus::Interrupted`]. This is
+    /// session behaves as if a graceful shutdown were requested, one test
+    /// later — the file is looked for as each test starts, so workers
+    /// stop at the next test boundary (a test under way runs its
+    /// remaining units), the checkpoint is flushed, and the run reports
+    /// [`FtStatus::Interrupted`]. This is
     /// how a farm supervisor drains worker *processes* it cannot (or
     /// chooses not to) signal: it drops [`Checkpoint::stop_path`] into
     /// the lease's checkpoint directory.
@@ -650,8 +817,8 @@ impl FtSession {
         FtSession { heed_shutdown: false, ..FtSession::new(None, None) }
     }
 
-    /// Whether the session's stop file exists (checked between units,
-    /// alongside the global shutdown flag).
+    /// Whether the session's stop file exists (checked as each test
+    /// starts, and by [`FtSession::status`]).
     fn stop_file_present(&self) -> bool {
         self.stop_file.as_deref().is_some_and(|p| p.exists())
     }
@@ -783,13 +950,10 @@ pub fn run_sides_ft(
         })
         .collect();
     let devices = campaign_devices(&config);
-    let halted = || {
-        session.stopped()
-            || (session.heed_shutdown && fault::shutdown_requested())
-            || session.stop_file_present()
-    };
+    let halted = || session.stopped() || (session.heed_shutdown && fault::shutdown_requested());
     crate::par::map(&mut meta.tests, |test| {
-        if halted() {
+        // The stop file is a stat: look for it once per test.
+        if halted() || session.stop_file_present() {
             return;
         }
         let needed: Vec<SideKey> = keys
@@ -869,6 +1033,64 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The CRC one byte at a time, over the first table alone.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = fpcore::rng::ChaCha8Rng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect()
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_crc_at_every_length_and_offset() {
+        let buf = noise(72, 1);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let part = &buf[offset..offset + len];
+                assert_eq!(crc32(part), crc32_bytewise(part), "offset {offset} length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_crc_taken_part_by_part_equals_the_one_shot_crc() {
+        let buf = noise(2 << 20, 2);
+        let whole = crc32(&buf);
+        assert_eq!(whole, crc32_bytewise(&buf));
+        let mut rng = fpcore::rng::ChaCha8Rng::seed_from_u64(3);
+        for _ in 0..20 {
+            let mut crc = Crc32::default();
+            let mut at = 0;
+            while at < buf.len() {
+                let end = (at + rng.gen_range(0..=70_000usize)).min(buf.len());
+                crc.update(&buf[at..end]);
+                at = end;
+            }
+            assert_eq!(crc.finish(), whole);
+        }
+    }
+
+    #[test]
+    fn a_streamed_frame_equals_the_encoded_frame() {
+        let payload = noise(200_000, 4);
+        let parts = |out: &mut dyn Write| {
+            for part in payload.chunks(7_777) {
+                out.write_all(part)?;
+            }
+            Ok(())
+        };
+        let (header, len) = frame_header(&parts).unwrap();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &header, len, &parts).unwrap();
+        assert!(frame == encode_frame(&payload));
     }
 
     #[test]

@@ -61,7 +61,9 @@ pub mod stats;
 pub mod verdict;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, TestMode};
-pub use checkpoint::{atomic_write, Checkpoint, FtSession, FtStatus, Journal, ShardSpec};
+pub use checkpoint::{
+    atomic_write, atomic_write_with, Checkpoint, FtSession, FtStatus, Journal, ShardSpec,
+};
 pub use compare::compare_runs;
 pub use fault::{FaultKind, TestFault};
 pub use outcome::DiscrepancyClass;

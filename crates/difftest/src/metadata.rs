@@ -306,10 +306,11 @@ impl CampaignMeta {
 
     /// Save as compact JSON, atomically (temp file + fsync + rename in
     /// the destination directory): a crash mid-save leaves the previous
-    /// file intact, never a torn one.
+    /// file intact, never a torn one. The JSON streams into the temp
+    /// file 64 KiB at a time ([`serde::to_writer`]), so the save holds
+    /// no copy of the document.
     pub fn save(&self, path: &Path) -> Result<(), MetaError> {
-        let json = serde_json::to_vec(self).map_err(io)?;
-        crate::checkpoint::atomic_write(path, &json).map_err(io)
+        crate::checkpoint::atomic_write_with(path, |file| serde::to_writer(file, self)).map_err(io)
     }
 
     /// Load from JSON.

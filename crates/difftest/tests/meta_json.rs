@@ -148,6 +148,110 @@ fn stored_results_rewrite_byte_identical() {
     }
 }
 
+/// The stored FP32 result with its tests tiled, under fresh indices,
+/// until the document holds at least `bytes` bytes.
+fn large_result(bytes: usize) -> CampaignMeta {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../farm/tests/fixtures/json");
+    let name = "result_fp32_hipify_reference.json";
+    let stored = std::fs::read(format!("{dir}/{name}")).unwrap();
+    let mut meta = read(&stored, name);
+    let tile = std::mem::take(&mut meta.tests);
+    let tile_bytes = stored.len() - to_bytes(&meta).len();
+    let copies = bytes / tile_bytes + 1;
+    meta.tests = (0..copies)
+        .flat_map(|k| tile.iter().cloned().map(move |t| (k, t)))
+        .enumerate()
+        .map(|(i, (_, mut t))| {
+            t.index = i as u64;
+            t
+        })
+        .collect();
+    meta
+}
+
+/// A sink that keeps what it is given and the size of each write.
+#[derive(Default)]
+struct Counting {
+    bytes: Vec<u8>,
+    writes: Vec<usize>,
+}
+
+impl std::io::Write for Counting {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        self.writes.push(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_large_result_streams_in_bounded_writes_of_the_compact_bytes() {
+    let meta = large_result(2 << 20);
+    let compact = to_bytes(&meta);
+    assert!(compact.len() >= 2 << 20, "{} bytes", compact.len());
+    let mut sink = Counting::default();
+    serde::to_writer(&mut sink, &meta).unwrap();
+    let largest = sink.writes.iter().copied().max().unwrap_or(0);
+    assert!(largest <= 128 << 10, "a write of {largest} bytes");
+    assert!(sink.writes.len() >= compact.len() / (128 << 10), "{} writes", sink.writes.len());
+    assert!(
+        sink.bytes == compact,
+        "streamed bytes differ at {}",
+        first_difference(&sink.bytes, &compact)
+    );
+    let path = std::env::temp_dir().join(format!("meta-json-large-{}.json", std::process::id()));
+    meta.save(&path).unwrap();
+    assert!(std::fs::read(&path).unwrap() == compact, "save writes the compact bytes");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A sink that takes `left` more bytes and then fails.
+struct FailAfter<W> {
+    inner: W,
+    left: usize,
+}
+
+impl<W: std::io::Write> std::io::Write for FailAfter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if buf.len() > self.left {
+            return Err(std::io::Error::other("the disk is full"));
+        }
+        self.left -= buf.len();
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// A save is `atomic_write_with` over `serde::to_writer`: when its sink
+/// fails partway, the save fails, its temp file is gone and the file it
+/// would have replaced is as it was.
+#[test]
+fn a_save_whose_sink_fails_partway_leaves_the_old_file() {
+    let dir = std::env::temp_dir().join(format!("meta-json-failing-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let target = dir.join("merged.json");
+    let old = &shapes()[0].1;
+    old.save(&target).unwrap();
+    let before = std::fs::read(&target).unwrap();
+    let meta = large_result(1 << 20);
+    let result = difftest::atomic_write_with(&target, |file| {
+        serde::to_writer(FailAfter { inner: file, left: 300 << 10 }, &meta)
+    });
+    assert!(result.is_err(), "the failing sink's error comes back");
+    assert!(std::fs::read(&target).unwrap() == before, "the old file is untouched");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["merged.json"], "the temp file is removed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn strings_escape_as_serde_json_escapes_them() {
     let escaped = "\"q\\\"uote \\\\ back /slash \\n\\r\\t\\b\\f\\u0000\\u001f\u{7f} é 漢字 😀\"";

@@ -18,16 +18,19 @@
 //! lease expires unheartbeaten and is re-granted.
 //!
 //! Each frame's payload is the event's compact JSON, written and read by
-//! the workspace's one streaming codec (`serde_json::to_vec`/
-//! `from_slice`). A `Done` event carries a whole shard result, which
-//! that codec writes and reads without an intermediate tree.
+//! the workspace's one streaming codec. A `Done` event carries a whole
+//! shard result as the bytes the agent shipped ([`RawJson`]): an append
+//! writes the frame header and then streams the event, the result going
+//! from its received buffer to the file, so no copy of it is made. On
+//! replay, a `Done` whose result does not parse as a campaign result
+//! ends the valid prefix, as a frame that fails its CRC does.
 
 use std::io;
 use std::path::Path;
 
 use difftest::checkpoint::FramedLog;
 use difftest::metadata::CampaignMeta;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, RawJson, Serialize};
 
 /// Magic tag opening a coordinator journal.
 pub const COORD_MAGIC: &[u8; 8] = b"VGCOORD1";
@@ -100,8 +103,8 @@ pub enum CoordEvent {
         /// `Complete` carrying exactly this identity is re-acked
         /// idempotently; any other identity is fenced.
         fence: u64,
-        /// The shard's full result, as shipped by the agent.
-        meta: Box<CampaignMeta>,
+        /// The shard's full result: the bytes the agent shipped.
+        meta: RawJson,
     },
 }
 
@@ -132,11 +135,16 @@ impl CoordJournal {
     }
 
     /// Open an existing journal, truncating any torn tail, and return
-    /// it together with every intact event in append order. A file that
-    /// is not a coordinator journal is a hard error.
+    /// it together with every intact event in append order. A `Done`
+    /// whose result does not parse is not intact: the tail is cut there.
+    /// A file that is not a coordinator journal is a hard error.
     pub fn open_for_resume(path: &Path) -> io::Result<(CoordJournal, Vec<CoordEvent>)> {
         let (log, _, events) = FramedLog::open_for_resume(path, &[COORD_MAGIC], |_, p| {
-            serde_json::from_slice(p).ok()
+            let ev = serde_json::from_slice(p).ok()?;
+            if let CoordEvent::Done { meta, .. } = &ev {
+                meta.parse::<CampaignMeta>().ok()?;
+            }
+            Some(ev)
         })?;
         let frames = events.len() as u64;
         Ok((CoordJournal { log, frames }, events))
@@ -148,14 +156,7 @@ impl CoordJournal {
     /// so the restart path replays a journal that matches what agents
     /// were told.
     pub fn append(&mut self, ev: &CoordEvent) -> io::Result<()> {
-        self.append_payload(&serde_json::to_vec(ev)?)
-    }
-
-    /// [`CoordJournal::append`] for an event already encoded (a `Done`,
-    /// encoded before its result moves into the merge), under the same
-    /// contract.
-    pub(crate) fn append_payload(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.log.append(payload)?;
+        self.log.append_with(&|out| serde::to_writer(out, ev))?;
         self.frames += 1;
         Ok(())
     }
@@ -255,9 +256,13 @@ mod tests {
         meta
     }
 
+    fn done(shard: usize, epoch: u64, fence: u64, meta: &CampaignMeta) -> CoordEvent {
+        CoordEvent::Done { shard, epoch, fence, meta: RawJson::encode(meta) }
+    }
+
     #[test]
     fn done_events_read_back_and_keep_the_stored_bytes() {
-        let done = CoordEvent::Done { shard: 0, epoch: 2, fence: 9, meta: Box::new(shard(0)) };
+        let done = done(0, 2, 9, &shard(0));
         let mut events = sample_events();
         events.push(done);
         for ev in events {
@@ -281,9 +286,9 @@ mod tests {
             CoordEvent::Start { epoch: 1, n_shards: 2 },
             CoordEvent::Grant { shard: 1, epoch: 1, fence: 1, agent: "a".into() },
             CoordEvent::Grant { shard: 0, epoch: 1, fence: 2, agent: "b".into() },
-            CoordEvent::Done { shard: 1, epoch: 1, fence: 1, meta: Box::new(meta1.clone()) },
+            done(1, 1, 1, &meta1),
             CoordEvent::Heartbeat { shard: 0, epoch: 1, fence: 2 },
-            CoordEvent::Done { shard: 0, epoch: 1, fence: 2, meta: Box::new(meta0.clone()) },
+            done(0, 1, 2, &meta0),
         ];
         // every payload written straight into the framed log
         let path = temp_path("replayed");
@@ -306,6 +311,25 @@ mod tests {
         }
         drop(j);
         assert!(std::fs::read(&path).unwrap() == written, "journal bytes differ");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_done_whose_result_does_not_parse_ends_the_valid_prefix() {
+        let path = temp_path("unparsable");
+        let mut j = CoordJournal::create(&path).unwrap();
+        let events = sample_events();
+        let unparsable = RawJson::from_vec(br#"{"config":1}"#.to_vec()).unwrap();
+        for ev in &events[..2] {
+            j.append(ev).unwrap();
+        }
+        let kept = j.len_bytes();
+        j.append(&CoordEvent::Done { shard: 0, epoch: 1, fence: 1, meta: unparsable }).unwrap();
+        j.append(&events[2]).unwrap();
+        drop(j);
+        let (j, replayed) = CoordJournal::open_for_resume(&path).unwrap();
+        assert_eq!(replayed, events[..2], "the scan stops at the unparsable result");
+        assert_eq!(j.len_bytes(), kept, "and the tail from it on is cut");
         std::fs::remove_file(&path).ok();
     }
 

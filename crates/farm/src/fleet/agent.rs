@@ -19,8 +19,11 @@
 //! exchange retries, respawn backoff and the drain deadline. A lease
 //! whose worker exited with a `result.json` stops counting against
 //! `n_workers`, and each pass leases and spawns before it ships, so the
-//! next shard's worker runs while the finished result is loaded, sent
-//! and folded.
+//! next shard's worker runs while the finished result ships. Shipping
+//! reads `result.json`'s bytes and checks their syntax only; whoever
+//! folds the result parses it, once. A `result.json` that fails the
+//! check, or that the fold cannot parse ([`Reply::Regenerate`]), is
+//! scrapped, and a respawned worker writes it again from the journal.
 //!
 //! The identity discipline is absolute: any [`Reply::Fenced`] means
 //! this loop's claim on the shard is dead — kill the worker, drop the
@@ -42,6 +45,7 @@ use difftest::checkpoint::{atomic_write, Checkpoint, ShardSpec, JOURNAL_MAGIC};
 use difftest::fault::shutdown_requested;
 use difftest::metadata::CampaignMeta;
 use difftest::CampaignConfig;
+use serde::RawJson;
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::chaos::{ChaosConfig, ChaosKiller, MIN_JOURNAL_GROWTH};
@@ -230,6 +234,14 @@ struct Held {
 }
 
 impl Held {
+    /// Drop a `result.json` that cannot be shipped; a worker respawned
+    /// now writes it again from the shard's journal.
+    fn scrap_result(&mut self, now: u64) {
+        std::fs::remove_file(self.dir.join("result.json")).ok();
+        self.handoff = Handoff::None;
+        self.respawn_at_ms = now;
+    }
+
     /// The poison record: which slice of the campaign the shard owned
     /// and how to replay it, so the responsible seed range is never lost.
     fn poison_record(&self, agent: &str) -> serde_json::Value {
@@ -627,17 +639,16 @@ impl Supervisor<'_> {
     fn exchange(&mut self, h: &mut Held, now: u64) -> Result<bool, FarmError> {
         let (agent, shard, epoch, fence) = (self.cfg.name.clone(), h.shard, h.epoch, h.fence);
         let req = match h.handoff {
-            Handoff::Complete => match CampaignMeta::load(&h.dir.join("result.json")) {
-                Ok(meta) => Request::Complete { agent, shard, epoch, fence, meta: Box::new(meta) },
-                Err(_) => {
-                    // Corrupt result: scrap it and let a respawned worker
-                    // regenerate it from the journal.
-                    std::fs::remove_file(h.dir.join("result.json")).ok();
-                    h.handoff = Handoff::None;
-                    h.respawn_at_ms = now;
-                    return Ok(true);
+            Handoff::Complete => {
+                let bytes = std::fs::read(h.dir.join("result.json")).map_err(io_err);
+                match bytes.and_then(|b| RawJson::from_vec(b).map_err(io_err)) {
+                    Ok(meta) => Request::Complete { agent, shard, epoch, fence, meta },
+                    Err(_) => {
+                        h.scrap_result(now);
+                        return Ok(true);
+                    }
                 }
-            },
+            }
             Handoff::Poison => Request::Poison { agent, shard, epoch, fence, crashes: h.crashes },
             Handoff::Release => {
                 Request::Release { agent, shard, epoch, fence, reason: "drain".into() }
@@ -666,6 +677,11 @@ impl Supervisor<'_> {
             }
             Ok(Reply::Drain) => {
                 self.drain_asked = true;
+                return Ok(true);
+            }
+            Ok(Reply::Regenerate { reason }) => {
+                eprintln!("{}: shard {shard}'s result was refused ({reason}); rerunning", self.tag);
+                h.scrap_result(now);
                 return Ok(true);
             }
             // Retrying cannot change the answer.

@@ -12,8 +12,10 @@
 //!
 //! Both servers call [`CoordState::serve`]: the coordinator with its
 //! journal, a local farm (`farm --dir`, `CoordState` in process) without
-//! one. Either way a shipped result moves into the merge uncopied; the
-//! coordinator journals its `Done` event from the request by reference.
+//! one. Either way a shipped result arrives as the bytes of its
+//! `result.json` and is parsed once, into the merge, after its identity
+//! checks out (a duplicate is re-acked unparsed). The coordinator's
+//! `Done` event shares those bytes, and the journal streams them.
 //!
 //! [`run_coordinator`] keeps the state single-threaded. One acceptor
 //! thread owns the listening socket and hands each accepted connection
@@ -52,6 +54,7 @@ use difftest::checkpoint::atomic_write;
 use difftest::fault::shutdown_requested;
 use difftest::metadata::CampaignMeta;
 use difftest::CampaignConfig;
+use serde::RawJson;
 
 use crate::coordjournal::{CoordEvent, CoordJournal};
 use crate::lease::{LeaseState, ShardId, WorkQueue};
@@ -258,13 +261,19 @@ impl CoordState {
                     max_epoch = max_epoch.max(epoch);
                     max_fence = max_fence.max(fence);
                     if state.done_identity[shard].is_none() {
+                        // The journal's reader checked that it parses.
+                        let meta: CampaignMeta = meta.parse().map_err(|e| {
+                            FarmError::Config(format!(
+                                "journaled result for shard {shard} does not parse: {e}"
+                            ))
+                        })?;
                         if meta.config != state.config {
                             return Err(FarmError::Config(format!(
                                 "journaled result for shard {shard} belongs to a different \
                                  campaign; use a fresh --dir"
                             )));
                         }
-                        state.fold(*meta)?;
+                        state.fold(meta)?;
                         state.queue.complete(shard);
                         state.done_identity[shard] = Some((epoch, fence));
                     }
@@ -367,9 +376,7 @@ impl CoordState {
 
     /// Serve one request at virtual time `now_ms`. Returns the reply
     /// and the journal events that must be durable *before* the reply
-    /// is sent. A completion's result is copied, into the merge and
-    /// into its `Done` event; the servers use [`CoordState::serve`],
-    /// which copies nothing.
+    /// is sent. A completion's `Done` event shares the shipped bytes.
     pub fn handle(&mut self, req: &Request, now_ms: u64) -> (Reply, Vec<CoordEvent>) {
         // Any request but a goodbye means the agent is (back) at work.
         let left = matches!(req, Request::Leave { .. });
@@ -425,14 +432,11 @@ impl CoordState {
             }
             Request::Complete { shard, epoch, fence, meta, .. } => {
                 let (shard, epoch, fence) = (*shard, *epoch, *fence);
-                match self.admit(shard, epoch, fence, meta) {
-                    Ok(true) => match self.settle(shard, epoch, fence, (**meta).clone()) {
-                        Ok(()) => {
-                            let ev = CoordEvent::Done { shard, epoch, fence, meta: meta.clone() };
-                            (Reply::Ok, vec![ev])
-                        }
-                        Err(r) => (r, Vec::new()),
-                    },
+                match self.complete(shard, epoch, fence, meta) {
+                    Ok(true) => {
+                        let ev = CoordEvent::Done { shard, epoch, fence, meta: meta.clone() };
+                        (Reply::Ok, vec![ev])
+                    }
                     Ok(false) => (Reply::Ok, Vec::new()),
                     Err(r) => (r, Vec::new()),
                 }
@@ -470,61 +474,43 @@ impl CoordState {
     }
 
     /// Serve one request, for the coordinator (which passes its
-    /// `journal`) and the local farm (which keeps none). Every journal
-    /// event is appended before this returns, so the caller may send the
-    /// reply once it has it. A completion is never copied: the shipped
-    /// result moves into its `Done` event to be encoded, moves back out
-    /// into the merge, and the event is appended once the merge has
-    /// taken it. A completion the merge refuses (its result
-    /// holds a different test under an index already folded) is answered
-    /// `Reply::Error` and journals nothing: the merge keeps every shard
-    /// folded so far, and the shard stays leased until its lease expires
-    /// and it is granted again. `Err` is a journal failure, fatal to the
-    /// coordinator.
+    /// `journal`) and the local farm (which keeps none): [`CoordState::handle`],
+    /// with every journal event appended before this returns, so the
+    /// caller may send the reply once it has it. `Err` is a journal
+    /// failure, fatal to the coordinator. The request is dropped here,
+    /// and with it a completion's bytes.
     pub fn serve(
         &mut self,
         req: Request,
         now_ms: u64,
         journal: Option<&mut CoordJournal>,
     ) -> io::Result<Reply> {
-        let Request::Complete { agent, shard, epoch, fence, meta } = req else {
-            let (reply, events) = self.handle(&req, now_ms);
-            if let Some(journal) = journal {
-                for ev in &events {
-                    journal.append(ev)?;
-                }
+        let (reply, events) = self.handle(&req, now_ms);
+        if let Some(journal) = journal {
+            for ev in &events {
+                journal.append(ev)?;
             }
-            return Ok(reply);
-        };
-        self.agents.insert(agent, false);
-        match self.admit(shard, epoch, fence, &meta) {
-            Ok(true) => {}
-            Ok(false) => return Ok(Reply::Ok),
-            Err(reply) => return Ok(reply),
         }
-        let done = CoordEvent::Done { shard, epoch, fence, meta };
-        let payload = journal.as_ref().map(|_| serde_json::to_vec(&done)).transpose()?;
-        let CoordEvent::Done { meta, .. } = done else { unreachable!("built as a Done") };
-        if let Err(reply) = self.settle(shard, epoch, fence, *meta) {
-            return Ok(reply);
-        }
-        if let (Some(journal), Some(payload)) = (journal, payload) {
-            journal.append_payload(&payload)?;
-        }
-        Ok(Reply::Ok)
+        Ok(reply)
     }
 
-    /// Check a shipped result's identity and campaign. `Ok(true)`: a new
-    /// completion, for [`CoordState::settle`]; `Ok(false)`: the exact
+    /// Fold a shipped result into the merge and settle its shard, with
+    /// the checks in order: a shard out of range is an error; the exact
     /// identity that already completed this shard — even under an older
-    /// epoch, replayed from the journal across a restart — re-acked
-    /// without a second merge.
-    fn admit(
+    /// epoch, replayed from the journal across a restart — is re-acked
+    /// unparsed and unfolded (`Ok(false)`); any other stale identity is
+    /// fenced; a result that does not parse is sent back to be
+    /// regenerated; a result for another campaign, or one the merge
+    /// refuses (it holds a different test under an index already
+    /// folded), is an error. A refused result leaves the merge as it
+    /// was, and the shard stays leased until its lease expires and it is
+    /// granted again. `Ok(true)`: folded.
+    fn complete(
         &mut self,
         shard: usize,
         epoch: u64,
         fence: u64,
-        meta: &CampaignMeta,
+        result: &RawJson,
     ) -> Result<bool, Reply> {
         if shard >= self.n_shards {
             return Err(Reply::Error { reason: format!("unknown shard {shard}") });
@@ -535,27 +521,19 @@ impl CoordState {
             return Ok(false);
         }
         self.check_identity(shard, epoch, fence)?;
+        let meta: CampaignMeta = result.parse().map_err(|e| Reply::Regenerate {
+            reason: format!("shard result does not parse: {e}"),
+        })?;
         if meta.config != self.config {
             return Err(Reply::Error { reason: "shard result is for a different campaign".into() });
         }
-        Ok(true)
-    }
-
-    /// Fold an admitted result into the merge and settle its shard.
-    fn settle(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        fence: u64,
-        meta: CampaignMeta,
-    ) -> Result<(), Reply> {
         self.fold(meta)
             .map_err(|e| Reply::Error { reason: format!("merge rejected shard: {e}") })?;
         self.queue.complete(shard);
         self.leases[shard] = None;
         self.done_identity[shard] = Some((epoch, fence));
         obs::add("fleet.completes", 1);
-        Ok(())
+        Ok(true)
     }
 
     /// Shard tallies and per-shard lease states, for status endpoints.
@@ -965,7 +943,7 @@ mod tests {
         let (shard0, epoch, fence) =
             grant_of(st.handle(&Request::Lease { agent: "a".into() }, 0).0);
         let meta0 = shard_meta(&config, shard0, 2);
-        let meta = Box::new(meta0.clone());
+        let meta = RawJson::encode(&meta0);
         let done = Request::Complete { agent: "a".into(), shard: shard0, epoch, fence, meta };
         assert_eq!(st.serve(done, 0, None).unwrap(), Reply::Ok);
         let (shard1, epoch, fence) =
@@ -977,13 +955,38 @@ mod tests {
         clash.program_id.push_str("_forged");
         forged.tests.push(clash);
         let tally = st.tally();
-        let meta = Box::new(forged);
+        let meta = RawJson::encode(&forged);
         let conflicting =
             Request::Complete { agent: "b".into(), shard: shard1, epoch, fence, meta };
         let reply = st.serve(conflicting, 0, None).unwrap();
         assert!(matches!(reply, Reply::Error { .. }), "got {reply:?}");
         assert!(st.merged() == Some(&meta0), "the merge still holds exactly shard 0");
         assert_eq!(st.tally(), tally, "shard 1 stays leased, shard 0 done");
+    }
+
+    /// A result that is JSON but not a campaign result is sent back to
+    /// be regenerated: nothing is journaled or folded and the lease stays
+    /// live, so the regenerated result lands under the same identity.
+    /// Once the shard is done, a duplicate is re-acked before its bytes
+    /// are parsed.
+    #[test]
+    fn an_unparsable_result_is_sent_back_and_a_duplicate_is_not_parsed() {
+        let mut st = fresh(1);
+        let (shard, epoch, fence) = grant_of(st.handle(&Request::Lease { agent: "a".into() }, 0).0);
+        let complete = |meta| Request::Complete { agent: "a".into(), shard, epoch, fence, meta };
+        let unparsable = complete(RawJson::from_vec(br#"{"config":1}"#.to_vec()).unwrap());
+        let (r, evs) = st.handle(&unparsable, 1);
+        assert!(matches!(r, Reply::Regenerate { .. }), "got {r:?}");
+        assert!(evs.is_empty(), "a refused result journals nothing");
+        assert!(st.merged().is_none());
+        assert_eq!(st.leased_count(), 1, "the lease stays live");
+        let meta = shard_meta(&tiny_config(), 0, 1);
+        let (r, evs) = st.handle(&complete(RawJson::encode(&meta)), 2);
+        assert_eq!(r, Reply::Ok);
+        assert!(matches!(&evs[..], [CoordEvent::Done { .. }]));
+        let (r, evs) = st.handle(&unparsable, 3);
+        assert_eq!((r, evs.len(), st.dup_completes), (Reply::Ok, 0, 1));
+        assert!(st.merged() == Some(&meta));
     }
 
     #[test]
@@ -995,8 +998,13 @@ mod tests {
         assert_eq!((shard, epoch, fence), (0, 1, 1));
         assert_eq!(evs.len(), 1);
         let meta = shard_meta(&tiny_config(), 0, 2);
-        let complete =
-            Request::Complete { agent: "a".into(), shard, epoch, fence, meta: Box::new(meta) };
+        let complete = Request::Complete {
+            agent: "a".into(),
+            shard,
+            epoch,
+            fence,
+            meta: RawJson::encode(&meta),
+        };
         let (r, evs) = st.handle(&complete, 10);
         assert_eq!(r, Reply::Ok);
         assert!(matches!(evs[0], CoordEvent::Done { shard: 0, .. }));
@@ -1014,7 +1022,13 @@ mod tests {
         assert_eq!(shard, 1);
         let meta = shard_meta(&tiny_config(), 1, 2);
         let (r, _) = st.handle(
-            &Request::Complete { agent: "b".into(), shard, epoch, fence, meta: Box::new(meta) },
+            &Request::Complete {
+                agent: "b".into(),
+                shard,
+                epoch,
+                fence,
+                meta: RawJson::encode(&meta),
+            },
             40,
         );
         assert_eq!(r, Reply::Ok);
@@ -1049,7 +1063,7 @@ mod tests {
                 shard,
                 epoch,
                 fence,
-                meta: Box::new(meta.clone()),
+                meta: RawJson::encode(&meta),
             },
             5_010,
         );
@@ -1070,7 +1084,7 @@ mod tests {
                 shard: shard2,
                 epoch: epoch2,
                 fence: fence2,
-                meta: Box::new(meta),
+                meta: RawJson::encode(&meta),
             },
             5_030,
         );
@@ -1087,7 +1101,7 @@ mod tests {
         let events = vec![
             CoordEvent::Start { epoch: 1, n_shards: 3 },
             CoordEvent::Grant { shard: 0, epoch: 1, fence: 1, agent: "a".into() },
-            CoordEvent::Done { shard: 0, epoch: 1, fence: 1, meta: Box::new(meta0.clone()) },
+            CoordEvent::Done { shard: 0, epoch: 1, fence: 1, meta: RawJson::encode(&meta0) },
             CoordEvent::Grant { shard: 1, epoch: 1, fence: 2, agent: "a".into() },
             CoordEvent::Grant { shard: 2, epoch: 1, fence: 3, agent: "b".into() },
             CoordEvent::Poison { shard: 2, epoch: 1, fence: 3, crashes: 4 },
@@ -1108,7 +1122,7 @@ mod tests {
                 shard: 0,
                 epoch: 1,
                 fence: 1,
-                meta: Box::new(meta0),
+                meta: RawJson::encode(&meta0),
             },
             0,
         );
@@ -1135,7 +1149,7 @@ mod tests {
             shard: 0,
             epoch: 1,
             fence: 1,
-            meta: Box::new(shard_meta(&other, 0, 2)),
+            meta: RawJson::encode(&shard_meta(&other, 0, 2)),
         }];
         assert!(matches!(
             CoordState::replay(tiny_config(), 2, 1_000, false, events),
@@ -1155,7 +1169,13 @@ mod tests {
         assert_eq!(r, Reply::Drain, "keepalives also learn about the drain");
         let meta = shard_meta(&tiny_config(), 0, 2);
         let (r, _) = st.handle(
-            &Request::Complete { agent: "a".into(), shard, epoch, fence, meta: Box::new(meta) },
+            &Request::Complete {
+                agent: "a".into(),
+                shard,
+                epoch,
+                fence,
+                meta: RawJson::encode(&meta),
+            },
             3,
         );
         assert_eq!(r, Reply::Ok, "in-flight work is never thrown away by a drain");
@@ -1198,7 +1218,7 @@ mod tests {
                 shard: 0,
                 epoch: 1,
                 fence: 1,
-                meta: Box::new(shard_meta(&config, 0, 2)),
+                meta: RawJson::encode(&shard_meta(&config, 0, 2)),
             },
             CoordEvent::Grant { shard: 1, epoch: 1, fence: 2, agent: "b".into() },
         ];
@@ -1206,7 +1226,7 @@ mod tests {
         // "c" runs the last shard live.
         let (r, _) = st.handle(&Request::Lease { agent: "c".into() }, 0);
         let (shard, epoch, fence) = grant_of(r);
-        let meta = Box::new(shard_meta(&config, shard, 2));
+        let meta = RawJson::encode(&shard_meta(&config, shard, 2));
         let (r, _) =
             st.handle(&Request::Complete { agent: "c".into(), shard, epoch, fence, meta }, 1);
         assert_eq!(r, Reply::Ok);
@@ -1250,7 +1270,7 @@ mod tests {
             let (shard, epoch, fence) =
                 grant_of(exchange(Request::Lease { agent: agent.into() }, 0));
             assert_eq!(shard, k);
-            let meta = Box::new(shard_meta(&config, shard, 2));
+            let meta = RawJson::encode(&shard_meta(&config, shard, 2));
             let complete = Request::Complete { agent: agent.into(), shard, epoch, fence, meta };
             assert_eq!(exchange(complete.clone(), 1), Reply::Ok);
             // a duplicate re-acks and journals nothing on either path
@@ -1301,7 +1321,7 @@ mod tests {
         let mut client = FleetClient::new(addr.clone(), 2_000, NetChaosConfig::default());
         let lease = Request::Lease { agent: "a".into() };
         let (shard, epoch, fence) = grant_of(client.call(&lease).unwrap());
-        let meta = Box::new(shard_meta(&config, shard, 1));
+        let meta = RawJson::encode(&shard_meta(&config, shard, 1));
         let done = Request::Complete { agent: "a".into(), shard, epoch, fence, meta };
         assert_eq!(client.call(&done).unwrap(), Reply::Ok);
         assert_eq!(client.call(&lease).unwrap(), Reply::AllDone);
@@ -1345,7 +1365,7 @@ mod tests {
             shard,
             epoch,
             fence,
-            meta: Box::new(meta.clone()),
+            meta: RawJson::encode(&meta),
         };
         assert_eq!(client.call(&done).unwrap(), Reply::Ok);
         let (shard, epoch, fence) = grant_of(client.call(&lease).unwrap());

@@ -2,12 +2,16 @@
 //!
 //! One request/reply exchange per TCP connection, framed exactly like a
 //! checkpoint journal record — a protocol version byte, then
-//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload JSON]` via
-//! [`difftest::checkpoint::encode_frame`]. A payload is the message's
-//! compact JSON, written and read by the workspace's one streaming codec
-//! (`serde_json::to_vec`/`from_slice`): a [`Request::Complete`] carries
-//! a whole shard result, which that codec writes and reads without an
-//! intermediate tree. The CRC rejects torn frames
+//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload JSON]`. A
+//! payload is the message's compact JSON, written and read by the
+//! workspace's one streaming codec. A [`Request::Complete`] carries a
+//! whole shard result as a [`RawJson`]: the bytes of the agent's
+//! `result.json`, checked for syntax only, written into the frame as
+//! they are and read back as a share of the received payload. The
+//! coordinator parses them once, to fold them. [`write_message`]
+//! writes the frame header and then the payload's parts, its CRC taken
+//! over those parts, so no frame-sized copy is made on either side.
+//! The CRC rejects torn frames
 //! (a truncated send, an injected chaos fault); the version byte
 //! rejects an old agent before it can misparse anything; the length
 //! prefix bounds allocation. Decoding arbitrary bytes never panics —
@@ -23,10 +27,10 @@
 //! [`Reply::Fenced`] — its result is dropped, not merged twice.
 
 use difftest::campaign::CampaignConfig;
-use difftest::checkpoint::{crc32, encode_frame};
-use difftest::metadata::CampaignMeta;
-use serde::{Deserialize, Serialize};
+use difftest::checkpoint::{crc32, frame_header, write_frame};
+use serde::{Deserialize, RawJson, Serialize};
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Wire protocol version. Bumped on any incompatible message change;
 /// a coordinator rejects other versions before parsing a payload.
@@ -70,9 +74,9 @@ pub enum Request {
         epoch: u64,
         /// Fencing token of the lease.
         fence: u64,
-        /// The shard's complete `CampaignMeta` (the worker's
-        /// `result.json`, exactly what a local farm folds).
-        meta: Box<CampaignMeta>,
+        /// The shard's complete `CampaignMeta`: the bytes of the
+        /// worker's `result.json`, which the coordinator parses to fold.
+        meta: RawJson,
     },
     /// Give a lease back unfinished (drain, local failure, shutdown).
     /// The checkpoint journal stays on the agent's disk; a future lease
@@ -196,6 +200,14 @@ pub enum Reply {
         /// Human-readable cause (diagnostics).
         reason: String,
     },
+    /// The shipped result is well-formed JSON but not a shard result.
+    /// The agent scraps its `result.json` and a respawned worker writes
+    /// it again from the shard's journal; the lease stays live and
+    /// nothing is journaled.
+    Regenerate {
+        /// Why the result could not be read (diagnostics).
+        reason: String,
+    },
 }
 
 impl Reply {
@@ -209,6 +221,7 @@ impl Reply {
             Reply::Ok => "ok",
             Reply::Fenced { .. } => "fenced",
             Reply::Error { .. } => "error",
+            Reply::Regenerate { .. } => "regenerate",
         }
     }
 }
@@ -217,23 +230,25 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Serialize `msg` and write it as one versioned CRC frame.
+/// Serialize `msg` and write it as one versioned CRC frame: the header,
+/// then the payload as the codec streams it, so a [`RawJson`] inside
+/// goes from its own buffer to the socket.
 pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> io::Result<()> {
-    let payload = serde_json::to_vec(msg)?;
-    if payload.len() > MAX_FRAME_BYTES as usize {
-        return Err(invalid(format!("frame too large: {} bytes", payload.len())));
+    let payload = |out: &mut dyn Write| serde::to_writer(out, msg);
+    let (header, len) = frame_header(&payload)?;
+    if len > MAX_FRAME_BYTES as usize {
+        return Err(invalid(format!("frame too large: {len} bytes")));
     }
-    let mut buf = Vec::with_capacity(payload.len() + 9);
-    buf.push(PROTO_VERSION);
-    buf.extend_from_slice(&encode_frame(&payload));
-    w.write_all(&buf)?;
-    w.flush()
+    let mut versioned = [PROTO_VERSION; 9];
+    versioned[1..].copy_from_slice(&header);
+    write_frame(w, &versioned, len, &payload)
 }
 
-/// Read one versioned CRC frame and deserialize it. Every malformed
-/// input — wrong version, oversized or short frame, CRC mismatch,
-/// unparsable JSON — is an `io::Error`; this function never panics on
-/// arbitrary bytes.
+/// Read one versioned CRC frame and deserialize it. A [`RawJson`] in
+/// the message shares the received payload. Every malformed input —
+/// wrong version, oversized or short frame, CRC mismatch, unparsable
+/// JSON — is an `io::Error`; this function never panics on arbitrary
+/// bytes.
 pub fn read_message<T: Deserialize>(r: &mut impl Read) -> io::Result<T> {
     let mut version = [0u8; 1];
     r.read_exact(&mut version)?;
@@ -255,7 +270,7 @@ pub fn read_message<T: Deserialize>(r: &mut impl Read) -> io::Result<T> {
     if crc32(&payload) != crc {
         return Err(invalid("frame CRC mismatch"));
     }
-    Ok(serde_json::from_slice(&payload)?)
+    Ok(serde::from_shared(&Arc::new(payload))?)
 }
 
 #[cfg(test)]
@@ -294,6 +309,7 @@ pub(crate) mod tests {
             Reply::Ok,
             Reply::Fenced { reason: "lease reassigned".into() },
             Reply::Error { reason: "journal write failed".into() },
+            Reply::Regenerate { reason: "missing field `sides_run`".into() },
         ];
         for r in &replies {
             assert_eq!(&roundtrip(r), r, "{}", r.kind());
@@ -334,14 +350,14 @@ pub(crate) mod tests {
 
     /// A real shard result: shard 0 of 2 of a 4-program campaign, both
     /// vendors run, with telemetry and a quarantined fault.
-    pub(crate) fn shard_result() -> CampaignMeta {
+    pub(crate) fn shard_result() -> difftest::metadata::CampaignMeta {
         use difftest::checkpoint::run_sides_ft;
         use difftest::{FaultKind, FtSession, TestFault, TestMode};
         use gpucc::ExecTier;
         let mut config =
             CampaignConfig::default_for(progen::Precision::F32, TestMode::Direct).with_programs(4);
         config.inputs_per_program = 1;
-        let mut meta = CampaignMeta::generate_shard(&config, 0, 2);
+        let mut meta = difftest::metadata::CampaignMeta::generate_shard(&config, 0, 2);
         for side in difftest::Side::VENDORS {
             run_sides_ft(&mut meta, &[side], &FtSession::plain(), ExecTier::Interp);
         }
@@ -366,7 +382,7 @@ pub(crate) mod tests {
             shard: 0,
             epoch: 3,
             fence: 17,
-            meta: Box::new(shard_result()),
+            meta: RawJson::encode(&shard_result()),
         }
     }
 
@@ -390,7 +406,7 @@ pub(crate) mod tests {
         }
         let stored = stored_complete();
         let mut frame = vec![PROTO_VERSION];
-        frame.extend_from_slice(&encode_frame(&stored));
+        frame.extend_from_slice(&difftest::checkpoint::encode_frame(&stored));
         let req: Request = read_message(&mut Cursor::new(&frame)).unwrap();
         assert_eq!(req.kind(), "complete");
         let mut written = Vec::new();

@@ -625,6 +625,36 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The first worker of each shard writes a torn `result.json`, the
+    /// second one that is JSON but no campaign result, the third the
+    /// real result. The first is scrapped before it ships; the second is
+    /// shipped, refused with `Regenerate` (never the fatal `Error`) and
+    /// scrapped; the run then ends with the ordinary merge.
+    #[test]
+    fn unreadable_results_are_scrapped_and_regenerated() {
+        let root = temp_root("unreadable");
+        let script = "n=$(cat \"$2/attempts\" 2>/dev/null || echo 0); n=$((n + 1)); \
+                      echo $n > \"$2/attempts\"; \
+                      case $n in 1) printf '{\"config\":' > \"$2/result.json\" ;; \
+                      2) printf '{\"config\":1}' > \"$2/result.json\" ;; \
+                      *) cp \"$2/canned.json\" \"$2/result.json\" ;; esac";
+        let mut cfg = canned_farm(&root, 2, 2, "");
+        cfg.worker = script_worker(script);
+        cfg.poll_ms = 5;
+        let report = run_farm_with_watchdog(cfg).expect("the farm regenerates, not fails");
+        assert_eq!((report.shards_done, report.spawns, report.worker_deaths), (2, 6, 0));
+        let expected: Vec<CampaignMeta> = (0..2)
+            .map(|k| {
+                let mut m = CampaignMeta::generate_shard(&tiny_config(), k, 2);
+                m.sides_run = vec![];
+                m
+            })
+            .collect();
+        let expected = CampaignMeta::merge_shards(expected).unwrap();
+        assert!(report.merged.as_ref() == Some(&expected), "the ordinary merge");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn metrics_exposition_merges_farm_and_campaign_series() {
         obs::add("farm.spawns", 2);

@@ -213,6 +213,38 @@ fn an_agent_fills_every_slot_and_hears_all_done_with_its_last_result() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A `result.json` that is JSON but no campaign result is shipped, and
+/// the coordinator answers `Regenerate`, never the fatal `Error`: the
+/// agent scraps it, a respawned worker writes the real one, and the run
+/// ends with the calm run's merge.
+#[test]
+fn a_result_the_coordinator_cannot_parse_is_regenerated() {
+    let root = temp_root("regenerate");
+    let (coord, addr) = start_coordinator(&root.join("coord"), 2, 60_000, 10);
+    let dir = root.join("agent");
+    seed_canned(&dir, &tiny_config(), 2);
+    let script = "if [ -f \"$2/refused\" ]; then cp \"$2/canned.json\" \"$2/result.json\"; \
+                  else touch \"$2/refused\"; printf '{\"config\":1}' > \"$2/result.json\"; fi";
+    let mut acfg = AgentConfig::new(&addr, &dir, 2, sh_worker(script));
+    acfg.poll_ms = 10;
+    let report = join_with_watchdog(std::thread::spawn(move || run_agent(&acfg)), "agent", 60)
+        .expect("the agent regenerates, not fails");
+    let coord =
+        join_with_watchdog(coord, "coordinator", COORD_EXIT_SECS).expect("coordinator runs");
+    assert!(report.all_done);
+    assert_eq!((report.spawns, report.shards_completed, report.worker_deaths), (4, 2, 0));
+    let shards: Vec<CampaignMeta> = (0..2)
+        .map(|k| {
+            let mut m = CampaignMeta::generate_shard(&tiny_config(), k, 2);
+            m.sides_run = vec![];
+            m
+        })
+        .collect();
+    let expected = CampaignMeta::merge_shards(shards).unwrap();
+    assert!(coord.merged.as_ref() == Some(&expected), "the calm run's merge");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// An agent whose workers always crash poisons its shards through a real
 /// coordinator, and each record names the responsible slice as a local
 /// farm's does. A later run hands the records in without re-running.

@@ -20,8 +20,8 @@ use difftest::checkpoint::ShardSpec;
 use difftest::metadata::CampaignMeta;
 use difftest::TestFault;
 use farm::proto::{read_message, write_message, Reply, Request};
-use farm::CoordEvent;
-use serde::{Deserialize, Serialize};
+use farm::{CoordEvent, CoordJournal};
+use serde::{Deserialize, RawJson, Serialize};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -47,11 +47,20 @@ fn same(name: &str, written: &[u8], stored: &[u8]) {
     }
 }
 
-/// Read `name` as a `T` and write it back compact.
+/// `value` streamed through `serde::to_writer`.
+fn streamed<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    serde::to_writer(&mut out, value).unwrap();
+    out
+}
+
+/// Read `name` as a `T` and write it back compact, into a buffer and
+/// streamed.
 fn compact<T: Serialize + Deserialize>(name: &str) -> T {
     let stored = fixture(name);
     let value: T = serde_json::from_slice(&stored).unwrap_or_else(|e| panic!("{name}: {e}"));
     same(name, &serde_json::to_vec(&value).unwrap(), &stored);
+    same(&format!("{name} streamed"), &streamed(&value), &stored);
     value
 }
 
@@ -112,11 +121,13 @@ fn status_metrics_and_quarantine_lines_rewrite_compact() {
     let status = fixture("status.json");
     let value: Value = serde_json::from_slice(&status).unwrap();
     same("status.json", value.to_string().as_bytes(), &status);
+    same("status.json streamed", &streamed(&value), &status);
 
     let log = String::from_utf8(fixture("metrics.jsonl")).unwrap();
     for (i, line) in log.lines().enumerate() {
         let value: Value = serde_json::from_str(line).unwrap_or_else(|e| panic!("line {i}: {e}"));
         same(&format!("metrics.jsonl line {i}"), value.to_string().as_bytes(), line.as_bytes());
+        same(&format!("metrics.jsonl line {i} streamed"), &streamed(&value), line.as_bytes());
     }
 
     #[derive(Deserialize)]
@@ -127,8 +138,10 @@ fn status_metrics_and_quarantine_lines_rewrite_compact() {
     let mut lines = log.lines();
     let header = lines.next().expect("a config header");
     let parsed: Header = serde_json::from_str(header).unwrap();
-    let written = serde_json::to_string(&serde_json::json!({ "config": parsed.config })).unwrap();
+    let header_value = serde_json::json!({ "config": parsed.config });
+    let written = serde_json::to_string(&header_value).unwrap();
     same("quarantine.jsonl header", written.as_bytes(), header.as_bytes());
+    same("quarantine.jsonl header streamed", &streamed(&header_value), header.as_bytes());
     let mut faults = 0;
     for line in lines {
         let fault: TestFault = serde_json::from_str(line).unwrap();
@@ -137,6 +150,7 @@ fn status_metrics_and_quarantine_lines_rewrite_compact() {
             serde_json::to_string(&fault).unwrap().as_bytes(),
             line.as_bytes(),
         );
+        same("quarantine.jsonl fault streamed", &streamed(&fault), line.as_bytes());
         faults += 1;
     }
     assert!(faults > 0, "the quarantine log holds faults");
@@ -172,6 +186,58 @@ fn an_internal_tag_is_read_at_any_position() {
     let first: CoordEvent = serde_json::from_slice(&stored).unwrap();
     let last: CoordEvent = serde_json::from_slice(&moved).unwrap();
     assert!(first == last, "Done: the tag's position changed the value");
+}
+
+/// A `Complete` frame and a journaled `Done` built from a stored
+/// result's bytes, as an agent ships them, equal the ones encoded from
+/// the parsed result; each reads back to those bytes, with its tag first
+/// or last.
+#[test]
+fn frames_of_a_result_s_bytes_equal_frames_of_the_parsed_result() {
+    for name in ["result_fp32_hipify_reference.json", "result_fuel200.json"] {
+        let bytes = fixture(name);
+        let parsed = CampaignMeta::load(&fixture_path(name)).unwrap();
+        let shipped = RawJson::from_vec(bytes.clone()).unwrap();
+        let encoded = RawJson::encode(&parsed);
+        let complete = |meta| Request::Complete {
+            agent: "agent-ü".into(),
+            shard: 3,
+            epoch: 2,
+            fence: 41,
+            meta,
+        };
+        let frame = |req: &Request| {
+            let mut frame = Vec::new();
+            write_message(&mut frame, req).unwrap();
+            frame
+        };
+        let shipped_frame = frame(&complete(shipped.clone()));
+        same(name, &shipped_frame, &frame(&complete(encoded.clone())));
+        let Request::Complete { meta, .. } = read_message(&mut shipped_frame.as_slice()).unwrap()
+        else {
+            panic!("{name}: not a Complete")
+        };
+        assert!(meta.as_bytes() == bytes.as_slice(), "{name}: the frame carries the file's bytes");
+        let moved = tag_last(&shipped_frame[9..], "type");
+        let last: Request = serde_json::from_slice(&moved).unwrap();
+        assert!(last == complete(shipped.clone()), "{name}: Complete with its tag last");
+
+        let journal = |meta| {
+            let path = temp_path("done-frame");
+            let mut j = CoordJournal::create(&path).unwrap();
+            j.append(&CoordEvent::Done { shard: 3, epoch: 2, fence: 41, meta }).unwrap();
+            drop(j);
+            let written = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            written
+        };
+        let shipped_journal = journal(shipped.clone());
+        same(name, &shipped_journal, &journal(encoded));
+        let moved = tag_last(&shipped_journal[16..], "ev");
+        let last: CoordEvent = serde_json::from_slice(&moved).unwrap();
+        let done = CoordEvent::Done { shard: 3, epoch: 2, fence: 41, meta: shipped };
+        assert!(last == done, "{name}: Done with its tag last");
+    }
 }
 
 #[test]

@@ -26,6 +26,7 @@ use farm::proto::{Reply, Request};
 use farm::{CoordEvent, CoordState, LeaseState, WorkQueue};
 use progen::Precision;
 use proptest::prelude::*;
+use serde::RawJson;
 
 /// One scheduler step per live worker, drawn from the proptest schedule.
 #[derive(Debug, Clone, Copy)]
@@ -243,7 +244,7 @@ proptest! {
                             shard,
                             epoch,
                             fence,
-                            meta: Box::new(piece),
+                            meta: RawJson::encode(&piece),
                         };
                         let before = state.merged().map_or(0, |m| m.tests.len());
                         let (reply, evs) = state.handle(&req, now);
@@ -275,7 +276,7 @@ proptest! {
                                 shard,
                                 epoch,
                                 fence,
-                                meta: Box::new(piece),
+                                meta: RawJson::encode(&piece),
                             },
                             now,
                         );

@@ -13,6 +13,7 @@ use difftest::{CampaignConfig, TestMode};
 use farm::proto::{read_message, write_message, Reply, Request};
 use progen::Precision;
 use proptest::prelude::*;
+use serde::RawJson;
 
 fn config() -> CampaignConfig {
     CampaignConfig::default_for(Precision::F32, TestMode::Direct).with_programs(6)
@@ -38,7 +39,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             shard,
             epoch,
             fence,
-            meta: Box::new(meta()),
+            meta: RawJson::encode(&meta()),
         }),
         (s.clone(), any::<String>()).prop_map(|((agent, shard, epoch, fence), reason)| {
             Request::Release { agent, shard, epoch, fence, reason }
@@ -74,6 +75,7 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
         Just(Reply::Ok),
         any::<String>().prop_map(|reason| Reply::Fenced { reason }),
         any::<String>().prop_map(|reason| Reply::Error { reason }),
+        any::<String>().prop_map(|reason| Reply::Regenerate { reason }),
     ]
 }
 

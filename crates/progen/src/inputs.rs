@@ -11,6 +11,7 @@ use crate::ast::{ParamType, Precision, Program};
 use fpcore::literal;
 use fpcore::rng::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 
 /// Length of array parameters allocated by the generated `main()`.
 pub const ARRAY_LEN: usize = 16;
@@ -99,12 +100,22 @@ fn hash_id(id: &str) -> u64 {
     h
 }
 
-/// Build the float value of `±m.mmmm × 10^exp` by going through the
-/// decimal string, which converts correctly even deep in the subnormal
-/// range (computing `mant * 10.powi(exp)` would underflow through `1/Inf`).
+/// Build the float value of `±m.mmmm × 10^exp`, `mant` in [1, 10)
+/// rounded to four decimals as `{:.4}` rounds it, by parsing the decimal
+/// `±mmmmm × 10^(exp − 4)`, which converts correctly even deep in the
+/// subnormal range (computing `mant * 10.powi(exp)` would underflow
+/// through `1/Inf`). The digits are integers written into a stack
+/// buffer: no float formatting and no allocation.
 pub(crate) fn compose_float(negative: bool, mant: f64, exp: i32, precision: Precision) -> f64 {
-    let sign = if negative { "-" } else { "+" };
-    let v = literal::parse_literal(&format!("{sign}{mant:.4}E{exp}")).unwrap_or(0.0);
+    let mut buf = [0u8; 32];
+    let len = {
+        let mut w = &mut buf[..];
+        let sign = if negative { "-" } else { "" };
+        write!(w, "{sign}{}e{}", four_decimals(mant), exp - 4).expect("fits 32 bytes");
+        32 - w.len()
+    };
+    let text = std::str::from_utf8(&buf[..len]).expect("ASCII digits");
+    let v: f64 = text.parse().expect("a decimal literal");
     match precision {
         Precision::F64 => v,
         Precision::F32 => {
@@ -117,6 +128,21 @@ pub(crate) fn compose_float(negative: bool, mant: f64, exp: i32, precision: Prec
             }
         }
     }
+}
+
+/// `mant` × 10⁴ rounded to an integer, half to even, on `mant`'s exact
+/// binary value: the digits `{:.4}` prints for `mant` in [1, 10), from
+/// `10000` for 1.0000 to `100000` for a carry to 10.0000. Such a `mant`
+/// is `m × 2^-k` with a 53-bit `m` and `k` in 49..=52, so `m × 10⁴`
+/// fits 128 bits and splits exactly into quotient and remainder.
+fn four_decimals(mant: f64) -> u64 {
+    debug_assert!((1.0..10.0).contains(&mant), "{mant}");
+    let bits = mant.to_bits();
+    let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+    let k = 1075 - (bits >> 52) as u32;
+    let scaled = m * 10_000;
+    let (q, r, half) = ((scaled >> k) as u64, scaled & ((1 << k) - 1), 1u128 << (k - 1));
+    q + u64::from(r > half || (r == half && q & 1 == 1))
 }
 
 /// Draw one float from the special-value-biased distribution.
@@ -249,6 +275,63 @@ mod tests {
         for t in tokens {
             assert!(literal::parse_literal(t).is_some(), "unparseable token {t:?} in {line:?}");
         }
+    }
+
+    /// `compose_float` as it was written first: `{:.4}` through the
+    /// float formatter, then the literal parser.
+    fn compose_float_by_format(negative: bool, mant: f64, exp: i32, precision: Precision) -> f64 {
+        let sign = if negative { "-" } else { "+" };
+        let v = literal::parse_literal(&format!("{sign}{mant:.4}E{exp}")).unwrap_or(0.0);
+        match precision {
+            Precision::F64 => v,
+            Precision::F32 => {
+                let f = v as f32;
+                if f.is_infinite() {
+                    fpcore::bits::copysign_bits_f32(3.4028e38, f) as f64
+                } else {
+                    f as f64
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compose_float_matches_the_formatter_bit_for_bit() {
+        let check = |negative: bool, mant: f64, exp: i32| {
+            for precision in [Precision::F64, Precision::F32] {
+                let (got, want) = (
+                    compose_float(negative, mant, exp, precision),
+                    compose_float_by_format(negative, mant, exp, precision),
+                );
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{negative} {mant:?}E{exp} {precision:?}"
+                );
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0C0F_FEE5);
+        for _ in 0..1_000_000 {
+            let negative = rng.gen_bool(0.5);
+            let mant: f64 = rng.gen_range(1.0..10.0);
+            check(negative, mant, rng.gen_range(-330..=310));
+        }
+        // exact ties: m/32 has five fraction bits, so ×10⁴ ends in .5
+        for m in (33..=319).step_by(2) {
+            let mant = f64::from(m) / 32.0;
+            for exp in [-330, -310, -45, 0, 38, 308] {
+                check(m % 4 == 1, mant, exp);
+            }
+        }
+        assert_eq!((four_decimals(1.03125), four_decimals(1.09375)), (10_312, 10_938));
+        // the carry to 10.0000, and the mantissas either side of it
+        let below_ten = f64::from_bits(10f64.to_bits() - 1);
+        for mant in [9.99994, 9.99995, 9.99996, below_ten, 1.0, 1.00005] {
+            for exp in [-324, -4, 0, 307, 308] {
+                check(false, mant, exp);
+            }
+        }
+        assert_eq!(four_decimals(below_ten), 100_000);
     }
 
     #[test]

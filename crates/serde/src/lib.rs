@@ -3,10 +3,12 @@
 //! registry.
 //!
 //! [`Serialize`] writes a value into a [`Writer`] as compact JSON, which
-//! [`to_vec`] lays out two-space pretty on request; [`Deserialize`]
-//! reads one from a [`Reader`], a cursor over a byte slice. Neither
-//! builds a tree. The `derive` feature re-exports the derive macros,
-//! which emit the per-type calls on both.
+//! [`to_vec`] lays out two-space pretty on request and [`to_writer`]
+//! streams into a sink 64 KiB at a time; [`Deserialize`] reads one from
+//! a [`Reader`], a cursor over a byte slice. Neither builds a tree. A
+//! [`RawJson`] is a value kept as its bytes, for documents passed on
+//! unparsed. The `derive` feature re-exports the derive macros, which
+//! emit the per-type calls on both.
 //!
 //! The bytes are serde_json's: struct members in declaration order, map
 //! keys in order, floats in ryu's shortest round-trip layout, non-finite
@@ -24,7 +26,8 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
-use std::io::Write as _;
+use std::io::{self, Write as _};
+use std::sync::Arc;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -32,6 +35,10 @@ pub use serde_derive::{Deserialize, Serialize};
 /// Deepest nesting of arrays and objects the reader follows, as
 /// serde_json's limit.
 const MAX_DEPTH: usize = 128;
+
+/// Bytes a [`Writer`] with a sink gathers before it sends them on, at
+/// the next element boundary.
+const SPILL_BYTES: usize = 64 * 1024;
 
 /// A malformed or mistyped document.
 #[derive(Debug)]
@@ -73,13 +80,24 @@ pub trait Deserialize: Sized {
 
 /// `value` as JSON: compact, or two-space pretty.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T, pretty: bool) -> Vec<u8> {
-    let mut w = Writer { out: Vec::new(), first: true };
+    let mut w = Writer::new(None);
     value.serialize(&mut w);
     if pretty {
         indent(&w.out)
     } else {
         w.out
     }
+}
+
+/// `value` as compact JSON, the bytes of [`to_vec`], streamed into
+/// `sink`: the writer sends what it holds once that is 64 KiB, at the
+/// next element boundary, and a [`RawJson`] of that size or more goes
+/// straight through. Returns the sink's first error.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut sink: W, value: &T) -> io::Result<()> {
+    let mut w = Writer::new(Some(&mut sink));
+    value.serialize(&mut w);
+    w.spill();
+    w.error.map_or(Ok(()), Err)
 }
 
 /// Compact JSON laid out as serde_json's pretty printer lays it out:
@@ -137,7 +155,16 @@ fn indent(compact: &[u8]) -> Vec<u8> {
 
 /// The `T` that `bytes` holds, with nothing but whitespace after it.
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
-    let mut r = Reader::new(bytes);
+    read_all(Reader::new(bytes))
+}
+
+/// [`from_slice`] over a shared buffer: each [`RawJson`] inside keeps
+/// a share of `bytes` instead of a copy of its span.
+pub fn from_shared<T: Deserialize>(bytes: &Arc<Vec<u8>>) -> Result<T> {
+    read_all(Reader { owner: Some(bytes), ..Reader::new(bytes) })
+}
+
+fn read_all<T: Deserialize>(mut r: Reader<'_>) -> Result<T> {
     let value = T::deserialize(&mut r)?;
     r.finish()?;
     Ok(value)
@@ -148,14 +175,34 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
 /// The compact JSON writer every [`Serialize`] impl writes into. A
 /// container's members and elements each start with [`Writer::key`],
 /// [`Writer::field`] or [`Writer::element`], which place the comma, or
-/// with [`Writer::raw`] text that holds it.
-pub struct Writer {
+/// with [`Writer::raw`] text that holds it. With a sink ([`to_writer`])
+/// those boundaries are where the buffer spills.
+pub struct Writer<'s> {
     out: Vec<u8>,
     /// Nothing written yet inside the innermost open container.
     first: bool,
+    /// Where a full buffer goes, and the buffer length that sends it
+    /// there (`usize::MAX` without a sink).
+    sink: Option<&'s mut dyn io::Write>,
+    spill_at: usize,
+    /// The sink's first error: nothing more is sent after it.
+    error: Option<io::Error>,
 }
 
-impl Writer {
+impl<'s> Writer<'s> {
+    fn new(sink: Option<&'s mut dyn io::Write>) -> Writer<'s> {
+        let spill_at = if sink.is_some() { SPILL_BYTES } else { usize::MAX };
+        Writer { out: Vec::new(), first: true, sink, spill_at, error: None }
+    }
+
+    /// Send the buffer to the sink, unless an earlier send failed, and
+    /// empty it.
+    #[cold]
+    fn spill(&mut self) {
+        send(&mut self.sink, &mut self.error, &self.out);
+        self.out.clear();
+    }
+
     #[inline(always)]
     pub fn begin_object(&mut self) {
         self.out.push(b'{');
@@ -183,6 +230,9 @@ impl Writer {
     /// Start the next array element.
     #[inline(always)]
     pub fn element(&mut self) {
+        if self.out.len() >= self.spill_at {
+            self.spill();
+        }
         if !self.first {
             self.out.push(b',');
         }
@@ -212,6 +262,17 @@ impl Writer {
     #[inline(always)]
     pub fn raw(&mut self, json: &str) {
         self.out.extend_from_slice(json.as_bytes());
+    }
+
+    /// Append `json`, one complete value, verbatim. With a sink, a
+    /// value of 64 KiB or more goes to it directly, past the buffer.
+    pub fn raw_value(&mut self, json: &[u8]) {
+        if json.len() < SPILL_BYTES || self.sink.is_none() {
+            self.out.extend_from_slice(json);
+            return;
+        }
+        self.spill();
+        send(&mut self.sink, &mut self.error, json);
     }
 
     #[inline(always)]
@@ -313,6 +374,15 @@ impl Writer {
     }
 }
 
+/// Write `bytes` to `sink`, unless an earlier write failed; keep the
+/// first error.
+fn send(sink: &mut Option<&mut dyn io::Write>, error: &mut Option<io::Error>, bytes: &[u8]) {
+    match sink {
+        Some(sink) if error.is_none() => *error = sink.write_all(bytes).err(),
+        _ => {}
+    }
+}
+
 /// Append `s` as a JSON string, escaped as serde_json escapes it.
 #[inline(always)]
 fn write_str(out: &mut Vec<u8>, s: &str) {
@@ -357,12 +427,14 @@ pub struct Reader<'a> {
     i: usize,
     /// Arrays and objects open at the cursor.
     depth: usize,
+    /// The shared buffer `b` is, for a [`from_shared`] read.
+    owner: Option<&'a Arc<Vec<u8>>>,
 }
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { b: bytes, i: 0, depth: 0 }
+        Reader { b: bytes, i: 0, depth: 0, owner: None }
     }
 
     /// An error at the cursor.
@@ -743,6 +815,89 @@ impl<'a> Reader<'a> {
             _ => return Err(self.error("expected value")),
         }
         Ok(())
+    }
+
+    /// Skip one value, returning where it starts and ends.
+    fn span(&mut self) -> Result<(usize, usize)> {
+        self.peek();
+        let start = self.i;
+        self.skip()?;
+        Ok((start, self.i))
+    }
+}
+
+// ---- raw values -----------------------------------------------------------
+
+/// One JSON value kept as its bytes: written verbatim, and read with
+/// a syntax check ([`Reader::skip`]) alone. It carries a document that
+/// is passed on, not used, and is parsed once, where it is used
+/// ([`RawJson::parse`]). Clones share the bytes, and so does a value
+/// read by [`from_shared`].
+#[derive(Clone)]
+pub struct RawJson {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl RawJson {
+    /// The value `bytes` holds, with nothing but whitespace around it;
+    /// the bytes are checked and kept, not copied.
+    pub fn from_vec(bytes: Vec<u8>) -> Result<RawJson> {
+        let (start, end) = {
+            let mut r = Reader::new(&bytes);
+            let span = r.span()?;
+            r.finish()?;
+            span
+        };
+        Ok(RawJson { buf: Arc::new(bytes), start, end })
+    }
+
+    /// `value` as compact JSON.
+    pub fn encode<T: Serialize + ?Sized>(value: &T) -> RawJson {
+        RawJson::whole(to_vec(value, false))
+    }
+
+    fn whole(bytes: Vec<u8>) -> RawJson {
+        RawJson { start: 0, end: bytes.len(), buf: Arc::new(bytes) }
+    }
+
+    /// The value's JSON text.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// The `T` the value holds.
+    pub fn parse<T: Deserialize>(&self) -> Result<T> {
+        from_slice(self.as_bytes())
+    }
+}
+
+/// Equal bytes.
+impl PartialEq for RawJson {
+    fn eq(&self, other: &RawJson) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for RawJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RawJson({} bytes)", self.end - self.start)
+    }
+}
+
+impl Serialize for RawJson {
+    fn serialize(&self, w: &mut Writer) {
+        w.raw_value(self.as_bytes());
+    }
+}
+impl Deserialize for RawJson {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self> {
+        let (start, end) = r.span()?;
+        Ok(match r.owner {
+            Some(buf) => RawJson { buf: Arc::clone(buf), start, end },
+            None => RawJson::whole(r.b[start..end].to_vec()),
+        })
     }
 }
 

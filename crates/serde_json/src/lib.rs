@@ -452,8 +452,10 @@ pub fn to_vec_pretty<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     Ok(serde::to_vec(value, true))
 }
 
-pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    writer.write_all(&serde::to_vec(value, false)).map_err(Error::custom)
+/// `value` as compact JSON, streamed into `writer` 64 KiB at a time
+/// ([`serde::to_writer`]).
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<()> {
+    serde::to_writer(writer, value).map_err(Error::custom)
 }
 
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
