@@ -546,56 +546,27 @@ fn append_frame(
     payload: Payload<'_>,
 ) -> io::Result<()> {
     #[cfg(feature = "chaos")]
-    {
+    if let Some(fault) = crate::chaos::next_journal_fault() {
         use crate::chaos::JournalFault;
-        // the first half of the frame, then the write fails
-        let half = |file: &mut File| {
-            let mut torn = Torn { file, left: (header.len() + len) / 2 };
-            let _ = write_frame(&mut torn, header, len, payload);
-        };
-        match crate::chaos::next_journal_fault() {
-            Some(JournalFault::IoError) => {
-                return Err(io::Error::other("chaos: injected ENOSPC"));
-            }
-            Some(JournalFault::PartialThenError) => {
-                half(file);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, header, len, payload)?;
+        match fault {
+            JournalFault::IoError => return Err(io::Error::other("chaos: injected ENOSPC")),
+            JournalFault::PartialThenError => {
+                file.write_all(&frame[..frame.len() / 2])?;
                 return Err(io::Error::other("chaos: injected torn write"));
             }
-            Some(JournalFault::Crash) => {
-                write_frame(file, header, len, payload)?;
+            JournalFault::Crash => {
+                file.write_all(&frame)?;
                 panic!("chaos: simulated crash after journal append");
             }
-            Some(JournalFault::CrashTorn) => {
-                half(file);
+            JournalFault::CrashTorn => {
+                file.write_all(&frame[..frame.len() / 2])?;
                 panic!("chaos: simulated crash mid-append");
             }
-            None => {}
         }
     }
     write_frame(file, header, len, payload)
-}
-
-/// A file that takes `left` more bytes and then fails every write.
-#[cfg(feature = "chaos")]
-struct Torn<'f> {
-    file: &'f mut File,
-    left: usize,
-}
-
-#[cfg(feature = "chaos")]
-impl Write for Torn<'_> {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        if self.left == 0 {
-            return Err(io::Error::other("chaos: torn"));
-        }
-        let n = self.file.write(&bytes[..bytes.len().min(self.left)])?;
-        self.left -= n;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()
-    }
 }
 
 /// Which slice of a campaign a checkpoint covers: shard `index` of
