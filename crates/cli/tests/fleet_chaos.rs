@@ -14,9 +14,9 @@ use std::time::{Duration, Instant};
 use difftest::campaign::analyze;
 use difftest::metadata::CampaignMeta;
 
-/// Enough work per shard that the run is still going when agent 1's
-/// first lease request is retried: its seeded chaos drops the first one,
-/// and the coordinator kill below waits for agent 1 to hold a lease.
+/// Eight shards of 32 programs: agent 0 is killed holding its first
+/// ones, and the rest wait for agent 1, whose seeded chaos drops its
+/// first lease request.
 const PROGRAMS: &str = "256";
 const INPUTS: &str = "2";
 const SEED: &str = "20240807";
@@ -202,19 +202,21 @@ fn chaos_fleet_with_kills_and_restart_matches_single_process_run() {
     }
     agent0.kill().expect("agent SIGKILL");
     agent0.wait().expect("agent reaped");
-    // Rejoining with the same dir adopts the surviving checkpoints.
-    let agent0b = spawn_varity(&agent_args(0));
 
     // Now SIGKILL the coordinator mid-run and restart it on the same
     // address: the journal replays, the epoch bumps, and the agents'
     // in-flight leases are fenced — that's the exactly-once machinery
     // the equivalence assert below depends on. Agent 1 must hold such a
-    // lease first: its net chaos may have delayed its first grant, so
-    // wait for its own workers' journals.
+    // lease first, and its net chaos may delay its first grant for longer
+    // than a live agent 0 takes to run every shard. So agent 0 rejoins
+    // only once agent 1's own workers journal: until then the free
+    // shards wait for agent 1.
     let deadline = Instant::now() + Duration::from_secs(60);
     while !any_journal_under(&dir.join("agent-1")) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(25));
     }
+    // Rejoining with the same dir adopts the surviving checkpoints.
+    let agent0b = spawn_varity(&agent_args(0));
     let mut coord = coord;
     coord.kill().expect("coordinator SIGKILL");
     coord.wait().expect("coordinator reaped");
