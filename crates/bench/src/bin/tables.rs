@@ -4,8 +4,9 @@
 //!
 //! Usage: `tables [--programs N] [--full] [--seed S]`
 //!
-//! `--full` scales to the paper's 3,540/2,840-program campaigns (minutes);
-//! the default is a few hundred programs (seconds) — counts shrink
+//! `--full` scales to the paper's 3,540/2,840-program campaigns (a few
+//! seconds in a release build on two cores, about 20 s in a debug
+//! build); the default is a few hundred programs — counts shrink
 //! proportionally but every *shape* claim of §IV holds.
 
 use difftest::campaign::{run_campaign, CampaignConfig, TestMode};

@@ -45,7 +45,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Journal file magic written by this version: identifies the format
@@ -293,6 +293,18 @@ pub fn write_frame(
     buf.flush()
 }
 
+/// Fill in the `[payload_len][crc32(payload)]` header of `frame`: its
+/// first 8 bytes are reserved for the header, and the rest is the
+/// payload. The frame then equals [`encode_frame`] of the payload.
+pub fn seal_frame(frame: &mut [u8]) -> io::Result<()> {
+    let (header, payload) = frame.split_at_mut(8);
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
 /// Try to split one frame off the front of `bytes`. Returns the payload
 /// and the total frame length consumed, or `None` when the bytes are
 /// short, torn, or fail the CRC — callers treat that as "no (more)
@@ -313,6 +325,27 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
 struct LogInner {
     file: File,
     offset: u64,
+}
+
+/// One frame's payload as [`FramedLog::open_for_resume`] hands it to its
+/// decoder: a span of the log file, which is read whole into one shared
+/// buffer.
+pub struct StoredPayload<'a> {
+    file: &'a Arc<Vec<u8>>,
+    span: std::ops::Range<usize>,
+}
+
+impl StoredPayload<'_> {
+    /// The payload's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.file[self.span.clone()]
+    }
+
+    /// The JSON value the payload holds. Each [`serde::RawJson`] in it
+    /// keeps a share of the file's buffer instead of a copy of its span.
+    pub fn parse<T: Deserialize>(&self) -> serde::Result<T> {
+        serde::from_shared_part(self.file, self.span.clone())
+    }
 }
 
 /// A generic append-only, CRC-framed byte log: an 8-byte magic, then
@@ -347,17 +380,19 @@ impl FramedLog {
     /// start with one of the `accept`ed magics (a missing or wrong magic
     /// is a real error). `decode` sees the file's magic and each frame's
     /// payload in order, and returns the decoded value — each payload is
-    /// decoded exactly once. Scanning stops at the first short, torn, or
-    /// CRC-mismatched frame — or at the first frame `decode` rejects with
-    /// `None` — and that tail is physically truncated away so subsequent
-    /// appends extend a clean file. Returns the log positioned for
-    /// appending, the file's magic, and the decoded frames.
+    /// decoded exactly once, and what it decodes may share the file's
+    /// buffer ([`StoredPayload::parse`]). Scanning stops at the first
+    /// short, torn, or CRC-mismatched frame — or at the first frame
+    /// `decode` rejects with `None` — and that tail is physically
+    /// truncated away so subsequent appends extend a clean file. Returns
+    /// the log positioned for appending, the file's magic, and the
+    /// decoded frames.
     pub fn open_for_resume<T>(
         path: &Path,
         accept: &[&[u8; 8]],
-        mut decode: impl FnMut(&[u8; 8], &[u8]) -> Option<T>,
+        mut decode: impl FnMut(&[u8; 8], StoredPayload<'_>) -> Option<T>,
     ) -> io::Result<(FramedLog, [u8; 8], Vec<T>)> {
-        let bytes = std::fs::read(path)?;
+        let bytes = Arc::new(std::fs::read(path)?);
         let magic = match bytes.first_chunk::<8>() {
             Some(m) if accept.contains(&m) => *m,
             _ => {
@@ -367,7 +402,8 @@ impl FramedLog {
         let mut frames = Vec::new();
         let mut pos = magic.len();
         while let Some((payload, consumed)) = decode_frame(&bytes[pos..]) {
-            let Some(frame) = decode(&magic, payload) else { break };
+            let span = pos + 8..pos + 8 + payload.len();
+            let Some(frame) = decode(&magic, StoredPayload { file: &bytes, span }) else { break };
             frames.push(frame);
             pos += consumed;
         }
@@ -407,15 +443,32 @@ impl FramedLog {
     /// first, then its parts as `payload` writes them, so a large
     /// payload is never held as one frame.
     pub fn append_with(&self, payload: Payload<'_>) -> io::Result<()> {
-        static APPENDS: obs::Name = obs::Name::new("checkpoint.appends");
         let (header, len) = frame_header(payload)?;
+        self.append_by(header.len() + len, |file| append_parts(file, &header, len, payload))
+    }
+
+    /// Append one whole frame whose header is already in place
+    /// ([`seal_frame`]): it leaves in one write, with the retries of
+    /// [`FramedLog::append`].
+    pub fn append_frame(&self, frame: &[u8]) -> io::Result<()> {
+        self.append_by(frame.len(), |file| append_whole(file, frame))
+    }
+
+    /// The retry loop of every append: `write` puts one `len`-byte frame
+    /// at the end of the file.
+    fn append_by(
+        &self,
+        len: usize,
+        mut write: impl FnMut(&mut File) -> io::Result<()>,
+    ) -> io::Result<()> {
+        static APPENDS: obs::Name = obs::Name::new("checkpoint.appends");
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let start = inner.offset;
         let mut attempt = 0u32;
         loop {
-            match append_frame(&mut inner.file, &header, len, payload) {
+            match write(&mut inner.file) {
                 Ok(()) => {
-                    inner.offset = start + (header.len() + len) as u64;
+                    inner.offset = start + len as u64;
                     APPENDS.add(1);
                     return Ok(());
                 }
@@ -452,11 +505,22 @@ pub struct Journal {
 }
 
 /// The append side's state: the name table every frame so far defined,
-/// and the payload buffer it encodes into.
+/// and the buffer each frame is built in, header and payload.
 #[derive(Default)]
 struct Writer {
     names: Names,
-    payload: Vec<u8>,
+    frame: Vec<u8>,
+}
+
+impl Writer {
+    /// Build one frame in the buffer from the payload `encode` appends.
+    fn frame(&mut self, encode: impl FnOnce(&mut Names, &mut Vec<u8>)) -> io::Result<&[u8]> {
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 8]);
+        encode(&mut self.names, &mut self.frame);
+        seal_frame(&mut self.frame)?;
+        Ok(&self.frame)
+    }
 }
 
 impl Journal {
@@ -484,21 +548,19 @@ impl Journal {
             path,
             &[JOURNAL_MAGIC, JOURNAL_MAGIC_V2, JOURNAL_MAGIC_V1],
             |magic, p| match magic {
-                JOURNAL_MAGIC => names.decode(p),
-                _ => serde_json::from_slice::<UnitRecord>(p).ok(),
+                JOURNAL_MAGIC => names.decode(p.bytes()),
+                _ => p.parse::<UnitRecord>().ok(),
             },
         )?;
         if &magic == JOURNAL_MAGIC {
-            let writer = Mutex::new(Writer { names, payload: Vec::new() });
+            let writer = Mutex::new(Writer { names, frame: Vec::new() });
             return Ok((Journal { log, writer }, units));
         }
         drop(log);
         let mut writer = Writer::default();
         let mut bytes = JOURNAL_MAGIC.to_vec();
         for unit in &units {
-            writer.payload.clear();
-            writer.names.encode(unit, &mut writer.payload);
-            bytes.extend_from_slice(&encode_frame(&writer.payload));
+            bytes.extend_from_slice(writer.frame(|names, out| names.encode_record(out, unit))?);
         }
         atomic_write(path, &bytes)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -518,14 +580,31 @@ impl Journal {
     /// corrupts the journal; the metric names a failed frame would have
     /// defined are defined again by the next frame that uses them.
     pub fn append(&self, unit: &UnitRecord) -> io::Result<()> {
-        let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let Writer { names, payload } = &mut *guard;
-        let defined = names.len();
-        payload.clear();
-        names.encode(unit, payload);
-        let result = self.log.append(payload);
+        self.append_encoded(|names, out| names.encode_record(out, unit))
+    }
+
+    /// [`Journal::append`] of one unit straight from what its captures
+    /// recorded: the frame is encoded from `metrics` by metric id, and no
+    /// [`UnitRecord`] or name-keyed snapshot is built. `metrics` is left
+    /// sorted by name.
+    pub fn append_capture(
+        &self,
+        index: u64,
+        side: SideKey,
+        records: &[RunRecord],
+        faults: &[TestFault],
+        metrics: &mut obs::Captured,
+    ) -> io::Result<()> {
+        self.append_encoded(|names, out| names.encode(out, index, side, records, faults, metrics))
+    }
+
+    /// Append the frame whose payload `encode` writes, in one write.
+    fn append_encoded(&self, encode: impl FnOnce(&mut Names, &mut Vec<u8>)) -> io::Result<()> {
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let defined = writer.names.len();
+        let result = writer.frame(encode).and_then(|frame| self.log.append_frame(frame));
         if result.is_err() {
-            names.truncate(defined);
+            writer.names.truncate(defined);
         }
         result
     }
@@ -537,9 +616,10 @@ impl Journal {
     }
 }
 
-/// Write one frame at the end of a log's file, or, under the `chaos`
-/// feature, the armed fault instead.
-fn append_frame(
+/// Write one frame, from its header and the payload's parts, at the end
+/// of a log's file, or, under the `chaos` feature, the armed fault
+/// instead.
+fn append_parts(
     file: &mut File,
     header: &[u8; 8],
     len: usize,
@@ -547,26 +627,42 @@ fn append_frame(
 ) -> io::Result<()> {
     #[cfg(feature = "chaos")]
     if let Some(fault) = crate::chaos::next_journal_fault() {
-        use crate::chaos::JournalFault;
         let mut frame = Vec::new();
         write_frame(&mut frame, header, len, payload)?;
-        match fault {
-            JournalFault::IoError => return Err(io::Error::other("chaos: injected ENOSPC")),
-            JournalFault::PartialThenError => {
-                file.write_all(&frame[..frame.len() / 2])?;
-                return Err(io::Error::other("chaos: injected torn write"));
-            }
-            JournalFault::Crash => {
-                file.write_all(&frame)?;
-                panic!("chaos: simulated crash after journal append");
-            }
-            JournalFault::CrashTorn => {
-                file.write_all(&frame[..frame.len() / 2])?;
-                panic!("chaos: simulated crash mid-append");
-            }
-        }
+        return inject(file, &frame, fault);
     }
     write_frame(file, header, len, payload)
+}
+
+/// Write one whole frame at the end of a log's file in one write, or,
+/// under the `chaos` feature, the armed fault instead.
+fn append_whole(file: &mut File, frame: &[u8]) -> io::Result<()> {
+    #[cfg(feature = "chaos")]
+    if let Some(fault) = crate::chaos::next_journal_fault() {
+        return inject(file, frame, fault);
+    }
+    file.write_all(frame)
+}
+
+/// What an armed journal fault does in place of writing `frame`.
+#[cfg(feature = "chaos")]
+fn inject(file: &mut File, frame: &[u8], fault: crate::chaos::JournalFault) -> io::Result<()> {
+    use crate::chaos::JournalFault;
+    match fault {
+        JournalFault::IoError => Err(io::Error::other("chaos: injected ENOSPC")),
+        JournalFault::PartialThenError => {
+            file.write_all(&frame[..frame.len() / 2])?;
+            Err(io::Error::other("chaos: injected torn write"))
+        }
+        JournalFault::Crash => {
+            file.write_all(frame)?;
+            panic!("chaos: simulated crash after journal append");
+        }
+        JournalFault::CrashTorn => {
+            file.write_all(&frame[..frame.len() / 2])?;
+            panic!("chaos: simulated crash mid-append");
+        }
+    }
 }
 
 /// Which slice of a campaign a checkpoint covers: shard `index` of
@@ -927,50 +1023,53 @@ pub fn run_sides_ft(
         if halted() || session.stop_file_present() {
             return;
         }
-        let needed: Vec<SideKey> = keys
-            .iter()
-            .copied()
-            .filter(|key| !session.skip.contains(&(test.index, *key)))
-            .collect();
-        if needed.is_empty() {
+        let index = test.index;
+        let needed = |key: &SideKey| !session.skip.contains(&(index, *key));
+        if !keys.iter().any(needed) {
             return;
         }
-        // Capture the generation delta too and ride it on the test's
-        // first journaled unit: a resume that replays the whole test
-        // never regenerates, yet its metric totals must still match an
-        // uninterrupted run's. (A partially replayed test regenerates —
-        // genuinely re-done work, counted again.)
-        let (program, gen_delta) =
-            obs::with_capture(|| generate_program(&config.gen, config.seed, test.index));
-        let mut gen_delta = Some(gen_delta);
-        let mut build = TestBuild::new(&program, config.mode, tier);
-        for key in needed {
-            if halted() {
-                return;
-            }
-            let ((records, fault_rec), mut unit_metrics) =
-                obs::with_capture(|| run_unit(&config, &devices, test, &mut build, key));
-            if let Some(g) = gen_delta.take() {
-                unit_metrics.merge(&g);
-            }
-            let unit = UnitRecord {
-                index: test.index,
-                side: key,
-                records,
-                faults: fault_rec.clone().into_iter().collect(),
-                metrics: unit_metrics,
-            };
-            if let Some(journal) = &session.journal {
-                if let Err(e) = journal.append(&unit) {
-                    session.record_io_error(&e);
+        let mut run = |captured: &mut obs::Captured| {
+            // The generation's capture rides on the test's first journaled
+            // unit: a resume that replays the whole test never
+            // regenerates, yet its metric totals must still match an
+            // uninterrupted run's. (A partially replayed test regenerates
+            // — genuinely re-done work, counted again.) Closing a capture
+            // folds it into the global totals at once, so a drain before
+            // the first unit still counts it.
+            let program = obs::capture_into(captured, || {
+                generate_program(&config.gen, config.seed, test.index)
+            });
+            let mut build = TestBuild::new(&program, config.mode, tier);
+            for key in keys.iter().copied().filter(needed) {
+                if halted() {
                     return;
                 }
+                let (records, fault_rec) = obs::capture_into(captured, || {
+                    run_unit(&config, &devices, test, &mut build, key)
+                });
+                if let Some(journal) = &session.journal {
+                    let faults = fault_rec.as_slice();
+                    let appended =
+                        journal.append_capture(test.index, key, &records, faults, captured);
+                    if let Err(e) = appended {
+                        session.record_io_error(&e);
+                        return;
+                    }
+                }
+                captured.clear();
+                test.results.insert(key.to_string(), records);
+                if let Some(f) = fault_rec {
+                    session.register_fault(f);
+                }
             }
-            test.results.insert(key.to_string(), unit.records);
-            if let Some(f) = fault_rec {
-                session.register_fault(f);
-            }
-        }
+        };
+        // each thread journals its units through one reused buffer
+        UNIT_METRICS.with(|cell| {
+            let mut captured = cell.take();
+            captured.clear();
+            run(&mut captured);
+            cell.set(captured);
+        });
     });
     let status = session.status();
     if status == FtStatus::Complete {
@@ -982,6 +1081,11 @@ pub fn run_sides_ft(
         }
     }
     status
+}
+
+thread_local! {
+    /// The metrics of the unit being run, reused from unit to unit.
+    static UNIT_METRICS: std::cell::Cell<obs::Captured> = std::cell::Cell::default();
 }
 
 /// Record that `side` finished, keeping `sides_run` in the canonical
@@ -1200,15 +1304,16 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
         let (log, magic, payloads) =
-            FramedLog::open_for_resume(&path, &[MAGIC], |_, p| Some(p.to_vec())).unwrap();
+            FramedLog::open_for_resume(&path, &[MAGIC], |_, p| Some(p.bytes().to_vec())).unwrap();
         assert_eq!(&magic, MAGIC);
         assert_eq!(payloads, vec![b"alpha".to_vec()]);
         log.append(b"gamma").unwrap();
         drop(log);
         // a validator rejection also stops the scan and truncates
-        let (log, _, payloads) =
-            FramedLog::open_for_resume(&path, &[MAGIC], |_, p| (p != b"gamma").then(|| p.to_vec()))
-                .unwrap();
+        let (log, _, payloads) = FramedLog::open_for_resume(&path, &[MAGIC], |_, p| {
+            (p.bytes() != b"gamma").then(|| p.bytes().to_vec())
+        })
+        .unwrap();
         assert_eq!(payloads, vec![b"alpha".to_vec()]);
         assert_eq!(log.len(), 8 + (8 + 5));
         drop(log);

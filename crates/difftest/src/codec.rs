@@ -24,6 +24,13 @@
 //! was reported failed after it reached the disk) simply has two ids.
 //! Decoding is total: truncated, overlong or inconsistent bytes yield
 //! `None`, never a panic.
+//!
+//! One encoder ([`Names::encode`]) writes every frame, from any
+//! [`UnitMetrics`]: a live unit's [`obs::Captured`], encoded by metric id
+//! with no name-keyed snapshot in between, or a [`MetricsSnapshot`] (a
+//! v1/v2 journal's units being migrated, or a caller's own
+//! [`UnitRecord`]). Counters and histograms go in metric-name order, so
+//! the two give the same bytes for the same telemetry.
 
 use crate::checkpoint::UnitRecord;
 use crate::fault::{FaultKind, TestFault};
@@ -32,20 +39,66 @@ use crate::side::{Side, SideKey};
 use fpcore::classify::Outcome;
 use fpcore::exceptions::ExceptionFlags;
 use gpucc::pipeline::OptLevel;
-use obs::{HistSnapshot, MetricsSnapshot};
-use std::collections::{BTreeMap, HashMap};
+use obs::{HistSnapshot, Id, MetricsSnapshot};
+use std::collections::BTreeMap;
 
 const BITS32: u8 = 4;
 const EXCEPTIONS: u8 = 8;
 const ERROR: u8 = 16;
 const FAULT_KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::StepBudget, FaultKind::Timeout];
 
+/// A unit's telemetry as [`Names::encode`] reads it: counters, then
+/// histograms, each list in metric-name order.
+pub(crate) trait UnitMetrics {
+    /// Put the lists in metric-name order, if they are not already.
+    fn sort_by_name(&mut self) {}
+    /// Call `f` with each counter's metric and value.
+    fn counters(&mut self, f: impl FnMut(Id, u64));
+    /// Call `f` with each histogram's metric and state.
+    fn hists(&mut self, f: impl FnMut(Id, &HistSnapshot));
+}
+
+/// A live unit: what its captures recorded, by metric id.
+impl UnitMetrics for &mut obs::Captured {
+    fn sort_by_name(&mut self) {
+        obs::Captured::sort_by_name(self);
+    }
+
+    fn counters(&mut self, mut f: impl FnMut(Id, u64)) {
+        for &(id, v) in obs::Captured::counters(self) {
+            f(id, v);
+        }
+    }
+
+    fn hists(&mut self, f: impl FnMut(Id, &HistSnapshot)) {
+        self.for_each_hist(f);
+    }
+}
+
+/// A name-keyed snapshot, whose maps already list it in name order.
+impl UnitMetrics for &MetricsSnapshot {
+    fn counters(&mut self, mut f: impl FnMut(Id, u64)) {
+        for (name, &v) in &self.counters {
+            f(obs::id::intern(name), v);
+        }
+    }
+
+    fn hists(&mut self, mut f: impl FnMut(Id, &HistSnapshot)) {
+        for (name, h) in &self.hists {
+            f(obs::id::intern(name), h);
+        }
+    }
+}
+
 /// The journal-local metric-name table, built up frame by frame by the
 /// writer and rebuilt the same way by a reader.
 #[derive(Default)]
 pub(crate) struct Names {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
+    /// Each journal-local id's metric, in definition order.
+    metrics: Vec<Id>,
+    /// The first journal-local id of each metric plus one (0 while the
+    /// journal has not defined it), indexed by [`Id::index`].
+    local: Vec<u32>,
     /// Per-metric ids of the unit being encoded (reused buffer).
     unit_ids: Vec<u32>,
 }
@@ -53,53 +106,74 @@ pub(crate) struct Names {
 impl Names {
     /// Number of names defined so far.
     pub(crate) fn len(&self) -> usize {
-        self.names.len()
+        self.metrics.len()
     }
 
     /// Forget every name defined after the first `len` (the frame that
     /// defined them never reached the journal).
     pub(crate) fn truncate(&mut self, len: usize) {
-        for name in self.names.drain(len..) {
-            if self.ids.get(&name).is_some_and(|&id| id as usize >= len) {
-                self.ids.remove(&name);
+        for metric in self.metrics.drain(len..) {
+            let first = &mut self.local[metric.index()];
+            if *first as usize > len {
+                *first = 0;
             }
         }
     }
 
-    fn define(&mut self, name: &str) -> u32 {
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.ids.entry(name.to_string()).or_insert(id);
+    /// Give `metric` the next journal-local id.
+    fn define(&mut self, metric: Id) -> u32 {
+        let id = self.metrics.len() as u32;
+        self.metrics.push(metric);
+        if self.local.len() <= metric.index() {
+            self.local.resize(metric.index() + 1, 0);
+        }
+        if self.local[metric.index()] == 0 {
+            self.local[metric.index()] = id + 1;
+        }
         id
     }
 
-    /// Append `unit`'s frame payload to `out`, defining the metric names
-    /// this journal has not used before.
-    pub(crate) fn encode(&mut self, unit: &UnitRecord, out: &mut Vec<u8>) {
-        let m = &unit.metrics;
-        let base = self.names.len();
+    /// `metric`'s journal-local id, defining it if this journal has not
+    /// used it before.
+    fn local_or_define(&mut self, metric: Id) -> u32 {
+        match self.local.get(metric.index()) {
+            Some(&first) if first > 0 => first - 1,
+            _ => self.define(metric),
+        }
+    }
+
+    /// Append the frame payload of one unit (`records` and `faults` of
+    /// test `index` on `side`, with `metrics`) to `out`, defining the
+    /// metric names this journal has not used before.
+    pub(crate) fn encode(
+        &mut self,
+        out: &mut Vec<u8>,
+        index: u64,
+        side: SideKey,
+        records: &[RunRecord],
+        faults: &[TestFault],
+        mut metrics: impl UnitMetrics,
+    ) {
+        metrics.sort_by_name();
+        let base = self.metrics.len();
         let mut ids = std::mem::take(&mut self.unit_ids);
         ids.clear();
-        for name in m.counters.keys().chain(m.hists.keys()) {
-            let id = match self.ids.get(name.as_str()) {
-                Some(&id) => id,
-                None => self.define(name),
-            };
-            ids.push(id);
-        }
+        metrics.counters(|metric, _| ids.push(self.local_or_define(metric)));
+        let (n_counters, mut at) = (ids.len(), 0);
+        metrics.hists(|metric, _| ids.push(self.local_or_define(metric)));
 
-        put(out, unit.index);
-        out.push(unit.side.side as u8 * 8 + unit.side.level.index() as u8);
-        put(out, (self.names.len() - base) as u64);
-        for name in &self.names[base..] {
-            put_str(out, name);
+        put(out, index);
+        out.push(side.side as u8 * 8 + side.level.index() as u8);
+        put(out, (self.metrics.len() - base) as u64);
+        for metric in &self.metrics[base..] {
+            put_str(out, metric.name());
         }
-        put(out, unit.records.len() as u64);
-        for r in &unit.records {
+        put(out, records.len() as u64);
+        for r in records {
             put_record(out, r);
         }
-        put(out, unit.faults.len() as u64);
-        for f in &unit.faults {
+        put(out, faults.len() as u64);
+        for f in faults {
             put(out, f.index);
             put_str(out, &f.program_id);
             put(out, f.seed);
@@ -107,24 +181,30 @@ impl Names {
             out.push(f.kind as u8);
             put_str(out, &f.detail);
         }
-        let (counter_ids, hist_ids) = ids.split_at(m.counters.len());
-        put(out, m.counters.len() as u64);
-        for (&id, &v) in counter_ids.iter().zip(m.counters.values()) {
-            put(out, id.into());
+        put(out, n_counters as u64);
+        metrics.counters(|_, v| {
+            put(out, ids[at].into());
             put(out, v);
-        }
-        put(out, m.hists.len() as u64);
-        for (&id, h) in hist_ids.iter().zip(m.hists.values()) {
-            put(out, id.into());
+            at += 1;
+        });
+        put(out, (ids.len() - n_counters) as u64);
+        metrics.hists(|_, h| {
+            put(out, ids[at].into());
             put_hist(out, h);
-        }
+            at += 1;
+        });
         self.unit_ids = ids;
+    }
+
+    /// [`Names::encode`] of a whole unit record.
+    pub(crate) fn encode_record(&mut self, out: &mut Vec<u8>, unit: &UnitRecord) {
+        self.encode(out, unit.index, unit.side, &unit.records, &unit.faults, &unit.metrics);
     }
 
     /// Decode one frame payload, defining the names it carries. A
     /// payload that does not decode defines nothing.
     pub(crate) fn decode(&mut self, payload: &[u8]) -> Option<UnitRecord> {
-        let base = self.names.len();
+        let base = self.metrics.len();
         let unit = self.decode_unit(&mut Reader(payload));
         if unit.is_none() {
             self.truncate(base);
@@ -141,7 +221,7 @@ impl Names {
         };
         for _ in 0..r.count()? {
             let name = r.str()?;
-            self.define(name);
+            self.define(obs::id::intern(name));
         }
         let records = (0..r.count()?).map(|_| get_record(r)).collect::<Option<Vec<_>>>()?;
         let faults = (0..r.count()?)
@@ -179,7 +259,7 @@ impl Names {
     }
 
     fn name(&self, id: u64) -> Option<String> {
-        self.names.get(usize::try_from(id).ok()?).cloned()
+        Some(self.metrics.get(usize::try_from(id).ok()?)?.name().to_string())
     }
 }
 
@@ -239,8 +319,19 @@ fn get_record(r: &mut Reader<'_>) -> Option<RunRecord> {
     })
 }
 
+/// Whether `h` is exactly `HistSnapshot::of_samples([h.sum])`: one
+/// observation, in its bucket, and nothing else (compared in place).
+fn is_one_sample(h: &HistSnapshot) -> bool {
+    let b = obs::hist::bucket_of(h.sum);
+    h.count == 1
+        && (h.min, h.max) == (h.sum, h.sum)
+        && h.buckets.len() == b + 1
+        && h.buckets[b] == 1
+        && h.buckets[..b].iter().all(|&n| n == 0)
+}
+
 fn put_hist(out: &mut Vec<u8>, h: &HistSnapshot) {
-    if h.count == 1 && *h == HistSnapshot::of_samples([h.sum]) {
+    if is_one_sample(h) {
         put(out, 1);
         put(out, h.sum);
         return;
@@ -362,14 +453,58 @@ mod tests {
     fn units_roundtrip_and_names_are_defined_once() {
         let (mut w, mut r) = (Names::default(), Names::default());
         let mut first = Vec::new();
-        w.encode(&unit(3), &mut first);
+        w.encode_record(&mut first, &unit(3));
         let mut second = Vec::new();
-        w.encode(&unit(4), &mut second);
+        w.encode_record(&mut second, &unit(4));
         assert!(second.len() < first.len(), "the second frame reuses the first's names");
         assert_eq!(r.decode(&first), Some(unit(3)));
         assert_eq!(r.decode(&second), Some(unit(4)));
         // a reader that missed the defining frame cannot decode the next
         assert_eq!(Names::default().decode(&second), None);
+    }
+
+    #[test]
+    fn a_frame_encoded_from_a_capture_equals_the_frame_of_its_snapshot() {
+        let mut captured = obs::Captured::default();
+        obs::capture_into(&mut captured, || {
+            obs::add("codec.capture.runs", 3);
+            obs::add("codec.capture.zero", 0);
+            for v in [300, 30_000, 3] {
+                obs::record("codec.capture.execns", v);
+            }
+            obs::record("codec.capture.one", 7);
+        });
+        // a second capture, as a test's generation rides on its first unit
+        obs::capture_into(&mut captured, || {
+            obs::add("codec.capture.runs", 2);
+            obs::add("codec.capture.gen", 1);
+            obs::record("codec.capture.execns", 0);
+        });
+        let mut u = unit(2);
+        u.metrics = captured.to_snapshot();
+        assert_eq!(u.metrics.counter("codec.capture.runs"), 5);
+        assert_eq!(u.metrics.hists["codec.capture.execns"].count, 4);
+        // an earlier frame defines two of the names; the unit's defines
+        // the other three
+        let mut earlier = unit(1);
+        earlier.metrics = MetricsSnapshot::default();
+        earlier.metrics.counters.insert("codec.capture.runs".into(), 1);
+        earlier.metrics.hists.insert("codec.capture.one".into(), HistSnapshot::of_samples([1]));
+        let (mut live, mut stored) = (Names::default(), Names::default());
+        let (mut from_capture, mut from_snapshot) = (Vec::new(), Vec::new());
+        live.encode_record(&mut from_capture, &earlier);
+        stored.encode_record(&mut from_snapshot, &earlier);
+        from_capture.clear();
+        from_snapshot.clear();
+        live.encode(&mut from_capture, u.index, u.side, &u.records, &u.faults, &mut captured);
+        stored.encode_record(&mut from_snapshot, &u);
+        assert_eq!(from_capture, from_snapshot);
+        assert_eq!(live.len(), stored.len());
+        let mut reader = Names::default();
+        let mut first = Vec::new();
+        Names::default().encode_record(&mut first, &earlier);
+        assert_eq!(reader.decode(&first), Some(earlier));
+        assert_eq!(reader.decode(&from_capture), Some(u));
     }
 
     #[test]
@@ -379,14 +514,14 @@ mod tests {
         u.metrics.hists.insert("odd".into(), odd);
         u.metrics.hists.insert("empty".into(), HistSnapshot::default());
         let mut bytes = Vec::new();
-        Names::default().encode(&u, &mut bytes);
+        Names::default().encode_record(&mut bytes, &u);
         assert_eq!(Names::default().decode(&bytes), Some(u));
     }
 
     #[test]
     fn every_truncation_and_trailing_byte_is_rejected_without_defining_names() {
         let mut bytes = Vec::new();
-        Names::default().encode(&unit(9), &mut bytes);
+        Names::default().encode_record(&mut bytes, &unit(9));
         for cut in 0..bytes.len() {
             let mut r = Names::default();
             assert_eq!(r.decode(&bytes[..cut]), None, "cut at {cut}");
@@ -395,6 +530,22 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert_eq!(Names::default().decode(&long), None);
+    }
+
+    #[test]
+    fn one_sample_histograms_are_told_apart_in_place() {
+        for v in [0, 1, 7, 1 << 40, u64::MAX] {
+            assert!(is_one_sample(&HistSnapshot::of_samples([v])), "{v}");
+        }
+        for h in [
+            HistSnapshot::default(),
+            HistSnapshot::of_samples([3, 3]),
+            HistSnapshot { count: 1, sum: 9, min: 2, max: 9, buckets: vec![0, 0, 1, 0] },
+            HistSnapshot { count: 1, sum: 9, min: 9, max: 9, buckets: vec![0, 0, 0, 0, 1, 0] },
+            HistSnapshot { count: 1, sum: 9, min: 9, max: 9, buckets: vec![1, 0, 0, 0, 1] },
+        ] {
+            assert_eq!(is_one_sample(&h), h == HistSnapshot::of_samples([h.sum]), "{h:?}");
+        }
     }
 
     #[test]
@@ -408,13 +559,14 @@ mod tests {
 
     #[test]
     fn truncate_forgets_only_the_later_names() {
+        let (a, b) = (obs::id::intern("codec.test.a"), obs::id::intern("codec.test.b"));
         let mut n = Names::default();
-        n.define("a");
-        n.define("b");
-        n.define("a");
+        n.define(a);
+        n.define(b);
+        n.define(a);
         n.truncate(1);
         assert_eq!(n.len(), 1);
-        assert_eq!(n.ids.get("a"), Some(&0));
-        assert_eq!(n.ids.get("b"), None);
+        assert_eq!(n.local_or_define(a), 0);
+        assert_eq!(n.local_or_define(b), 1, "b is defined again");
     }
 }

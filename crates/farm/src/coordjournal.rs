@@ -23,7 +23,10 @@
 //! writes the frame header and then streams the event, the result going
 //! from its received buffer to the file, so no copy of it is made. On
 //! replay, a `Done` whose result does not parse as a campaign result
-//! ends the valid prefix, as a frame that fails its CRC does.
+//! ends the valid prefix, as a frame that fails its CRC does. A restart
+//! parses each journaled result once: the scan that checks it hands the
+//! parsed result on to the replay ([`Replayed`]), and the result's bytes
+//! stay a share of the file's buffer, not a copy.
 
 use std::io;
 use std::path::Path;
@@ -122,6 +125,53 @@ impl CoordEvent {
     }
 }
 
+/// One event read back from a journal. A `Done` comes with its result
+/// parsed, by the scan that checked it, so the replay folds it without
+/// parsing it again.
+#[derive(Debug)]
+pub struct Replayed {
+    event: CoordEvent,
+    /// A `Done`'s parsed result; `None` for every other event.
+    result: Option<Box<CampaignMeta>>,
+}
+
+impl Replayed {
+    /// `event`, with its result parsed if it is a `Done`; `None` if that
+    /// result does not parse as a campaign result.
+    pub fn parse(event: CoordEvent) -> Option<Replayed> {
+        let result = match &event {
+            CoordEvent::Done { meta, .. } => Some(Box::new(parse_result(meta).ok()?)),
+            _ => None,
+        };
+        Some(Replayed { event, result })
+    }
+
+    /// The journaled event.
+    pub fn event(&self) -> &CoordEvent {
+        &self.event
+    }
+
+    /// The event, and for a `Done`, its parsed result.
+    pub fn into_parts(self) -> (CoordEvent, Option<Box<CampaignMeta>>) {
+        (self.event, self.result)
+    }
+}
+
+/// Parse a shard result: the one place the farm turns a result's bytes
+/// into a [`CampaignMeta`]. Each parse counts in `fleet.result_parses`.
+pub(crate) fn parse_result(result: &RawJson) -> serde::Result<CampaignMeta> {
+    static PARSES: obs::Name = obs::Name::new("fleet.result_parses");
+    PARSES.add(1);
+    result.parse()
+}
+
+/// A replayed event equals the event journaled.
+impl PartialEq<CoordEvent> for Replayed {
+    fn eq(&self, other: &CoordEvent) -> bool {
+        self.event == *other
+    }
+}
+
 /// Append-only, CRC-framed coordinator journal.
 pub struct CoordJournal {
     log: FramedLog,
@@ -135,16 +185,13 @@ impl CoordJournal {
     }
 
     /// Open an existing journal, truncating any torn tail, and return
-    /// it together with every intact event in append order. A `Done`
-    /// whose result does not parse is not intact: the tail is cut there.
-    /// A file that is not a coordinator journal is a hard error.
-    pub fn open_for_resume(path: &Path) -> io::Result<(CoordJournal, Vec<CoordEvent>)> {
+    /// it together with every intact event in append order, each `Done`
+    /// with its result parsed. A `Done` whose result does not parse is
+    /// not intact: the tail is cut there. A file that is not a
+    /// coordinator journal is a hard error.
+    pub fn open_for_resume(path: &Path) -> io::Result<(CoordJournal, Vec<Replayed>)> {
         let (log, _, events) = FramedLog::open_for_resume(path, &[COORD_MAGIC], |_, p| {
-            let ev = serde_json::from_slice(p).ok()?;
-            if let CoordEvent::Done { meta, .. } = &ev {
-                meta.parse::<CampaignMeta>().ok()?;
-            }
-            Some(ev)
+            Replayed::parse(p.parse().ok()?)
         })?;
         let frames = events.len() as u64;
         Ok((CoordJournal { log, frames }, events))
@@ -239,7 +286,10 @@ mod tests {
         drop(j2);
         let (_, again) = CoordJournal::open_for_resume(&path).unwrap();
         assert_eq!(again.len(), events.len(), "replaced the torn frame");
-        assert_eq!(again.last(), Some(&CoordEvent::Start { epoch: 2, n_shards: 2 }));
+        assert_eq!(
+            again.last().map(Replayed::event),
+            Some(&CoordEvent::Start { epoch: 2, n_shards: 2 })
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -299,7 +349,7 @@ mod tests {
         drop(log);
         let (_, replayed) = CoordJournal::open_for_resume(&path).unwrap();
         assert_eq!(replayed, events);
-        let state = CoordState::replay(config.clone(), 2, 1_000, false, replayed).unwrap();
+        let state = CoordState::resume(config.clone(), 2, 1_000, false, replayed).unwrap();
         let expected = CampaignMeta::merge_shards(vec![meta0, meta1]).unwrap();
         let merged = state.merged().expect("both shards folded");
         assert!(*merged == expected, "replay reproduces the merge");
@@ -311,6 +361,34 @@ mod tests {
         }
         drop(j);
         assert!(std::fs::read(&path).unwrap() == written, "journal bytes differ");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_restart_parses_each_journaled_result_once() {
+        use crate::fleet::coord::CoordState;
+        let (meta0, meta1) = (shard(0), shard(1));
+        let config = meta0.config.clone();
+        let path = temp_path("parse-once");
+        let mut j = CoordJournal::create(&path).unwrap();
+        for ev in [
+            CoordEvent::Start { epoch: 1, n_shards: 2 },
+            done(1, 1, 1, &meta1),
+            done(0, 1, 2, &meta0),
+            // a duplicate Done of an already folded shard
+            done(0, 1, 2, &meta0),
+        ] {
+            j.append(&ev).unwrap();
+        }
+        drop(j);
+        // a capture sees only this thread's telemetry
+        let (state, parses) = obs::with_capture(|| {
+            let (_, replayed) = CoordJournal::open_for_resume(&path).unwrap();
+            CoordState::resume(config.clone(), 2, 1_000, false, replayed).unwrap()
+        });
+        assert_eq!(parses.counter("fleet.result_parses"), 3, "one parse per journaled result");
+        let expected = CampaignMeta::merge_shards(vec![meta0, meta1]).unwrap();
+        assert!(*state.merged().expect("both shards folded") == expected);
         std::fs::remove_file(&path).ok();
     }
 

@@ -641,7 +641,18 @@ impl Supervisor<'_> {
         let req = match h.handoff {
             Handoff::Complete => {
                 let bytes = std::fs::read(h.dir.join("result.json")).map_err(io_err);
-                match bytes.and_then(|b| RawJson::from_vec(b).map_err(io_err)) {
+                let meta = match &self.transport {
+                    // The in-process fold parses the bytes at once, and a
+                    // torn or foreign result gets `Reply::Regenerate`:
+                    // a syntax scan first would only read them twice.
+                    Transport::Local(_) => bytes.map(RawJson::from_vec_unchecked),
+                    // The bytes are framed raw into the message, so they
+                    // must hold one JSON value before they leave.
+                    Transport::Remote(_) => {
+                        bytes.and_then(|b| RawJson::from_vec(b).map_err(io_err))
+                    }
+                };
+                match meta {
                     Ok(meta) => Request::Complete { agent, shard, epoch, fence, meta },
                     Err(_) => {
                         h.scrap_result(now);

@@ -56,7 +56,7 @@ use difftest::metadata::CampaignMeta;
 use difftest::CampaignConfig;
 use serde::RawJson;
 
-use crate::coordjournal::{CoordEvent, CoordJournal};
+use crate::coordjournal::{parse_result, CoordEvent, CoordJournal, Replayed};
 use crate::lease::{LeaseState, ShardId, WorkQueue};
 use crate::proto::{read_message, write_message, Reply, Request};
 use crate::status::StatusServer;
@@ -184,17 +184,19 @@ pub struct CoordState {
 }
 
 impl CoordState {
-    /// Rebuild the queue from a journal replay (`events` may be empty
-    /// for a fresh start). The returned state serves under an epoch one
-    /// past anything the journal has seen, with every in-flight lease
-    /// voided and every fence token above any previously issued. Each
-    /// journaled result moves into the merge.
-    pub fn replay(
+    /// Rebuild the queue from the events a journal's reader returned
+    /// ([`CoordJournal::open_for_resume`]; `events` may be empty for a
+    /// fresh start). The returned state serves under an epoch one past
+    /// anything the journal has seen, with every in-flight lease voided
+    /// and every fence token above any previously issued. Each journaled
+    /// result, which the reader parsed to check it, moves into the merge
+    /// without a second parse.
+    pub fn resume(
         config: CampaignConfig,
         n_shards: usize,
         heartbeat_ms: u64,
         reference: bool,
-        events: Vec<CoordEvent>,
+        events: Vec<Replayed>,
     ) -> Result<CoordState, FarmError> {
         let mut state = CoordState {
             config,
@@ -215,7 +217,8 @@ impl CoordState {
         };
         let mut max_epoch = 0u64;
         let mut max_fence = 0u64;
-        for ev in events {
+        for replayed in events {
+            let (ev, result) = replayed.into_parts();
             // An agent granted a lease before the restart may still be
             // out there; the run must hear its goodbye too.
             if let CoordEvent::Grant { agent, .. } = &ev {
@@ -252,7 +255,7 @@ impl CoordState {
                     max_fence = max_fence.max(fence);
                     state.queue.poison(shard);
                 }
-                CoordEvent::Done { shard, epoch, fence, meta } => {
+                CoordEvent::Done { shard, epoch, fence, .. } => {
                     if shard >= n_shards {
                         return Err(FarmError::Config(format!(
                             "journal references shard {shard} outside 0..{n_shards}"
@@ -261,12 +264,7 @@ impl CoordState {
                     max_epoch = max_epoch.max(epoch);
                     max_fence = max_fence.max(fence);
                     if state.done_identity[shard].is_none() {
-                        // The journal's reader checked that it parses.
-                        let meta: CampaignMeta = meta.parse().map_err(|e| {
-                            FarmError::Config(format!(
-                                "journaled result for shard {shard} does not parse: {e}"
-                            ))
-                        })?;
+                        let meta = *result.expect("a replayed Done carries its parsed result");
                         if meta.config != state.config {
                             return Err(FarmError::Config(format!(
                                 "journaled result for shard {shard} belongs to a different \
@@ -521,7 +519,7 @@ impl CoordState {
             return Ok(false);
         }
         self.check_identity(shard, epoch, fence)?;
-        let meta: CampaignMeta = result.parse().map_err(|e| Reply::Regenerate {
+        let meta = parse_result(result).map_err(|e| Reply::Regenerate {
             reason: format!("shard result does not parse: {e}"),
         })?;
         if meta.config != self.config {
@@ -771,7 +769,7 @@ pub fn run_coordinator(cfg: &CoordConfig) -> Result<CoordReport, FarmError> {
         (CoordJournal::create(&journal_path).map_err(io_err)?, Vec::new())
     };
     let resumed = events.len();
-    let mut state = CoordState::replay(
+    let mut state = CoordState::resume(
         cfg.campaign.clone(),
         cfg.n_shards,
         cfg.heartbeat_ms,
@@ -926,7 +924,13 @@ mod tests {
     }
 
     fn fresh(n_shards: usize) -> CoordState {
-        CoordState::replay(tiny_config(), n_shards, 1_000, false, Vec::new()).unwrap()
+        CoordState::resume(tiny_config(), n_shards, 1_000, false, Vec::new()).unwrap()
+    }
+
+    /// `events` as the journal's reader hands them on, each `Done`'s
+    /// result parsed.
+    fn read_back(events: Vec<CoordEvent>) -> Vec<Replayed> {
+        events.into_iter().map(|ev| Replayed::parse(ev).expect("result parses")).collect()
     }
 
     fn grant_of(reply: Reply) -> (usize, u64, u64) {
@@ -1106,7 +1110,8 @@ mod tests {
             CoordEvent::Grant { shard: 2, epoch: 1, fence: 3, agent: "b".into() },
             CoordEvent::Poison { shard: 2, epoch: 1, fence: 3, crashes: 4 },
         ];
-        let mut st = CoordState::replay(config.clone(), 3, 1_000, false, events).unwrap();
+        let mut st =
+            CoordState::resume(config.clone(), 3, 1_000, false, read_back(events)).unwrap();
         assert_eq!(st.epoch(), 2, "epoch bumps past everything journaled");
         assert_eq!(st.tally(), (1, 0, 1, 1), "lease on shard 1 voided to available");
         assert_eq!(st.merged().unwrap().tests.len(), meta0.tests.len(), "done shard folded back");
@@ -1140,7 +1145,7 @@ mod tests {
     fn replay_rejects_a_journal_for_a_different_geometry_or_campaign() {
         let events = vec![CoordEvent::Start { epoch: 1, n_shards: 4 }];
         assert!(matches!(
-            CoordState::replay(tiny_config(), 2, 1_000, false, events),
+            CoordState::resume(tiny_config(), 2, 1_000, false, read_back(events)),
             Err(FarmError::Config(_))
         ));
         let mut other = tiny_config();
@@ -1152,7 +1157,7 @@ mod tests {
             meta: RawJson::encode(&shard_meta(&other, 0, 2)),
         }];
         assert!(matches!(
-            CoordState::replay(tiny_config(), 2, 1_000, false, events),
+            CoordState::resume(tiny_config(), 2, 1_000, false, read_back(events)),
             Err(FarmError::Config(_))
         ));
     }
@@ -1222,7 +1227,8 @@ mod tests {
             },
             CoordEvent::Grant { shard: 1, epoch: 1, fence: 2, agent: "b".into() },
         ];
-        let mut st = CoordState::replay(config.clone(), 2, 1_000, false, events).unwrap();
+        let mut st =
+            CoordState::resume(config.clone(), 2, 1_000, false, read_back(events)).unwrap();
         // "c" runs the last shard live.
         let (r, _) = st.handle(&Request::Lease { agent: "c".into() }, 0);
         let (shard, epoch, fence) = grant_of(r);
@@ -1283,7 +1289,7 @@ mod tests {
         let bytes = std::fs::read(&path_serve).unwrap();
         assert!(bytes == std::fs::read(&path_handle).unwrap(), "journals differ");
         let (_, events) = CoordJournal::open_for_resume(&path_serve).unwrap();
-        let replayed = CoordState::replay(config, 2, 1_000, false, events).unwrap();
+        let replayed = CoordState::resume(config, 2, 1_000, false, events).unwrap();
         assert!(replayed.merged() == Some(merged), "replay reproduces the merge");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -186,7 +186,7 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, FarmError> {
     for k in 0..cfg.n_shards {
         inspect_shard(&cfg.dir, k, cfg.n_shards, &cfg.campaign)?;
     }
-    let mut state = CoordState::replay(
+    let mut state = CoordState::resume(
         cfg.campaign.clone(),
         cfg.n_shards,
         cfg.heartbeat_ms,

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 
 use difftest::metadata::CampaignMeta;
 use difftest::{CampaignConfig, TestMode};
+use farm::coordjournal::Replayed;
 use farm::proto::{Reply, Request};
 use farm::{CoordEvent, CoordState, LeaseState, WorkQueue};
 use progen::Precision;
@@ -51,6 +52,12 @@ fn event(byte: u8) -> Event {
 /// The units shard `k` of `n` owns: indices ≡ k (mod n), in order.
 fn shard_units(n_units: u64, shard: usize, n_shards: usize) -> Vec<u64> {
     (0..n_units).filter(|i| (*i as usize) % n_shards == shard).collect()
+}
+
+/// `events` as the coordinator journal's reader hands them on, each
+/// `Done`'s result parsed.
+fn read_back(events: &[CoordEvent]) -> Vec<Replayed> {
+    events.iter().map(|ev| Replayed::parse(ev.clone()).expect("result parses")).collect()
 }
 
 proptest! {
@@ -173,7 +180,7 @@ proptest! {
             CampaignConfig::default_for(Precision::F32, TestMode::Direct).with_programs(8);
         let mut events: Vec<CoordEvent> = Vec::new();
         let mut state =
-            CoordState::replay(config.clone(), n_shards, HB, false, Vec::new()).expect("fresh state");
+            CoordState::resume(config.clone(), n_shards, HB, false, Vec::new()).expect("fresh state");
         // Mirror run_coordinator: every (re)start journals its epoch, so
         // even a restart with no traffic in between still bumps it.
         events.push(CoordEvent::Start { epoch: state.epoch(), n_shards });
@@ -327,7 +334,7 @@ proptest! {
                     // merge must survive byte-identically, the epoch must
                     // move forward, and every live lease is orphaned.
                     let replayed =
-                        CoordState::replay(config.clone(), n_shards, HB, false, events.clone())
+                        CoordState::resume(config.clone(), n_shards, HB, false, read_back(&events))
                             .expect("replay");
                     prop_assert_eq!(
                         serde_json::to_string(&state.merged()).unwrap(),
@@ -369,7 +376,7 @@ proptest! {
         prop_assert_eq!(got, expect, "every surviving unit exactly once, in order");
 
         // The journal's final word matches the live state's.
-        let replayed = CoordState::replay(config.clone(), n_shards, HB, false, events)
+        let replayed = CoordState::resume(config.clone(), n_shards, HB, false, read_back(&events))
             .expect("final replay");
         prop_assert_eq!(
             serde_json::to_string(&merged).unwrap(),

@@ -158,6 +158,12 @@ impl std::fmt::Display for ExceptionFlags {
 /// the practical definition used by testing tools.
 #[inline]
 pub fn detect_binary_f64(op: ArithOp, a: f64, b: f64, r: f64) -> ExceptionFlags {
+    binary_f64(op, a, b, r, true)
+}
+
+/// [`detect_binary_f64`], testing for Inexact only if `test_inexact`.
+#[inline(always)]
+fn binary_f64(op: ArithOp, a: f64, b: f64, r: f64, test_inexact: bool) -> ExceptionFlags {
     let mut flags = ExceptionFlags::new();
     // A NaN result excludes every finite-result event (the only flag that
     // can accompany it, per the rules below, is Invalid itself), and an
@@ -184,16 +190,37 @@ pub fn detect_binary_f64(op: ArithOp, a: f64, b: f64, r: f64) -> ExceptionFlags 
     if r != 0.0 && r.abs() < f64::MIN_POSITIVE {
         flags.raise(FpException::Underflow);
     }
-    if !exact_binary_f64(op, a, b, r) {
+    if test_inexact && !exact_binary_f64(op, a, b, r) {
         flags.raise(FpException::Inexact);
     }
     flags
+}
+
+/// [`detect_binary_f64`] for a run whose flags so far are `seen`: once
+/// Inexact is raised, the exactness test (a wider recomputation) is
+/// skipped, since the sticky flag cannot change. Merged into `seen`, the
+/// result equals [`detect_binary_f64`]'s.
+#[inline]
+pub(crate) fn detect_binary_f64_after(
+    seen: ExceptionFlags,
+    op: ArithOp,
+    a: f64,
+    b: f64,
+    r: f64,
+) -> ExceptionFlags {
+    binary_f64(op, a, b, r, !seen.is_set(FpException::Inexact))
 }
 
 /// Detect exception events for an `f32` binary operation (see
 /// [`detect_binary_f64`]).
 #[inline]
 pub fn detect_binary_f32(op: ArithOp, a: f32, b: f32, r: f32) -> ExceptionFlags {
+    binary_f32(op, a, b, r, true)
+}
+
+/// [`detect_binary_f32`], testing for Inexact only if `test_inexact`.
+#[inline(always)]
+fn binary_f32(op: ArithOp, a: f32, b: f32, r: f32, test_inexact: bool) -> ExceptionFlags {
     let mut flags = ExceptionFlags::new();
     if r.is_nan() {
         if !a.is_nan() && !b.is_nan() {
@@ -214,10 +241,25 @@ pub fn detect_binary_f32(op: ArithOp, a: f32, b: f32, r: f32) -> ExceptionFlags 
     if r != 0.0 && r.abs() < f32::MIN_POSITIVE {
         flags.raise(FpException::Underflow);
     }
-    if !exact_binary_f32(op, a, b, r) {
+    if test_inexact && !exact_binary_f32(op, a, b, r) {
         flags.raise(FpException::Inexact);
     }
     flags
+}
+
+/// [`detect_binary_f32`] for a run whose flags so far are `seen`: once
+/// Inexact is raised, the exactness test (a wider recomputation) is
+/// skipped, since the sticky flag cannot change. Merged into `seen`, the
+/// result equals [`detect_binary_f32`]'s.
+#[inline]
+pub(crate) fn detect_binary_f32_after(
+    seen: ExceptionFlags,
+    op: ArithOp,
+    a: f32,
+    b: f32,
+    r: f32,
+) -> ExceptionFlags {
+    binary_f32(op, a, b, r, !seen.is_set(FpException::Inexact))
 }
 
 /// The four basic arithmetic operations, for exception detection.

@@ -12,6 +12,8 @@
 //!   accepts it (plus ordinary Rust/C float syntax and the `f`/`F` suffix
 //!   used in FP32 tests).
 
+use std::fmt::{self, Write as _};
+
 /// Format an `f64` the way `printf("%.17g\n", x)` does, up to trailing-zero
 /// trimming. 17 significant digits guarantee exact round-tripping.
 pub fn format_g17(x: f64) -> String {
@@ -83,27 +85,52 @@ fn normalize_exp_format(s: &str, sig_digits: i32) -> String {
 /// digit, four fractional digits, upper-case `E` exponent — e.g.
 /// `+1.3065E-306`, `-1.7744E-2`.
 pub fn format_varity(x: f64) -> String {
-    if x == 0.0 {
-        return if x.is_sign_negative() { "-0.0".into() } else { "+0.0".into() };
-    }
-    let s = format!("{:.4e}", x.abs());
-    let (mant, exp) = s.split_once('e').expect("exp format");
-    let sign = if x < 0.0 { '-' } else { '+' };
-    let exp: i32 = exp.parse().expect("exponent");
-    format!("{sign}{mant}E{exp}")
+    let mut s = String::new();
+    write_varity(&mut s, x).expect("a String takes every write");
+    s
 }
 
 /// Format an FP32 constant in Varity style with the `F` suffix, e.g.
 /// `+1.2345E7F`.
 pub fn format_varity_f32(x: f32) -> String {
+    let mut s = String::new();
+    write_varity_f32(&mut s, x).expect("a String takes every write");
+    s
+}
+
+/// Write [`format_varity`]`(x)` to `out`, with no buffer of its own.
+pub fn write_varity(out: &mut impl fmt::Write, x: f64) -> fmt::Result {
     if x == 0.0 {
-        return if x.is_sign_negative() { "-0.0F".into() } else { "+0.0F".into() };
+        return out.write_str(if x.is_sign_negative() { "-0.0" } else { "+0.0" });
     }
-    let s = format!("{:.4e}", x.abs());
-    let (mant, exp) = s.split_once('e').expect("exp format");
-    let sign = if x < 0.0 { '-' } else { '+' };
-    let exp: i32 = exp.parse().expect("exponent");
-    format!("{sign}{mant}E{exp}F")
+    out.write_char(if x < 0.0 { '-' } else { '+' })?;
+    write!(UpperExponent(out), "{:.4e}", x.abs())
+}
+
+/// Write [`format_varity_f32`]`(x)` to `out`, with no buffer of its own.
+pub fn write_varity_f32(out: &mut impl fmt::Write, x: f32) -> fmt::Result {
+    if x == 0.0 {
+        return out.write_str(if x.is_sign_negative() { "-0.0F" } else { "+0.0F" });
+    }
+    out.write_char(if x < 0.0 { '-' } else { '+' })?;
+    write!(UpperExponent(&mut *out), "{:.4e}", x.abs())?;
+    out.write_char('F')
+}
+
+/// Passes `{:e}` output through with its exponent marker upper-cased
+/// (`1.5000e-7` becomes `1.5000E-7`; the digits never hold an `e`).
+struct UpperExponent<'a, W>(&'a mut W);
+
+impl<W: fmt::Write> fmt::Write for UpperExponent<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut parts = s.split('e');
+        self.0.write_str(parts.next().unwrap_or(""))?;
+        for part in parts {
+            self.0.write_char('E')?;
+            self.0.write_str(part)?;
+        }
+        Ok(())
+    }
 }
 
 /// Format an `f64` as a C99 hexadecimal float (`%a`): `0x1.91eb851eb851fp+1`.

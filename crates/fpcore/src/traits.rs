@@ -87,8 +87,16 @@ pub trait GpuFloat:
     /// Apply an [`FtzMode`] output flush.
     fn apply_ftz(self, mode: FtzMode) -> Self;
 
-    /// Detect the IEEE exceptions implied by `a op b = r`.
-    fn detect_exceptions(op: ArithOp, a: Self, b: Self, r: Self) -> ExceptionFlags;
+    /// Detect the IEEE exceptions implied by `a op b = r`, in a run
+    /// whose flags so far are `seen` (sticky flags already in `seen`
+    /// need not be detected again).
+    fn detect_exceptions(
+        seen: ExceptionFlags,
+        op: ArithOp,
+        a: Self,
+        b: Self,
+        r: Self,
+    ) -> ExceptionFlags;
 
     /// ULP distance to another value (`None` if either is NaN).
     fn ulp_diff(self, other: Self) -> Option<u64>;
@@ -179,8 +187,14 @@ impl GpuFloat for f64 {
         mode.ftz_f64(self)
     }
     #[inline]
-    fn detect_exceptions(op: ArithOp, a: f64, b: f64, r: f64) -> ExceptionFlags {
-        crate::exceptions::detect_binary_f64(op, a, b, r)
+    fn detect_exceptions(
+        seen: ExceptionFlags,
+        op: ArithOp,
+        a: f64,
+        b: f64,
+        r: f64,
+    ) -> ExceptionFlags {
+        crate::exceptions::detect_binary_f64_after(seen, op, a, b, r)
     }
     #[inline]
     fn ulp_diff(self, other: f64) -> Option<u64> {
@@ -274,8 +288,14 @@ impl GpuFloat for f32 {
         mode.ftz_f32(self)
     }
     #[inline]
-    fn detect_exceptions(op: ArithOp, a: f32, b: f32, r: f32) -> ExceptionFlags {
-        crate::exceptions::detect_binary_f32(op, a, b, r)
+    fn detect_exceptions(
+        seen: ExceptionFlags,
+        op: ArithOp,
+        a: f32,
+        b: f32,
+        r: f32,
+    ) -> ExceptionFlags {
+        crate::exceptions::detect_binary_f32_after(seen, op, a, b, r)
     }
     #[inline]
     fn ulp_diff(self, other: f32) -> Option<u64> {

@@ -20,6 +20,7 @@
 
 use crate::cost;
 use crate::ir::{CompileFlags, Inst, InstSeq, KernelIr, Node, Operand, StoreTarget};
+use crate::scratch;
 use gpusim::mathlib::MathFunc;
 use progen::ast::{BinOp, CmpOp, Precision};
 
@@ -207,6 +208,10 @@ pub(crate) struct Code {
     pub n_limits: usize,
 }
 
+/// A temporary with no (remaining) reader, in `lower_seq`'s last-use
+/// table.
+const NONE: usize = usize::MAX;
+
 /// Lower a kernel body to bytecode.
 pub(crate) fn lower(ir: &KernelIr) -> Code {
     let mut l = Lowerer {
@@ -300,16 +305,30 @@ impl Lowerer {
 
     /// Lower one instruction sequence. Every temporary's register returns
     /// to the free list at its last use; the returned result source stays
-    /// live until the caller `release`s it.
+    /// live until the caller `release`s it. Its tables come from the
+    /// thread's reused buffers.
     fn lower_seq(&mut self, seq: &InstSeq) -> Src {
+        scratch::with(&scratch::INDICES, |last_use| {
+            scratch::with(&scratch::REGS, |regs| self.lower_seq_with(seq, last_use, regs))
+        })
+    }
+
+    /// [`Lowerer::lower_seq`] over the empty tables `last_use` and `regs`.
+    fn lower_seq_with(
+        &mut self,
+        seq: &InstSeq,
+        last_use: &mut Vec<usize>,
+        regs: &mut Vec<u32>,
+    ) -> Src {
         let n = seq.insts.len();
         // Last instruction index that reads each temporary (the sequence
-        // result pins its temporary past the end).
-        let mut last_use: Vec<Option<usize>> = vec![None; n];
+        // result pins its temporary past the end); `NONE` for a
+        // temporary nothing reads, and again once its register is freed.
+        last_use.resize(n, NONE);
         for (j, inst) in seq.insts.iter().enumerate() {
             inst.for_each_operand(|o| {
                 if let Operand::Inst(i) = o {
-                    last_use[i] = Some(j);
+                    last_use[i] = j;
                 }
             });
         }
@@ -318,8 +337,7 @@ impl Lowerer {
             Operand::Const(_) => None,
         };
 
-        let mut regs: Vec<u32> = vec![0; n];
-        let mut freed: Vec<bool> = vec![false; n];
+        regs.resize(n, 0);
         for (j, inst) in seq.insts.iter().enumerate() {
             let src_of = |o: Operand, regs: &[u32]| -> Src {
                 match o {
@@ -329,61 +347,63 @@ impl Lowerer {
             };
             // Free operands at their last use first, so the destination
             // can reuse an expiring operand's register (the executor reads
-            // operands before writing the destination).
+            // operands before writing the destination). An operand read
+            // twice is freed once.
             inst.for_each_operand(|o| {
                 if let Operand::Inst(i) = o {
-                    if last_use[i] == Some(j) && result_inst != Some(i) && !freed[i] {
-                        freed[i] = true;
+                    if last_use[i] == j && result_inst != Some(i) {
+                        last_use[i] = NONE;
                         self.free.push(regs[i]);
                     }
                 }
             });
             let dst = self.alloc();
             regs[j] = dst;
+            let regs = &regs[..];
             let op = match inst {
                 Inst::Const(c) => Op::Const { dst, v: *c },
                 Inst::ReadVar(slot) => Op::ReadVar { dst, slot: *slot as u32 },
                 Inst::ReadIntAsFloat(slot) => Op::ReadIntAsFloat { dst, slot: *slot as u32 },
                 Inst::ReadArr(arr, idx) => Op::ReadArr { dst, arr: *arr as u32, idx: *idx as u32 },
                 Inst::ReadThreadIdx => Op::ReadThreadIdx { dst },
-                Inst::Neg(a) => Op::Neg { dst, a: src_of(*a, &regs) },
+                Inst::Neg(a) => Op::Neg { dst, a: src_of(*a, regs) },
                 Inst::Bin(op, a, b) => Op::Bin {
                     dst,
                     op: *op,
-                    a: src_of(*a, &regs),
-                    b: src_of(*b, &regs),
+                    a: src_of(*a, regs),
+                    b: src_of(*b, regs),
                     cost: self.cost_of(inst),
                 },
                 Inst::Fma(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fma,
-                    a: src_of(*a, &regs),
-                    b: src_of(*b, &regs),
-                    c: src_of(*c, &regs),
+                    a: src_of(*a, regs),
+                    b: src_of(*b, regs),
+                    c: src_of(*c, regs),
                     cost: self.cost_of(inst),
                 },
                 Inst::Fms(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fms,
-                    a: src_of(*a, &regs),
-                    b: src_of(*b, &regs),
-                    c: src_of(*c, &regs),
+                    a: src_of(*a, regs),
+                    b: src_of(*b, regs),
+                    c: src_of(*c, regs),
                     cost: self.cost_of(inst),
                 },
                 Inst::Fnma(a, b, c) => Op::Fma {
                     dst,
                     kind: FmaKind::Fnma,
-                    a: src_of(*a, &regs),
-                    b: src_of(*b, &regs),
-                    c: src_of(*c, &regs),
+                    a: src_of(*a, regs),
+                    b: src_of(*b, regs),
+                    c: src_of(*c, regs),
                     cost: self.cost_of(inst),
                 },
-                Inst::Rcp(a) => Op::Rcp { dst, a: src_of(*a, &regs) },
+                Inst::Rcp(a) => Op::Rcp { dst, a: src_of(*a, regs) },
                 Inst::Call(f, args) => Op::Call {
                     dst,
                     f: *f,
-                    a: args.first().map(|o| src_of(*o, &regs)),
-                    b: args.get(1).map(|o| src_of(*o, &regs)),
+                    a: args.first().map(|o| src_of(*o, regs)),
+                    b: args.get(1).map(|o| src_of(*o, regs)),
                     cost: self.cost_of(inst),
                 },
             };
@@ -391,7 +411,7 @@ impl Lowerer {
             // An unused temporary (no later reader, not the result) still
             // executes — for step, cost and exception parity — but its
             // register is immediately reusable.
-            if last_use[j].is_none() && result_inst != Some(j) {
+            if last_use[j] == NONE && result_inst != Some(j) {
                 self.free.push(dst);
             }
         }

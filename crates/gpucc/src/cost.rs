@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn fast_math_calls_are_cheaper_f32() {
-        let call = Inst::Call(MathFunc::Sin, vec![Operand::Const(1.0)]);
+        let call = Inst::Call(MathFunc::Sin, [Operand::Const(1.0)].into());
         let slow = inst_cost(&call, Precision::F32, O0);
         let fast = inst_cost(&call, Precision::F32, FM);
         assert!(fast < slow, "fast={fast} slow={slow}");

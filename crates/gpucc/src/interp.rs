@@ -613,7 +613,15 @@ pub(crate) fn walk<D: Domain>(
     let mut frame = Frame::new(&ir.vars);
     frame.bind(&ir.params, &ir.vars, inputs, |x| dom.lift(x))?;
     let trace = if traced { Some(Vec::new()) } else { None };
-    let mut m = Machine { ir, dom, frame, meter: Meter::new(budget), trace, thread_idx };
+    let mut m = Machine {
+        ir,
+        dom,
+        frame,
+        meter: Meter::new(budget),
+        trace,
+        thread_idx,
+        values: Vec::new(),
+    };
     let exec_t = if obs::enabled() { Some(Instant::now()) } else { None };
     m.run_nodes(&ir.body)?;
     // Flush the locally tallied telemetry once per execution — the hot
@@ -632,6 +640,9 @@ struct Machine<'a, D: Domain> {
     meter: Meter,
     trace: Option<Vec<TraceEvent>>,
     thread_idx: u32,
+    /// The values of the sequence being evaluated, one per instruction:
+    /// one buffer for every sequence of the run.
+    values: Vec<D::Val>,
 }
 
 impl<'a, D: Domain> Machine<'a, D> {
@@ -684,8 +695,17 @@ impl<'a, D: Domain> Machine<'a, D> {
     }
 
     fn eval_seq(&mut self, seq: &InstSeq) -> Result<D::Val, ExecError> {
+        let mut values = std::mem::take(&mut self.values);
+        values.clear();
+        let v = self.eval_into(seq, &mut values);
+        self.values = values;
+        v
+    }
+
+    /// [`Machine::eval_seq`] with the instructions' values pushed onto
+    /// `values`, empty on entry.
+    fn eval_into(&mut self, seq: &InstSeq, values: &mut Vec<D::Val>) -> Result<D::Val, ExecError> {
         let vars = &self.ir.vars;
-        let mut values: Vec<D::Val> = Vec::with_capacity(seq.insts.len());
         for inst in &seq.insts {
             self.meter.step()?;
             self.dom.charge_inst(inst);
@@ -699,23 +719,21 @@ impl<'a, D: Domain> Machine<'a, D> {
                 Inst::ReadIntAsFloat(slot) => self.dom.lift(self.frame.int(*slot)? as f64),
                 Inst::ReadArr(arr, idx) => self.frame.load(vars, *arr, *idx)?,
                 Inst::ReadThreadIdx => self.dom.lift(f64::from(self.thread_idx)),
-                Inst::Neg(a) => -operand(*a, &values),
-                Inst::Bin(op, a, b) => {
-                    self.dom.bin(*op, operand(*a, &values), operand(*b, &values))
-                }
+                Inst::Neg(a) => -operand(*a, values),
+                Inst::Bin(op, a, b) => self.dom.bin(*op, operand(*a, values), operand(*b, values)),
                 Inst::Fma(a, b, c) | Inst::Fms(a, b, c) | Inst::Fnma(a, b, c) => {
                     let kind = match inst {
                         Inst::Fma(..) => FmaKind::Fma,
                         Inst::Fms(..) => FmaKind::Fms,
                         _ => FmaKind::Fnma,
                     };
-                    let [x, y, z] = [a, b, c].map(|o| operand(*o, &values));
+                    let [x, y, z] = [a, b, c].map(|o| operand(*o, values));
                     self.dom.fused(kind, x, y, z)
                 }
-                Inst::Rcp(a) => self.dom.rcp(operand(*a, &values)),
+                Inst::Rcp(a) => self.dom.rcp(operand(*a, values)),
                 Inst::Call(f, args) => {
-                    let a = args.first().map_or(D::ZERO, |o| operand(*o, &values));
-                    let b = args.get(1).map_or(D::ZERO, |o| operand(*o, &values));
+                    let a = args.first().map_or(D::ZERO, |o| operand(*o, values));
+                    let b = args.get(1).map_or(D::ZERO, |o| operand(*o, values));
                     self.dom.call(*f, a, b)
                 }
             };
@@ -788,7 +806,8 @@ impl<T: DeviceFloat> Domain for Vendor<'_, T> {
             BinOp::Mul => (x * y, ArithOp::Mul),
             BinOp::Div => (x / y, ArithOp::Div),
         };
-        self.exceptions.merge(T::detect_exceptions(aop, x, y, r));
+        // flags are sticky: once Inexact is up, skip its exactness test
+        self.exceptions.merge(T::detect_exceptions(self.exceptions, aop, x, y, r));
         #[cfg(feature = "vm-inject")]
         if self.drop_ftz_flush {
             return r;

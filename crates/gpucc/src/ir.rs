@@ -12,6 +12,7 @@
 
 use gpusim::mathlib::MathFunc;
 use progen::ast::{BinOp, CmpOp, Param, Precision};
+use std::sync::Arc;
 
 /// A float-variable slot: a float parameter, a temporary or `comp`.
 pub type FloatSlot = usize;
@@ -47,6 +48,69 @@ impl PartialEq for Operand {
 
 impl Eq for Operand {}
 
+/// A math call's arguments, held inline: every library function takes
+/// one or two. Reads as a slice of its arguments.
+#[derive(Debug, Clone, Copy)]
+pub struct Args {
+    len: u8,
+    ops: [Operand; 2],
+}
+
+impl Args {
+    /// The most arguments a call holds.
+    pub const MAX: usize = 2;
+}
+
+impl std::ops::Deref for Args {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for Args {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        &mut self.ops[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Args) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Args {}
+
+impl FromIterator<Operand> for Args {
+    /// Panics past [`Args::MAX`] arguments.
+    fn from_iter<I: IntoIterator<Item = Operand>>(iter: I) -> Args {
+        let mut args = Args { len: 0, ops: [Operand::Const(0.0); Args::MAX] };
+        for o in iter {
+            assert!(usize::from(args.len) < Args::MAX, "a math call takes at most two arguments");
+            args.ops[usize::from(args.len)] = o;
+            args.len += 1;
+        }
+        args
+    }
+}
+
+impl<const N: usize> From<[Operand; N]> for Args {
+    fn from(ops: [Operand; N]) -> Args {
+        ops.into_iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a Args {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// One IR instruction. The destination register is the instruction's own
 /// index within its sequence.
 #[derive(Debug, Clone)]
@@ -79,7 +143,7 @@ pub enum Inst {
     /// Math library call. Which implementation runs (accurate vs fast
     /// vendor intrinsic) is decided at execution time from
     /// [`CompileFlags::fast_math`].
-    Call(MathFunc, Vec<Operand>),
+    Call(MathFunc, Args),
     /// A constant produced by folding (kept as an instruction so operand
     /// indices stay stable until DCE renumbers).
     Const(f64),
@@ -149,7 +213,7 @@ impl Inst {
                 *c = f(*c);
             }
             Inst::Call(_, args) => {
-                for a in args {
+                for a in args.iter_mut() {
                     *a = f(*a);
                 }
             }
@@ -274,17 +338,47 @@ pub struct Vars {
     pub params: Vec<ParamSlot>,
 }
 
-/// A compiled kernel.
+/// A kernel's parameters, shared by every kernel built from one lowering:
+/// a clone copies no name. Reads as a slice of [`Param`]s.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Params(Arc<[Param]>);
+
+impl std::ops::Deref for Params {
+    type Target = [Param];
+
+    fn deref(&self) -> &[Param] {
+        &self.0
+    }
+}
+
+impl From<&[Param]> for Params {
+    fn from(params: &[Param]) -> Params {
+        Params(params.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a Params {
+    type Item = &'a Param;
+    type IntoIter = std::slice::Iter<'a, Param>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// A compiled kernel. Its parameter and name tables are shared, not
+/// copied, by the kernels built from it: a class that runs the same body
+/// under other flags and the vm's compiled kernel hold the same tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelIr {
     /// Program identifier this kernel was compiled from.
     pub program_id: String,
     /// Kernel precision.
     pub precision: Precision,
-    /// Parameters (shared with the AST).
-    pub params: Vec<Param>,
+    /// Parameters (copied from the AST once, at lowering).
+    pub params: Params,
     /// The variables' slots and names.
-    pub vars: Vars,
+    pub vars: Arc<Vars>,
     /// Structured body.
     pub body: Vec<Node>,
     /// Compilation flags.
@@ -361,7 +455,7 @@ mod tests {
     fn for_each_operand_visits_all_in_order() {
         let i = Inst::Fma(Operand::Inst(0), Operand::Const(2.0), Operand::Inst(1));
         assert_eq!(operands(&i), [Operand::Inst(0), Operand::Const(2.0), Operand::Inst(1)]);
-        let c = Inst::Call(MathFunc::Pow, vec![Operand::Inst(0), Operand::Inst(1)]);
+        let c = Inst::Call(MathFunc::Pow, [Operand::Inst(0), Operand::Inst(1)].into());
         assert_eq!(operands(&c), [Operand::Inst(0), Operand::Inst(1)]);
         assert!(operands(&Inst::ReadVar(0)).is_empty());
     }
@@ -382,8 +476,8 @@ mod tests {
         let mut ir = KernelIr {
             program_id: "t".into(),
             precision: Precision::F64,
-            params: vec![],
-            vars: Vars::default(),
+            params: Params::default(),
+            vars: Arc::default(),
             body: vec![
                 Node::Store { target: StoreTarget::Var(0), seq: mk() },
                 Node::If {

@@ -53,6 +53,7 @@ mod names;
 pub mod passes;
 pub mod pipeline;
 pub mod refexec;
+mod scratch;
 pub mod vm;
 #[cfg(feature = "vm-inject")]
 pub mod vm_inject;

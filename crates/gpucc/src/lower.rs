@@ -10,17 +10,10 @@
 
 use crate::ir::*;
 use progen::ast::{self, AssignOp, BinOp, Expr, ParamType, Precision, Program, Stmt};
-use std::collections::HashMap;
 
 /// Lower a program to unoptimized IR (what `-O0` codegen emits).
 pub fn lower(program: &Program) -> KernelIr {
-    let mut l = Lowerer {
-        prec: program.precision,
-        floats: HashMap::new(),
-        ints: HashMap::new(),
-        arrays: HashMap::new(),
-        vars: Vars::default(),
-    };
+    let mut l = Lowerer { prec: program.precision, vars: Vars::default() };
     for p in &program.params {
         let slot = match p.ty {
             ParamType::Float => ParamSlot::Float(l.float(&p.name)),
@@ -33,81 +26,85 @@ pub fn lower(program: &Program) -> KernelIr {
     KernelIr {
         program_id: program.id.clone(),
         precision: program.precision,
-        params: program.params.clone(),
-        vars: l.vars,
+        params: program.params.as_slice().into(),
+        vars: l.vars.into(),
         body,
         flags: CompileFlags::default(),
     }
 }
 
 /// The lowering walk: the kernel precision and the slots given so far.
-struct Lowerer<'a> {
+/// A kernel names a few dozen variables, so a slot is found by scanning
+/// its kind's names, which hashes nothing and allocates nothing.
+struct Lowerer {
     prec: Precision,
-    floats: HashMap<&'a str, FloatSlot>,
-    ints: HashMap<&'a str, IntSlot>,
-    arrays: HashMap<&'a str, ArraySlot>,
     vars: Vars,
 }
 
-/// `name`'s slot in `map`, given the next free slot of `names` if it has
-/// none yet.
-fn slot<'a>(map: &mut HashMap<&'a str, usize>, names: &mut Vec<String>, name: &'a str) -> usize {
-    *map.entry(name).or_insert_with(|| {
+/// `name`'s slot among `names`, given the next free slot if it has none
+/// yet.
+fn slot(names: &mut Vec<String>, name: &str) -> usize {
+    find(names, name).unwrap_or_else(|| {
         names.push(name.to_string());
         names.len() - 1
     })
 }
 
-impl<'a> Lowerer<'a> {
-    fn float(&mut self, name: &'a str) -> FloatSlot {
-        slot(&mut self.floats, &mut self.vars.floats, name)
+/// `name`'s slot among `names`, if it has one.
+fn find(names: &[String], name: &str) -> Option<usize> {
+    names.iter().position(|n| n == name)
+}
+
+impl Lowerer {
+    fn float(&mut self, name: &str) -> FloatSlot {
+        slot(&mut self.vars.floats, name)
     }
 
-    fn int(&mut self, name: &'a str) -> IntSlot {
-        slot(&mut self.ints, &mut self.vars.ints, name)
+    fn int(&mut self, name: &str) -> IntSlot {
+        slot(&mut self.vars.ints, name)
     }
 
-    fn new_array(&mut self, name: &'a str) -> ArraySlot {
+    fn new_array(&mut self, name: &str) -> ArraySlot {
         self.vars.arrays.push(name.to_string());
-        let s = self.vars.arrays.len() - 1;
-        self.arrays.insert(name, s);
-        s
+        self.vars.arrays.len() - 1
     }
 
-    fn array(&mut self, name: &'a str) -> ArraySlot {
-        match self.arrays.get(name) {
-            Some(&s) => s,
+    /// `name`'s array slot: the last one given to that name (an array
+    /// parameter declared twice reads its second slot).
+    fn array(&mut self, name: &str) -> ArraySlot {
+        match self.vars.arrays.iter().rposition(|n| n == name) {
+            Some(s) => s,
             None => self.new_array(name),
         }
     }
 
     /// A read of `name` as a value: its float slot, else its int slot,
     /// else a new float slot.
-    fn read_var(&mut self, name: &'a str) -> Inst {
-        if let Some(&s) = self.floats.get(name) {
+    fn read_var(&mut self, name: &str) -> Inst {
+        if let Some(s) = find(&self.vars.floats, name) {
             Inst::ReadVar(s)
-        } else if let Some(&s) = self.ints.get(name) {
+        } else if let Some(s) = find(&self.vars.ints, name) {
             Inst::ReadIntAsFloat(s)
         } else {
             Inst::ReadVar(self.float(name))
         }
     }
 
-    fn read_arr(&mut self, arr: &'a str, idx: &'a str) -> Inst {
+    fn read_arr(&mut self, arr: &str, idx: &str) -> Inst {
         Inst::ReadArr(self.array(arr), self.int(idx))
     }
 
-    fn stmts(&mut self, stmts: &'a [Stmt]) -> Vec<Node> {
+    fn stmts(&mut self, stmts: &[Stmt]) -> Vec<Node> {
         stmts.iter().map(|s| self.stmt(s)).collect()
     }
 
-    fn seq(&mut self, e: &'a Expr) -> InstSeq {
+    fn seq(&mut self, e: &Expr) -> InstSeq {
         let mut seq = InstSeq { insts: vec![], result: Operand::Const(0.0) };
         seq.result = self.expr(e, &mut seq);
         seq
     }
 
-    fn stmt(&mut self, stmt: &'a Stmt) -> Node {
+    fn stmt(&mut self, stmt: &Stmt) -> Node {
         match stmt {
             Stmt::DeclTmp { name, init } => {
                 let seq = self.seq(init);
@@ -149,7 +146,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn expr(&mut self, e: &'a Expr, seq: &mut InstSeq) -> Operand {
+    fn expr(&mut self, e: &Expr, seq: &mut InstSeq) -> Operand {
         match e {
             Expr::Lit(v) => Operand::Const(round_const(*v, self.prec)),
             Expr::Var(name) => {
@@ -171,7 +168,7 @@ impl<'a> Lowerer<'a> {
                 seq.push(Inst::Bin(*op, a, b))
             }
             Expr::Call(f, args) => {
-                let ops: Vec<Operand> = args.iter().map(|a| self.expr(a, seq)).collect();
+                let ops: Args = args.iter().map(|a| self.expr(a, seq)).collect();
                 seq.push(Inst::Call(*f, ops))
             }
         }

@@ -145,7 +145,7 @@ mod tests {
     fn does_not_fold_variables_or_calls() {
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
         let x = s.push(Inst::ReadVar(0));
-        let c = s.push(Inst::Call(MathFunc::Cos, vec![Operand::Const(0.0)]));
+        let c = s.push(Inst::Call(MathFunc::Cos, [Operand::Const(0.0)].into()));
         s.result = s.push(Inst::Bin(BinOp::Add, x, c));
         run(&mut s, Precision::F64);
         assert!(matches!(s.insts[1], Inst::Call(..)), "calls must not fold");

@@ -9,6 +9,7 @@
 
 use super::{forward_walk, SeqPass};
 use crate::ir::{Inst, InstSeq, Operand};
+use crate::scratch;
 use progen::ast::Precision;
 
 /// The local value-numbering pass.
@@ -36,26 +37,28 @@ impl SeqPass for Cse {
         // open-addressed table of first occurrences, at most half full;
         // instructions compare structurally, constants by bit pattern
         // (so -0.0 and 0.0 stay distinct)
-        let mut firsts = vec![EMPTY; (2 * seq.insts.len()).next_power_of_two()];
-        let mask = firsts.len() - 1;
-        let mut fired = 0u64;
-        forward_walk(seq, |insts, idx| {
-            let mut slot = hash(&insts[idx], degenerate) as usize & mask;
-            loop {
-                match firsts[slot] {
-                    EMPTY => {
-                        firsts[slot] = idx;
-                        return None;
+        scratch::with(&scratch::INDICES, |firsts| {
+            firsts.resize((2 * seq.insts.len()).next_power_of_two(), EMPTY);
+            let mask = firsts.len() - 1;
+            let mut fired = 0u64;
+            forward_walk(seq, |insts, idx| {
+                let mut slot = hash(&insts[idx], degenerate) as usize & mask;
+                loop {
+                    match firsts[slot] {
+                        EMPTY => {
+                            firsts[slot] = idx;
+                            return None;
+                        }
+                        first if same(&insts[first], &insts[idx], degenerate) => {
+                            fired += 1;
+                            return Some(Operand::Inst(first));
+                        }
+                        _ => slot = (slot + 1) & mask,
                     }
-                    first if same(&insts[first], &insts[idx], degenerate) => {
-                        fired += 1;
-                        return Some(Operand::Inst(first));
-                    }
-                    _ => slot = (slot + 1) & mask,
                 }
-            }
-        });
-        fired
+            });
+            fired
+        })
     }
 }
 
@@ -123,9 +126,9 @@ mod tests {
         // cos(x) + cos(x): reads merge first, then the calls become equal
         let mut s = InstSeq { insts: vec![], result: Operand::Const(0.0) };
         let x1 = s.push(Inst::ReadVar(0));
-        let c1 = s.push(Inst::Call(MathFunc::Cos, vec![x1]));
+        let c1 = s.push(Inst::Call(MathFunc::Cos, [x1].into()));
         let x2 = s.push(Inst::ReadVar(0));
-        let c2 = s.push(Inst::Call(MathFunc::Cos, vec![x2]));
+        let c2 = s.push(Inst::Call(MathFunc::Cos, [x2].into()));
         s.result = s.push(Inst::Bin(BinOp::Add, c1, c2));
         Cse.run(&mut s, Precision::F64);
         assert_eq!(s.insts[4], Inst::Bin(BinOp::Add, Operand::Inst(1), Operand::Inst(1)));

@@ -6,6 +6,7 @@
 
 use super::SeqPass;
 use crate::ir::{InstSeq, Operand};
+use crate::scratch;
 use progen::ast::Precision;
 
 /// The dead-code-elimination pass.
@@ -31,44 +32,50 @@ impl SeqPass for Dce {
                 _ => None,
             });
         }
-        let n = seq.insts.len();
-        // operands only reference earlier instructions, so one backward
-        // sweep from the result marks everything reachable
-        let mut remap = vec![DEAD; n];
-        if let Operand::Inst(i) = seq.result {
-            remap[i] = LIVE;
-        }
-        for i in (0..n).rev() {
-            if remap[i] == DEAD {
-                continue;
-            }
-            seq.insts[i].for_each_operand(|o| {
-                if let Operand::Inst(j) = o {
-                    remap[j] = LIVE;
-                }
-            });
-        }
-        // compact in place and renumber: a survivor's operands were
-        // renumbered before it
-        let mut kept = 0;
-        for i in 0..n {
-            if remap[i] == DEAD {
-                continue;
-            }
-            seq.insts.swap(kept, i);
-            seq.insts[kept].map_operands(|o| match o {
-                Operand::Inst(j) => Operand::Inst(remap[j]),
-                c => c,
-            });
-            remap[i] = kept;
-            kept += 1;
-        }
-        seq.insts.truncate(kept);
-        if let Operand::Inst(i) = seq.result {
-            seq.result = Operand::Inst(remap[i]);
-        }
-        (n - kept) as u64
+        scratch::with(&scratch::INDICES, |remap| collect(seq, remap))
     }
+}
+
+/// Remove what `seq`'s result does not reach, renumbering through
+/// `remap` (empty on entry); returns how many instructions went.
+fn collect(seq: &mut InstSeq, remap: &mut Vec<usize>) -> u64 {
+    let n = seq.insts.len();
+    // operands only reference earlier instructions, so one backward
+    // sweep from the result marks everything reachable
+    remap.resize(n, DEAD);
+    if let Operand::Inst(i) = seq.result {
+        remap[i] = LIVE;
+    }
+    for i in (0..n).rev() {
+        if remap[i] == DEAD {
+            continue;
+        }
+        seq.insts[i].for_each_operand(|o| {
+            if let Operand::Inst(j) = o {
+                remap[j] = LIVE;
+            }
+        });
+    }
+    // compact in place and renumber: a survivor's operands were
+    // renumbered before it
+    let mut kept = 0;
+    for i in 0..n {
+        if remap[i] == DEAD {
+            continue;
+        }
+        seq.insts.swap(kept, i);
+        seq.insts[kept].map_operands(|o| match o {
+            Operand::Inst(j) => Operand::Inst(remap[j]),
+            c => c,
+        });
+        remap[i] = kept;
+        kept += 1;
+    }
+    seq.insts.truncate(kept);
+    if let Operand::Inst(i) = seq.result {
+        seq.result = Operand::Inst(remap[i]);
+    }
+    (n - kept) as u64
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 
 use super::{use_counts, SeqPass};
 use crate::ir::{Inst, InstSeq, Operand};
+use crate::scratch;
 use progen::ast::{BinOp, Precision};
 
 /// Which side a toolchain prefers to fuse when both qualify.
@@ -41,17 +42,27 @@ impl SeqPass for FmaContract {
     }
 
     fn run(&self, seq: &mut InstSeq, _prec: Precision) -> u64 {
+        scratch::with(&scratch::INDICES, |counts| {
+            use_counts(seq, counts);
+            self.contract(seq, counts)
+        })
+    }
+}
+
+impl FmaContract {
+    /// Contract every eligible addition (and subtraction) of `seq`,
+    /// given its use counts.
+    fn contract(&self, seq: &mut InstSeq, counts: &[usize]) -> u64 {
         let mut fired = 0u64;
-        let counts = use_counts(seq);
         for idx in 0..seq.insts.len() {
             if self.contract_sub {
                 if let Inst::Bin(BinOp::Sub, a, b) = seq.insts[idx] {
-                    if let Some((x, y)) = single_use_mul(seq, &counts, a) {
+                    if let Some((x, y)) = single_use_mul(seq, counts, a) {
                         seq.insts[idx] = Inst::Fms(x, y, b);
                         fired += 1;
                         continue;
                     }
-                    if let Some((x, y)) = single_use_mul(seq, &counts, b) {
+                    if let Some((x, y)) = single_use_mul(seq, counts, b) {
                         seq.insts[idx] = Inst::Fnma(x, y, a);
                         fired += 1;
                         continue;
@@ -61,8 +72,8 @@ impl SeqPass for FmaContract {
             let Inst::Bin(BinOp::Add, a, b) = seq.insts[idx] else {
                 continue;
             };
-            let lhs_mul = single_use_mul(seq, &counts, a);
-            let rhs_mul = single_use_mul(seq, &counts, b);
+            let lhs_mul = single_use_mul(seq, counts, a);
+            let rhs_mul = single_use_mul(seq, counts, b);
             let fused = match (lhs_mul, rhs_mul, self.preference) {
                 (Some((x, y)), _, FmaPreference::LhsFirst) => Some((x, y, b)),
                 (_, Some((x, y)), FmaPreference::RhsFirst) => Some((x, y, a)),

@@ -38,6 +38,7 @@ pub mod reassoc;
 pub mod recip;
 
 use crate::ir::{Inst, InstSeq, KernelIr, Operand};
+use crate::scratch;
 use progen::ast::Precision;
 
 /// A sequence-local transformation.
@@ -75,27 +76,29 @@ pub(crate) fn forward_walk(
     seq: &mut InstSeq,
     mut decide: impl FnMut(&mut [Inst], usize) -> Option<Operand>,
 ) {
-    let mut table: Vec<Operand> = Vec::with_capacity(seq.insts.len());
-    let through = |table: &[Operand], o: Operand| match o {
-        Operand::Inst(i) => table[i],
-        c => c,
-    };
-    for idx in 0..seq.insts.len() {
-        seq.insts[idx].map_operands(|o| through(&table, o));
-        let to = decide(&mut seq.insts, idx);
-        debug_assert!(
-            !matches!(to, Some(Operand::Inst(j)) if j >= idx || table[j] != Operand::Inst(j)),
-            "instruction {idx} forwarded to {to:?}, which is not final"
-        );
-        table.push(to.unwrap_or(Operand::Inst(idx)));
-    }
-    seq.result = through(&table, seq.result);
+    scratch::with(&scratch::OPERANDS, |table| {
+        let through = |table: &[Operand], o: Operand| match o {
+            Operand::Inst(i) => table[i],
+            c => c,
+        };
+        for idx in 0..seq.insts.len() {
+            seq.insts[idx].map_operands(|o| through(table, o));
+            let to = decide(&mut seq.insts, idx);
+            debug_assert!(
+                !matches!(to, Some(Operand::Inst(j)) if j >= idx || table[j] != Operand::Inst(j)),
+                "instruction {idx} forwarded to {to:?}, which is not final"
+            );
+            table.push(to.unwrap_or(Operand::Inst(idx)));
+        }
+        seq.result = through(table, seq.result);
+    })
 }
 
-/// Number of uses of each instruction (references from later instructions
-/// plus the sequence result).
-pub fn use_counts(seq: &InstSeq) -> Vec<usize> {
-    let mut counts = vec![0usize; seq.insts.len()];
+/// Fill `counts` with the number of uses of each instruction (references
+/// from later instructions plus the sequence result).
+pub fn use_counts(seq: &InstSeq, counts: &mut Vec<usize>) {
+    counts.clear();
+    counts.resize(seq.insts.len(), 0);
     let mut bump = |o: Operand| {
         if let Operand::Inst(i) = o {
             counts[i] += 1;
@@ -105,7 +108,6 @@ pub fn use_counts(seq: &InstSeq) -> Vec<usize> {
         inst.for_each_operand(&mut bump);
     }
     bump(seq.result);
-    counts
 }
 
 #[cfg(test)]
@@ -124,7 +126,9 @@ mod tests {
     #[test]
     fn use_counts_include_result() {
         let s = seq_xy_add();
-        assert_eq!(use_counts(&s), vec![1, 1, 1]);
+        let mut counts = vec![7; 5];
+        use_counts(&s, &mut counts);
+        assert_eq!(counts, vec![1, 1, 1]);
     }
 
     #[test]

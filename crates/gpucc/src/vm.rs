@@ -96,14 +96,15 @@ pub struct CompiledKernel {
     pub precision: Precision,
     /// Compilation flags (fast math, level).
     pub flags: crate::ir::CompileFlags,
-    params: Vec<progen::ast::Param>,
-    vars: Vars,
+    params: crate::ir::Params,
+    vars: std::sync::Arc<Vars>,
     comp: FloatSlot,
     code: Code,
 }
 
 /// Compile a kernel to bytecode (the vm analogue of
-/// [`crate::interp::prepare`]; fails on the same malformed kernels).
+/// [`crate::interp::prepare`]; fails on the same malformed kernels). The
+/// compiled kernel shares `ir`'s parameter and name tables.
 pub fn compile_kernel(ir: &KernelIr) -> Result<CompiledKernel, ExecError> {
     Ok(CompiledKernel {
         comp: comp_slot(ir)?,

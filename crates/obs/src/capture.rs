@@ -6,14 +6,92 @@
 //! reuses them from one capture to the next, so once a thread has seen
 //! a unit's metrics, recording into a capture allocates nothing, hashes
 //! nothing and looks nothing up. Closing a capture folds its frame into
-//! the enclosing frame, or into the global registry by id, and converts
-//! it once into the name-keyed [`MetricsSnapshot`] the caller gets.
+//! the enclosing frame, or into the global registry by id, and copies its
+//! counters and samples, still by id, into the caller's [`Captured`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::id::{self, Id};
 use crate::snapshot::{HistSnapshot, MetricsSnapshot};
+
+/// What one or more closed captures recorded, by metric id: counter
+/// deltas and raw histogram samples. [`crate::capture_into`] appends a
+/// capture to it, so one `Captured` can hold a unit's work and the
+/// generation that preceded it. Cleared and reused from unit to unit, it
+/// allocates only while it grows.
+#[derive(Debug, Default, Clone)]
+pub struct Captured {
+    /// Counter deltas; an id appears once per capture that touched it.
+    counters: Vec<(Id, u64)>,
+    /// Histogram observations.
+    samples: Vec<(Id, u64)>,
+    /// The histogram [`Captured::for_each_hist`] lends out.
+    hist: HistSnapshot,
+}
+
+impl Captured {
+    /// Forget everything captured, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.counters.clear();
+        self.samples.clear();
+    }
+
+    /// Put the counters and samples in metric-name order, each counter
+    /// once (the deltas of captures that touched the same counter add
+    /// up): the order a [`MetricsSnapshot`] lists them in.
+    pub fn sort_by_name(&mut self) {
+        id::with_names(|names| {
+            let name = |&(id, _): &(Id, u64)| names[id.index()];
+            self.counters.sort_unstable_by(|a, b| name(a).cmp(name(b)));
+            self.counters.dedup_by(|later, first| {
+                let same = later.0 == first.0;
+                if same {
+                    first.1 = first.1.wrapping_add(later.1);
+                }
+                same
+            });
+            self.samples.sort_unstable_by(|a, b| name(a).cmp(name(b)));
+        });
+    }
+
+    /// Each counter's id and delta, in name order once
+    /// [`Captured::sort_by_name`] ran.
+    pub fn counters(&self) -> &[(Id, u64)] {
+        &self.counters
+    }
+
+    /// Call `f` with each histogram's id and state, in name order once
+    /// [`Captured::sort_by_name`] ran. The state is lent from a buffer
+    /// this `Captured` reuses, so a warm call allocates nothing.
+    pub fn for_each_hist(&mut self, mut f: impl FnMut(Id, &HistSnapshot)) {
+        for run in self.samples.chunk_by(|a, b| a.0 == b.0) {
+            self.hist.refill(run.iter().map(|&(_, v)| v));
+            f(run[0].0, &self.hist);
+        }
+    }
+
+    /// The name-keyed snapshot of everything captured.
+    pub fn to_snapshot(&self) -> MetricsSnapshot {
+        let mut samples = self.samples.clone();
+        samples.sort_unstable_by_key(|&(id, _)| id);
+        id::with_names(|names| {
+            let mut counters = BTreeMap::new();
+            for &(id, v) in &self.counters {
+                let total: &mut u64 = counters.entry(names[id.index()].to_string()).or_default();
+                *total = total.wrapping_add(v);
+            }
+            let hists: BTreeMap<String, HistSnapshot> = samples
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| {
+                    let name = names[run[0].0.index()].to_string();
+                    (name, HistSnapshot::of_samples(run.iter().map(|&(_, v)| v)))
+                })
+                .collect();
+            MetricsSnapshot { counters, hists }
+        })
+    }
+}
 
 #[derive(Default)]
 struct Frame {
@@ -70,25 +148,10 @@ impl Frame {
         );
     }
 
-    /// The frame as a name-keyed snapshot. Sorts `samples` by id.
-    fn snapshot(&mut self) -> MetricsSnapshot {
-        self.samples.sort_unstable_by_key(|&(id, _)| id);
-        id::with_names(|names| {
-            let counters: BTreeMap<String, u64> = self
-                .touched
-                .iter()
-                .map(|&id| (names[id.index()].to_string(), self.counts[id.index()]))
-                .collect();
-            let hists: BTreeMap<String, HistSnapshot> = self
-                .samples
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| {
-                    let name = names[run[0].0.index()].to_string();
-                    (name, HistSnapshot::of_samples(run.iter().map(|&(_, v)| v)))
-                })
-                .collect();
-            MetricsSnapshot { counters, hists }
-        })
+    /// Append this frame's counters and samples to `out`.
+    fn copy_into(&self, out: &mut Captured) {
+        out.counters.extend(self.touched.iter().map(|&id| (id, self.counts[id.index()])));
+        out.samples.extend_from_slice(&self.samples);
     }
 }
 
@@ -149,19 +212,18 @@ pub(crate) fn abandon(depth: usize) {
 }
 
 /// Close this thread's innermost capture: fold it into the enclosing
-/// capture (or the global registry) and return its snapshot.
-pub(crate) fn close() -> MetricsSnapshot {
+/// capture (or the global registry) and append it to `out`.
+pub(crate) fn close(out: &mut Captured) {
     STACK.with(|s| {
         let mut s = s.borrow_mut();
         let d = s.depth - 1;
         s.depth = d;
         let (outer, inner) = s.frames.split_at_mut(d);
-        let frame = &mut inner[0];
-        let snap = frame.snapshot();
+        let frame = &inner[0];
+        frame.copy_into(out);
         match outer.last_mut() {
             Some(o) => frame.fold_into(o),
             None => frame.fold_global(),
         }
-        snap
     })
 }

@@ -29,7 +29,7 @@ pub struct Id(u32);
 impl Id {
     /// Position of this id in an id-indexed table.
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 

@@ -35,6 +35,7 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+pub use capture::Captured;
 pub use counter::Counter;
 pub use hist::Histogram;
 pub use id::{Id, Name, SpanName};
@@ -108,12 +109,23 @@ pub fn record(name: &str, value: u64) {
 /// replay the telemetry of work it skips.
 ///
 /// The capture is a per-thread frame reused across calls: recording into
-/// it indexes arrays by metric id, and only closing it builds the
-/// returned name-keyed snapshot. Captures nest per thread (the innermost
-/// wins). A panic caught inside `f` leaves the capture open and
-/// recording; a panic that unwinds out of `f` discards the capture
-/// without folding it and restores the enclosing routing.
+/// it indexes arrays by metric id, and only this call builds the
+/// returned name-keyed snapshot ([`capture_into`] builds none). Captures
+/// nest per thread (the innermost wins). A panic caught inside `f`
+/// leaves the capture open and recording; a panic that unwinds out of
+/// `f` discards the capture without folding it and restores the
+/// enclosing routing.
 pub fn with_capture<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
+    let mut captured = Captured::default();
+    let out = capture_into(&mut captured, f);
+    (out, captured.to_snapshot())
+}
+
+/// [`with_capture`] that appends the captured metrics to `into`, by id,
+/// instead of building a snapshot: the campaign runner's per-unit path,
+/// which encodes a unit's journal frame straight from `into`. With a
+/// warm frame and a warm `into`, capturing allocates nothing.
+pub fn capture_into<R>(into: &mut Captured, f: impl FnOnce() -> R) -> R {
     struct Abandon(usize);
     impl Drop for Abandon {
         fn drop(&mut self) {
@@ -124,7 +136,8 @@ pub fn with_capture<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
     let guard = Abandon(capture::open());
     let out = f();
     std::mem::forget(guard);
-    (out, capture::close())
+    capture::close(into);
+    out
 }
 
 /// Start a scoped timer; on drop it records elapsed nanoseconds into the

@@ -40,6 +40,17 @@ impl HistSnapshot {
     /// and snapshotting it.
     pub fn of_samples(samples: impl IntoIterator<Item = u64>) -> HistSnapshot {
         let mut h = HistSnapshot::default();
+        h.refill(samples);
+        h
+    }
+
+    /// Make this the snapshot of a histogram that recorded exactly
+    /// `samples` ([`HistSnapshot::of_samples`]), reusing its bucket
+    /// buffer.
+    pub fn refill(&mut self, samples: impl IntoIterator<Item = u64>) {
+        let h = self;
+        h.buckets.clear();
+        (h.count, h.sum, h.min, h.max) = (0, 0, 0, 0);
         for v in samples {
             let b = bucket_of(v);
             if h.buckets.len() <= b {
@@ -51,7 +62,6 @@ impl HistSnapshot {
             h.sum = h.sum.wrapping_add(v);
             h.count += 1;
         }
-        h
     }
 
     /// Bucket-resolution quantile estimate: the upper bound of the

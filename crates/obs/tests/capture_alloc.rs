@@ -5,9 +5,11 @@
 //! first unit interns its names and sizes the thread's capture frame;
 //! every later unit issues the same `add` / `record` / `span` calls and
 //! must not allocate at all — not for a registry, a map key, an `Arc`
-//! or a histogram. Building the unit's snapshot when the capture closes
-//! is outside the measured window: that is the one conversion a capture
-//! pays per unit.
+//! or a histogram. Building a name-keyed snapshot when the capture
+//! closes (`with_capture`) is outside the measured window. Closing into
+//! a reused `Captured`, putting it in name order and reading it back by
+//! id, as a checkpoint journal encodes a unit's frame, is inside it: a
+//! warm unit allocates nothing from its first record to its frame.
 //!
 //! This test owns its binary: it replaces the global allocator.
 
@@ -109,5 +111,53 @@ fn recording_inside_a_warm_capture_allocates_nothing() {
         assert_eq!(snap.counter("alloc.id.ops"), i);
         assert_eq!(snap.hists["alloc.id.execns"].count, 2);
         assert_eq!(snap.hists["span.alloc.id.unit"].count, 1);
+    }
+}
+
+/// A journal frame's view of a unit: each counter and histogram, by id
+/// in name order, folded into bytes the way a frame writer would.
+fn frame_of(captured: &mut obs::Captured, out: &mut Vec<u8>) {
+    captured.sort_by_name();
+    for &(id, v) in captured.counters() {
+        out.extend_from_slice(&(id.index() as u32).to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    captured.for_each_hist(|id, h| {
+        out.extend_from_slice(&(id.index() as u32).to_le_bytes());
+        for v in [h.count, h.sum, h.min, h.max] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for &n in &h.buckets {
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+    });
+}
+
+#[test]
+fn a_warm_capture_closing_into_a_journal_frame_allocates_nothing() {
+    obs::set_enabled(true);
+    let mut captured = obs::Captured::default();
+    let mut frame = Vec::with_capacity(4096);
+    // warm-up unit: interns the names, sizes the frame and `captured`
+    obs::capture_into(&mut captured, || {
+        unit_by_name(0);
+        unit_by_id(0);
+    });
+    frame_of(&mut captured, &mut frame);
+    for i in 1..50 {
+        captured.clear();
+        frame.clear();
+        let n = allocations_in(|| {
+            obs::capture_into(&mut captured, || {
+                unit_by_name(i);
+                unit_by_id(i);
+            });
+            frame_of(&mut captured, &mut frame);
+        });
+        assert_eq!(n, 0, "unit {i} allocated {n} times from capture to frame");
+        let snap = captured.to_snapshot();
+        assert_eq!(snap.counter("alloc.id.ops"), i);
+        assert_eq!(snap.hists["alloc.execns"].count, 2);
+        assert_eq!(captured.counters().len(), snap.counters.len());
     }
 }

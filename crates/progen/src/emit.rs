@@ -31,47 +31,47 @@ impl Dialect {
     }
 }
 
-/// Emit the complete translation unit (kernel + host `main`).
+/// Emit the complete translation unit (kernel + host `main`), written
+/// into one buffer.
 pub fn emit(program: &Program, dialect: Dialect) -> String {
-    let mut out = String::with_capacity(2048);
-    match dialect {
-        Dialect::Cuda => {
-            out.push_str("#include <cstdio>\n#include <cstdlib>\n#include <cmath>\n\n");
-        }
-        Dialect::Hip => {
-            out.push_str("#include \"hip/hip_runtime.h\"\n");
-            out.push_str("#include <cstdio>\n#include <cstdlib>\n#include <cmath>\n\n");
-        }
+    let mut out = String::with_capacity(4096);
+    if dialect == Dialect::Hip {
+        out.push_str("#include \"hip/hip_runtime.h\"\n");
     }
-    out.push_str(&emit_kernel(program));
+    out.push_str("#include <cstdio>\n#include <cstdlib>\n#include <cmath>\n\n");
+    write_kernel(&mut out, program);
     out.push('\n');
-    out.push_str(&emit_main(program, dialect));
+    write_main(&mut out, program, dialect);
     out
 }
 
 /// Emit only the `__global__ void compute(...) { ... }` kernel (identical
 /// in both dialects; this is what the parser reads back).
 pub fn emit_kernel(program: &Program) -> String {
-    let mut out = String::with_capacity(1024);
+    let mut out = String::with_capacity(2048);
+    write_kernel(&mut out, program);
+    out
+}
+
+fn write_kernel(out: &mut String, program: &Program) {
     let ty = program.precision.c_type();
     out.push_str("__global__ /* __global__ is used for device run */\n");
     out.push_str("void compute(");
-    let params: Vec<String> = program
-        .params
-        .iter()
-        .map(|p| match p.ty {
-            ParamType::Float => format!("{ty} {}", p.name),
-            ParamType::Int => format!("int {}", p.name),
-            ParamType::FloatArray => format!("{ty} * {}", p.name),
-        })
-        .collect();
-    out.push_str(&params.join(", "));
+    for (i, p) in program.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = match p.ty {
+            ParamType::Float => write!(out, "{ty} {}", p.name),
+            ParamType::Int => write!(out, "int {}", p.name),
+            ParamType::FloatArray => write!(out, "{ty} * {}", p.name),
+        };
+    }
     out.push_str(") {\n");
     for s in &program.body {
-        emit_stmt(&mut out, s, program.precision, 1);
+        write_stmt(out, s, program.precision, 1);
     }
     out.push_str("  printf(\"%.17g\\n\", comp);\n}\n");
-    out
 }
 
 fn indent(out: &mut String, level: usize) {
@@ -80,40 +80,38 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn emit_stmt(out: &mut String, s: &Stmt, prec: Precision, level: usize) {
+fn write_stmt(out: &mut String, s: &Stmt, prec: Precision, level: usize) {
+    indent(out, level);
     match s {
         Stmt::DeclTmp { name, init } => {
-            indent(out, level);
-            let _ = writeln!(out, "{} {} = {};", prec.c_type(), name, emit_expr(init, prec));
+            let _ = write!(out, "{} {} = ", prec.c_type(), name);
+            write_expr(out, init, prec);
+            out.push_str(";\n");
         }
         Stmt::Assign { target, op, value } => {
-            indent(out, level);
-            let tgt = match target {
-                LValue::Var(v) => v.clone(),
-                LValue::Index(a, i) => format!("{a}[{i}]"),
+            let _ = match target {
+                LValue::Var(v) => write!(out, "{v} {} ", op.symbol()),
+                LValue::Index(a, i) => write!(out, "{a}[{i}] {} ", op.symbol()),
             };
-            let _ = writeln!(out, "{tgt} {} {};", op.symbol(), emit_expr(value, prec));
+            write_expr(out, value, prec);
+            out.push_str(";\n");
         }
         Stmt::If { cond, body } => {
-            indent(out, level);
-            let _ = writeln!(
-                out,
-                "if ({} {} {}) {{",
-                emit_expr(&cond.lhs, prec),
-                cond.op.symbol(),
-                emit_expr(&cond.rhs, prec)
-            );
+            out.push_str("if (");
+            write_expr(out, &cond.lhs, prec);
+            let _ = write!(out, " {} ", cond.op.symbol());
+            write_expr(out, &cond.rhs, prec);
+            out.push_str(") {\n");
             for s in body {
-                emit_stmt(out, s, prec, level + 1);
+                write_stmt(out, s, prec, level + 1);
             }
             indent(out, level);
             out.push_str("}\n");
         }
         Stmt::For { var, bound, body } => {
-            indent(out, level);
             let _ = writeln!(out, "for (int {var} = 0; {var} < {bound}; ++{var}) {{");
             for s in body {
-                emit_stmt(out, s, prec, level + 1);
+                write_stmt(out, s, prec, level + 1);
             }
             indent(out, level);
             out.push_str("}\n");
@@ -124,31 +122,56 @@ fn emit_stmt(out: &mut String, s: &Stmt, prec: Precision, level: usize) {
 /// Render one expression in C syntax, fully parenthesised so the parse is
 /// unambiguous and the round trip is exact.
 pub fn emit_expr(e: &Expr, prec: Precision) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e, prec);
+    out
+}
+
+fn write_expr(out: &mut String, e: &Expr, prec: Precision) {
     match e {
-        Expr::Lit(v) => match prec {
-            Precision::F64 => literal::format_varity(*v),
-            Precision::F32 => literal::format_varity_f32(*v as f32),
-        },
-        Expr::Var(v) => v.clone(),
-        Expr::Index(a, i) => format!("{a}[{i}]"),
-        Expr::Neg(inner) => format!("-({})", emit_expr(inner, prec)),
+        Expr::Lit(v) => {
+            let _ = match prec {
+                Precision::F64 => literal::write_varity(out, *v),
+                Precision::F32 => literal::write_varity_f32(out, *v as f32),
+            };
+        }
+        Expr::Var(v) => out.push_str(v),
+        Expr::Index(a, i) => {
+            let _ = write!(out, "{a}[{i}]");
+        }
+        Expr::Neg(inner) => {
+            out.push_str("-(");
+            write_expr(out, inner, prec);
+            out.push(')');
+        }
         Expr::Bin(op, l, r) => {
-            format!("({} {} {})", emit_expr(l, prec), op.symbol(), emit_expr(r, prec))
+            out.push('(');
+            write_expr(out, l, prec);
+            let _ = write!(out, " {} ", op.symbol());
+            write_expr(out, r, prec);
+            out.push(')');
         }
         Expr::Call(f, args) => {
-            let name = match prec {
-                Precision::F64 => f.c_name().to_string(),
-                Precision::F32 => f.c_name_f32(),
-            };
-            let args: Vec<String> = args.iter().map(|a| emit_expr(a, prec)).collect();
-            format!("{name}({})", args.join(", "))
+            out.push_str(f.c_name());
+            if prec == Precision::F32 {
+                out.push('f');
+            }
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(out, a, prec);
+            }
+            out.push(')');
         }
-        Expr::ThreadIdx => format!("(({})threadIdx.x)", prec.c_type()),
+        Expr::ThreadIdx => {
+            let _ = write!(out, "(({})threadIdx.x)", prec.c_type());
+        }
     }
 }
 
-fn emit_main(program: &Program, dialect: Dialect) -> String {
-    let mut out = String::with_capacity(1024);
+fn write_main(out: &mut String, program: &Program, dialect: Dialect) {
     let ty = program.precision.c_type();
     let (malloc, memcpy, h2d, sync, free) = match dialect {
         Dialect::Cuda => (
@@ -164,50 +187,32 @@ fn emit_main(program: &Program, dialect: Dialect) -> String {
     };
 
     out.push_str("int main(int argc, char** argv) {\n");
-    let mut launch_args: Vec<String> = Vec::new();
     for (i, p) in program.params.iter().enumerate() {
         let argi = i + 1;
-        match p.ty {
-            ParamType::Float => {
-                let _ = writeln!(out, "  {ty} {} = atof(argv[{argi}]);", p.name);
-                launch_args.push(p.name.clone());
-            }
-            ParamType::Int => {
-                let _ = writeln!(out, "  int {} = atoi(argv[{argi}]);", p.name);
-                launch_args.push(p.name.clone());
-            }
-            ParamType::FloatArray => {
-                let host = format!("h_{}", p.name);
-                let _ = writeln!(out, "  {ty} {host}_fill = atof(argv[{argi}]);");
-                let _ = writeln!(out, "  {ty} {host}[{ARRAY_LEN}];");
-                let _ = writeln!(
-                    out,
-                    "  for (int _k = 0; _k < {ARRAY_LEN}; ++_k) {host}[_k] = {host}_fill;"
-                );
-                let _ = writeln!(out, "  {ty} * {};", p.name);
-                let _ =
-                    writeln!(out, "  {malloc}((void**)&{}, sizeof({ty}) * {ARRAY_LEN});", p.name);
-                let _ = writeln!(
-                    out,
-                    "  {memcpy}({}, {host}, sizeof({ty}) * {ARRAY_LEN}, {h2d});",
-                    p.name
-                );
-                launch_args.push(p.name.clone());
-            }
-        }
-    }
-    match dialect {
-        Dialect::Cuda => {
-            let _ = writeln!(out, "  compute<<<1, 1>>>({});", launch_args.join(", "));
-        }
-        Dialect::Hip => {
-            let _ = writeln!(
+        let name = &p.name;
+        let _ = match p.ty {
+            ParamType::Float => writeln!(out, "  {ty} {name} = atof(argv[{argi}]);"),
+            ParamType::Int => writeln!(out, "  int {name} = atoi(argv[{argi}]);"),
+            ParamType::FloatArray => writeln!(
                 out,
-                "  hipLaunchKernelGGL(compute, dim3(1), dim3(1), 0, 0, {});",
-                launch_args.join(", ")
-            );
-        }
+                "  {ty} h_{name}_fill = atof(argv[{argi}]);\n  {ty} h_{name}[{ARRAY_LEN}];\n  \
+                 for (int _k = 0; _k < {ARRAY_LEN}; ++_k) h_{name}[_k] = h_{name}_fill;\n  \
+                 {ty} * {name};\n  {malloc}((void**)&{name}, sizeof({ty}) * {ARRAY_LEN});\n  \
+                 {memcpy}({name}, h_{name}, sizeof({ty}) * {ARRAY_LEN}, {h2d});"
+            ),
+        };
     }
+    out.push_str(match dialect {
+        Dialect::Cuda => "  compute<<<1, 1>>>(",
+        Dialect::Hip => "  hipLaunchKernelGGL(compute, dim3(1), dim3(1), 0, 0, ",
+    });
+    for (i, p) in program.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&p.name);
+    }
+    out.push_str(");\n");
     let _ = writeln!(out, "  {sync}();");
     for p in &program.params {
         if p.ty == ParamType::FloatArray {
@@ -215,7 +220,6 @@ fn emit_main(program: &Program, dialect: Dialect) -> String {
         }
     }
     out.push_str("  return 0;\n}\n");
-    out
 }
 
 #[cfg(test)]

@@ -2,18 +2,20 @@
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token. Identifiers and string literals borrow the source
+/// text, so lexing copies no text and a token is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     /// Identifier or keyword (`compute`, `double`, `for`, `__global__`, …).
-    Ident(String),
+    Ident(&'a str),
     /// Unsigned floating-point literal; `true` if it carried an `f`/`F`
     /// suffix (FP32).
     Float(f64, bool),
     /// Unsigned integer literal.
     Int(i64),
-    /// A string literal (contents unescaped are not needed; kept verbatim).
-    Str(String),
+    /// A string literal's contents between the quotes, escapes kept
+    /// verbatim.
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -68,7 +70,7 @@ pub enum Token {
     Dot,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -130,9 +132,10 @@ impl std::error::Error for LexError {}
 
 /// Tokenize source text. Preprocessor lines (`#include …`) and comments
 /// (`/* */`, `//`) are skipped.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    // a kernel runs to about one token per four bytes of source
+    let mut tokens = Vec::with_capacity(src.len() / 4);
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -169,7 +172,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
             '"' => {
                 let start = i;
                 i += 1;
-                let mut s = String::new();
                 loop {
                     if i >= bytes.len() {
                         return Err(LexError {
@@ -182,25 +184,19 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                             i += 1;
                             break;
                         }
-                        b'\\' if i + 1 < bytes.len() => {
-                            s.push(bytes[i] as char);
-                            s.push(bytes[i + 1] as char);
-                            i += 2;
-                        }
-                        b => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        b'\\' if i + 1 < bytes.len() => i += 2,
+                        _ => i += 1,
                     }
                 }
-                tokens.push(Token::Str(s));
+                // both quotes are ASCII bytes, so char boundaries
+                tokens.push(Token::Str(&src[start + 1..i - 1]));
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                tokens.push(Token::Ident(src[start..i].to_string()));
+                tokens.push(Token::Ident(&src[start..i]));
             }
             '.' if i + 1 >= bytes.len() || !bytes[i + 1].is_ascii_digit() => {
                 tokens.push(Token::Dot);
@@ -260,7 +256,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
 
 /// Lex a numeric literal starting at `start`; returns the token and the
 /// index just past it.
-fn lex_number(src: &str, start: usize) -> Result<(Token, usize), LexError> {
+fn lex_number(src: &str, start: usize) -> Result<(Token<'static>, usize), LexError> {
     let bytes = src.as_bytes();
     let mut i = start;
     let mut saw_dot = false;
@@ -317,8 +313,8 @@ mod tests {
     #[test]
     fn lexes_identifiers_and_symbols() {
         let toks = tokenize("void compute(double comp) { comp += 1; }").unwrap();
-        assert_eq!(toks[0], Token::Ident("void".into()));
-        assert_eq!(toks[1], Token::Ident("compute".into()));
+        assert_eq!(toks[0], Token::Ident("void"));
+        assert_eq!(toks[1], Token::Ident("compute"));
         assert_eq!(toks[2], Token::LParen);
         assert!(toks.contains(&Token::PlusAssign));
         assert!(toks.contains(&Token::Int(1)));
@@ -343,15 +339,15 @@ mod tests {
     fn skips_comments_and_preprocessor() {
         let src = "#include <cmath>\n// line\n/* block\ncomment */ x";
         let toks = tokenize(src).unwrap();
-        assert_eq!(toks, vec![Token::Ident("x".into())]);
+        assert_eq!(toks, vec![Token::Ident("x")]);
     }
 
     #[test]
     fn lexes_string_literals() {
         let toks = tokenize(r#"printf("%.17g\n", comp);"#).unwrap();
-        assert_eq!(toks[0], Token::Ident("printf".into()));
+        assert_eq!(toks[0], Token::Ident("printf"));
         assert_eq!(toks[1], Token::LParen);
-        assert_eq!(toks[2], Token::Str("%.17g\\n".into()));
+        assert_eq!(toks[2], Token::Str("%.17g\\n"));
     }
 
     #[test]
@@ -383,7 +379,7 @@ mod tests {
         // "1.5E" followed by identifier: the E terminates the number
         let toks = tokenize("1.5 Ex").unwrap();
         assert_eq!(toks[0], Token::Float(1.5, false));
-        assert_eq!(toks[1], Token::Ident("Ex".into()));
+        assert_eq!(toks[1], Token::Ident("Ex"));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn parse_kernel(src: &str, id: &str) -> Result<Program, ParseError> {
     // find `__global__ ... void compute (`
     let mut start = None;
     for (i, t) in tokens.iter().enumerate() {
-        if matches!(t, Token::Ident(s) if s == "__global__") {
+        if *t == Token::Ident("__global__") {
             start = Some(i);
             break;
         }
@@ -57,18 +57,18 @@ pub fn parse_kernel(src: &str, id: &str) -> Result<Program, ParseError> {
     p.parse_program(id)
 }
 
-struct Parser<'a> {
-    tokens: &'a [Token],
+struct Parser<'t, 's> {
+    tokens: &'t [Token<'s>],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Option<&Token<'s>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<&Token, ParseError> {
-        let t = self.tokens.get(self.pos).ok_or_else(|| ParseError {
+    fn next(&mut self) -> Result<Token<'s>, ParseError> {
+        let t = *self.tokens.get(self.pos).ok_or_else(|| ParseError {
             at: self.pos,
             message: "unexpected end of input".into(),
         })?;
@@ -83,7 +83,7 @@ impl<'a> Parser<'a> {
     fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
         let pos = self.pos;
         let got = self.next()?;
-        if got == want {
+        if got == *want {
             Ok(())
         } else {
             Err(ParseError { at: pos, message: format!("expected {want}, got {got}") })
@@ -98,10 +98,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
         let pos = self.pos;
         match self.next()? {
-            Token::Ident(s) => Ok(s.clone()),
+            Token::Ident(s) => Ok(s),
             got => Err(ParseError { at: pos, message: format!("expected identifier, got {got}") }),
         }
     }
@@ -117,7 +117,7 @@ impl<'a> Parser<'a> {
         loop {
             let pos = self.pos;
             let ty_name = self.ident()?;
-            let ty = match ty_name.as_str() {
+            let ty = match ty_name {
                 "int" => ParamType::Int,
                 "float" | "double" => {
                     let prec = if ty_name == "float" { Precision::F32 } else { Precision::F64 };
@@ -145,7 +145,7 @@ impl<'a> Parser<'a> {
                     })
                 }
             };
-            let name = self.ident()?;
+            let name = self.ident()?.to_string();
             params.push(Param { name, ty });
             match self.next()? {
                 Token::Comma => continue,
@@ -187,8 +187,8 @@ impl<'a> Parser<'a> {
     /// Parse one statement; `printf` calls are consumed but yield `None`.
     fn parse_stmt(&mut self, prec: Precision) -> Result<Option<Stmt>, ParseError> {
         let pos = self.pos;
-        match self.next()?.clone() {
-            Token::Ident(kw) if kw == "if" => {
+        match self.next()? {
+            Token::Ident("if") => {
                 self.expect(&Token::LParen)?;
                 let lhs = self.parse_expr(prec)?;
                 let op = self.parse_cmp_op()?;
@@ -197,7 +197,7 @@ impl<'a> Parser<'a> {
                 let body = self.parse_block(prec)?;
                 Ok(Some(Stmt::If { cond: Cond { op, lhs, rhs }, body }))
             }
-            Token::Ident(kw) if kw == "for" => {
+            Token::Ident("for") => {
                 self.expect(&Token::LParen)?;
                 self.expect_ident("int")?;
                 let var = self.ident()?;
@@ -224,9 +224,9 @@ impl<'a> Parser<'a> {
                 }
                 self.expect(&Token::RParen)?;
                 let body = self.parse_block(prec)?;
-                Ok(Some(Stmt::For { var, bound, body }))
+                Ok(Some(Stmt::For { var: var.to_string(), bound: bound.to_string(), body }))
             }
-            Token::Ident(kw) if kw == "printf" => {
+            Token::Ident("printf") => {
                 // consume to end of statement
                 while !matches!(self.peek(), Some(Token::Semi) | None) {
                     self.next()?;
@@ -242,7 +242,7 @@ impl<'a> Parser<'a> {
                         message: "temporary declared with the wrong precision".into(),
                     });
                 }
-                let name = self.ident()?;
+                let name = self.ident()?.to_string();
                 self.expect(&Token::Assign)?;
                 let init = self.parse_expr(prec)?;
                 self.expect(&Token::Semi)?;
@@ -254,9 +254,9 @@ impl<'a> Parser<'a> {
                     self.next()?;
                     let idx = self.ident()?;
                     self.expect(&Token::RBracket)?;
-                    LValue::Index(name, idx)
+                    LValue::Index(name.to_string(), idx.to_string())
                 } else {
-                    LValue::Var(name)
+                    LValue::Var(name.to_string())
                 };
                 let op_pos = self.pos;
                 let op = match self.next()? {
@@ -355,7 +355,7 @@ impl<'a> Parser<'a> {
 
     fn parse_primary(&mut self, prec: Precision) -> Result<Expr, ParseError> {
         let pos = self.pos;
-        match self.next()?.clone() {
+        match self.next()? {
             Token::Float(v, suffixed) => {
                 let v = if suffixed || prec == Precision::F32 { v as f32 as f64 } else { v };
                 Ok(Expr::Lit(v))
@@ -363,7 +363,7 @@ impl<'a> Parser<'a> {
             Token::Int(v) => Ok(Expr::Lit(v as f64)),
             Token::LParen => {
                 // cast form: `(double)threadIdx.x` / `(float)threadIdx.x`
-                if let Some(Token::Ident(ty)) = self.peek() {
+                if let Some(&Token::Ident(ty)) = self.peek() {
                     if (ty == "double" || ty == "float")
                         && self.tokens.get(self.pos + 1) == Some(&Token::RParen)
                     {
@@ -376,14 +376,14 @@ impl<'a> Parser<'a> {
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Token::Ident(name) if name == "threadIdx" => {
+            Token::Ident("threadIdx") => {
                 self.expect(&Token::Dot)?;
                 self.expect_ident("x")?;
                 Ok(Expr::ThreadIdx)
             }
             Token::Ident(name) => match self.peek() {
                 Some(Token::LParen) => {
-                    let func = MathFunc::from_c_name(&name).ok_or_else(|| ParseError {
+                    let func = MathFunc::from_c_name(name).ok_or_else(|| ParseError {
                         at: pos,
                         message: format!("unknown function `{name}`"),
                     })?;
@@ -420,9 +420,9 @@ impl<'a> Parser<'a> {
                     self.next()?;
                     let idx = self.ident()?;
                     self.expect(&Token::RBracket)?;
-                    Ok(Expr::Index(name, idx))
+                    Ok(Expr::Index(name.to_string(), idx.to_string()))
                 }
-                _ => Ok(Expr::Var(name)),
+                _ => Ok(Expr::Var(name.to_string())),
             },
             got => Err(ParseError { at: pos, message: format!("unexpected token {got}") }),
         }

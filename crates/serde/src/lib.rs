@@ -27,6 +27,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 
 #[cfg(feature = "derive")]
@@ -161,7 +162,15 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
 /// [`from_slice`] over a shared buffer: each [`RawJson`] inside keeps
 /// a share of `bytes` instead of a copy of its span.
 pub fn from_shared<T: Deserialize>(bytes: &Arc<Vec<u8>>) -> Result<T> {
-    read_all(Reader { owner: Some(bytes), ..Reader::new(bytes) })
+    from_shared_part(bytes, 0..bytes.len())
+}
+
+/// [`from_shared`] of the value that the part `span` of `bytes` holds
+/// (one frame of a file read whole, say): each [`RawJson`] inside keeps
+/// a share of all of `bytes`.
+pub fn from_shared_part<T: Deserialize>(bytes: &Arc<Vec<u8>>, span: Range<usize>) -> Result<T> {
+    let b = bytes.get(..span.end).ok_or_else(|| Error::custom("span past the buffer's end"))?;
+    read_all(Reader { i: span.start.min(span.end), owner: Some(bytes), ..Reader::new(b) })
 }
 
 fn read_all<T: Deserialize>(mut r: Reader<'_>) -> Result<T> {
@@ -851,6 +860,13 @@ impl RawJson {
             span
         };
         Ok(RawJson { buf: Arc::new(bytes), start, end })
+    }
+
+    /// `bytes` as they are, unchecked: for bytes that are parsed, and so
+    /// checked, before anything writes them. Bytes that do not hold one
+    /// JSON value make that parse fail.
+    pub fn from_vec_unchecked(bytes: Vec<u8>) -> RawJson {
+        RawJson::whole(bytes)
     }
 
     /// `value` as compact JSON.
